@@ -4,8 +4,8 @@
                 --config <path> [--out <dir>] [--grid-n <int>] [--quiet]
 
 Exit codes: 0 success, 1 configuration/validation error, 2 SCF did not
-converge, 3 an invariant check failed.  All CSV files are written
-atomically (temp file + rename) with a header row; floats are printed
+converge or diverged, 3 an invariant check failed.  All CSV files are
+written atomically (temp file + rename) with a header row; floats are printed
 with 17 significant digits, so identical configurations produce
 byte-identical outputs.  When ``--out`` is absent the CONVOLVE_HF_OUT
 environment variable overrides the config's output.dir.
@@ -24,14 +24,14 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .convolution import get_plan, resolution_floor
-from .errors import ConfigError, IllConditionedBasisError, ResolutionError
+from .errors import ConfigError, IllConditionedBasisError, ResolutionError, ScfDivergedError
 from .expansion import (
     expansion_poisson_residuals,
     expansion_window_residuals,
     project_orbitals,
 )
 from .extension import extend, harmonicity_residual
-from .fields import ScalarField, laplacian, norm
+from .fields import ScalarField, norm
 from .hf import (
     HfFields,
     OrbitalSet,
@@ -39,7 +39,7 @@ from .hf import (
     build_p,
     check_orbital_bounds,
     energies,
-    nuclear_mask,
+    strong_terms,
 )
 from .kernels import Gaussian, Slater1s, basis_function, sample
 from .residuals import (
@@ -85,13 +85,13 @@ def _say(quiet: bool, *message):
 
 
 def cmd_scf(config: RunConfig, out: Path, quiet: bool) -> int:
-    result = solve(config.system(), config.grid(), config.scf())
+    grid, system = config.grid(), config.system()
+    result = solve(system, grid, config.scf())
     _write_csv(
         out / "scf_history.csv",
         ["iteration", "energy", "orbital_change", "epsilon"],
         [(str(it.iteration), it.energy, it.orbital_change, it.epsilon) for it in result.history],
     )
-    grid = config.grid()
     x = grid.axis_coordinates()
     k0 = grid.points_per_axis // 2  # z = 0 plane
     psi = result.orbitals.orbitals[0].values.real
@@ -102,8 +102,8 @@ def cmd_scf(config: RunConfig, out: Path, quiet: bool) -> int:
     ]
     _write_csv(out / "orbital_z0.csv", ["x", "y", "value"], plane_rows)
 
-    report = energies(result.orbitals, config.system(), fields=result.fields)
-    bounds = check_orbital_bounds(result.orbitals, config.system(), fields=result.fields)
+    report = energies(result.orbitals, system, fields=result.fields)
+    bounds = check_orbital_bounds(result.orbitals, system, fields=result.fields)
     summary = [
         f"converged = {result.converged}",
         f"iterations = {result.iteration_count}",
@@ -167,30 +167,6 @@ def cmd_extend_sweep(config: RunConfig, out: Path, quiet: bool) -> int:
 # ----------------------------------------------------------- residuals
 
 
-def _masked_strong_report(a, orbitals, fields, system, method="spectral") -> ResidualReport:
-    """Strong residual with per-term norms, all masked near the nuclei."""
-    psi_a = orbitals.orbitals[a]
-    eps_a = orbitals.energies[a]
-    keep = nuclear_mask(psi_a.grid, system)
-
-    def masked(vals):
-        v = vals.copy()
-        v[~keep] = 0.0
-        return psi_a.with_values(v)
-
-    lap_term = masked(laplacian(psi_a, method=method).values)
-    pot_term = masked((fields.p.values - fields.q.values + 2.0 * eps_a) * psi_a.values)
-    exch_term = masked(
-        2.0 * sum(fields.s[a][c].values * orbitals.orbitals[c].values
-                  for c in range(len(orbitals)))
-    )
-    return ResidualReport.from_terms(
-        ("laplacian", "potential", "exchange"),
-        (lap_term, pot_term, exch_term),
-        {"orbital": a, "laplacian": method, "masked": True},
-    )
-
-
 def _residual_inputs(config: RunConfig):
     """(orbitals, fields, system, scf_exit) for the configured source."""
     grid = config.grid()
@@ -220,7 +196,11 @@ def cmd_residuals(config: RunConfig, out: Path, quiet: bool) -> int:
     t = config.residuals_t
     w = Gaussian(alpha=config.window_alpha, amplitude=1.0)
     a = 0
-    strong = _masked_strong_report(a, orbitals, fields, system)
+    strong = ResidualReport.from_terms(
+        ("laplacian", "potential", "exchange"),
+        strong_terms(a, orbitals, fields, system),
+        {"orbital": a, "laplacian": "spectral", "masked": True},
+    )
     thm4 = poisson_transformed_residual(a, orbitals, fields, t)
     thm5 = window_transformed_residual(a, orbitals, fields, w)
     cross = poisson_crosscheck(a, orbitals, fields, system, t)
@@ -355,12 +335,16 @@ def main(argv=None) -> int:
         if args.grid_n is not None:
             config = replace(config, grid_n=args.grid_n).validated()
         out = Path(args.out or os.environ.get("CONVOLVE_HF_OUT") or config.output_dir)
-        if args.quiet:
-            warnings.simplefilter("ignore")
-        return _COMMANDS[args.command](config, out, args.quiet)
+        with warnings.catch_warnings():
+            if args.quiet:
+                warnings.simplefilter("ignore")
+            return _COMMANDS[args.command](config, out, args.quiet)
     except (ConfigError, IllConditionedBasisError, ResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ScfDivergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

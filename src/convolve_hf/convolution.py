@@ -167,6 +167,9 @@ class ConvolutionPlan:
                 return self._cache[kernel]
         spec = sfft.rfftn(_sample_kernel_offsets(kernel, self.grid))
         with self._lock:
+            if kernel in self._cache:  # another thread computed it meanwhile
+                self._cache.move_to_end(kernel)
+                return self._cache[kernel]
             self._cache[kernel] = spec
             self._cache_bytes += spec.nbytes
             while self._cache_bytes > self._max_cache_bytes and len(self._cache) > 1:
@@ -176,10 +179,10 @@ class ConvolutionPlan:
 
     # -- low-level real transforms -------------------------------------
 
-    def _pad(self, real_values: np.ndarray) -> np.ndarray:
+    def _pad(self, values: np.ndarray) -> np.ndarray:
         n = self.grid.points_per_axis
-        pad = np.zeros(self.padded_shape)
-        pad[:n, :n, :n] = real_values
+        pad = np.zeros(self.padded_shape, dtype=values.dtype)
+        pad[:n, :n, :n] = values
         return pad
 
     def _convolve_real_with_spectrum(self, real_values, spectrum) -> np.ndarray:
@@ -195,9 +198,9 @@ class ConvolutionPlan:
         if kernel.center != (0.0, 0.0, 0.0):
             raise ValueError("convolution kernels must be centered at the origin")
         spec = self.kernel_spectrum(kernel)
-        out = self._convolve_real_with_spectrum(f.values.real, spec).astype(np.complex128)
+        out = self._convolve_real_with_spectrum(f.values.real, spec)
         if not f.is_real:
-            out += 1j * self._convolve_real_with_spectrum(f.values.imag, spec)
+            out = out + 1j * self._convolve_real_with_spectrum(f.values.imag, spec)
         return f.with_values(out)
 
     def convolve_fields(self, f: ScalarField, g: ScalarField) -> ScalarField:
@@ -205,20 +208,12 @@ class ConvolutionPlan:
             raise GridMismatchError("field grids do not match the plan grid")
         n, h = self.grid.points_per_axis, self.grid.spacing
         lo, hi = n // 2, n // 2 + n
+        pf, pg = self._pad(f.values), self._pad(g.values)
         if f.is_real and g.is_real:
-            full = sfft.irfftn(
-                sfft.rfftn(self._pad(f.values.real)) * sfft.rfftn(self._pad(g.values.real)),
-                s=self.padded_shape,
-            )
-            vals = full[lo:hi, lo:hi, lo:hi].astype(np.complex128) * h**3
+            full = sfft.irfftn(sfft.rfftn(pf) * sfft.rfftn(pg), s=self.padded_shape)
         else:
-            pf = np.zeros(self.padded_shape, dtype=np.complex128)
-            pg = np.zeros(self.padded_shape, dtype=np.complex128)
-            pf[:n, :n, :n] = f.values
-            pg[:n, :n, :n] = g.values
             full = sfft.ifftn(sfft.fftn(pf) * sfft.fftn(pg))
-            vals = full[lo:hi, lo:hi, lo:hi] * h**3
-        return f.with_values(vals)
+        return f.with_values(full[lo:hi, lo:hi, lo:hi] * h**3)
 
 
 _registry_lock = threading.Lock()

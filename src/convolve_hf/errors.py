@@ -25,5 +25,9 @@ class IllConditionedBasisError(ValueError):
     """Basis Gram matrix condition number exceeds the projection limit."""
 
 
+class ScfDivergedError(ValueError):
+    """The SCF eigensolver diverged or its linear solve did not converge."""
+
+
 class ConfigError(ValueError):
     """A run configuration file is malformed or violates a precondition."""

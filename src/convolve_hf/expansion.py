@@ -5,24 +5,24 @@ Gaussian family by least squares on the grid (normal equations through
 the Gram matrix).  For each truncation order n the expansion carries the
 truncated orbitals T[n,a], the overlap-Coulomb fields r[n,a,c] built
 from them, their Hartree sum q_n, and a uniform L2 bound K on the
-truncations.  The residual ladders re-evaluate the two transformed
-equations with (T, r, q_n) in place of (psi, s, q): as the fit improves
-the residual norms must not grow.
+truncations.  The residual ladders evaluate the two transformed residuals
+of :mod:`convolve_hf.residuals` with (T, r, q_n) in place of (psi, s, q):
+as the fit improves the residual norms must not grow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg as sla
 
-from .convolution import ConvolutionPlan, convolve_with_kernel, coulomb_convolve, get_plan
+from .convolution import ConvolutionPlan, get_plan
 from .errors import IllConditionedBasisError
 from .fields import ScalarField, inner, norm
-from .hf import HfFields, OrbitalSet
-from .kernels import Gaussian, PoissonDt2Kernel, PoissonKernel, sample
-from .residuals import ResidualReport, _require_gaussian_window
+from .hf import HfFields, OrbitalSet, build_overlap_fields
+from .kernels import Gaussian, sample
+from .residuals import ResidualReport, poisson_transformed_residual, window_transformed_residual
 
 __all__ = ["ExpansionState", "project_orbitals",
            "expansion_poisson_residuals", "expansion_window_residuals"]
@@ -43,10 +43,6 @@ class ExpansionState:
     fit_errors: dict    # order -> tuple of ||T - psi||_2 per orbital
     k_bound: float
     gram_condition: float
-
-    @property
-    def n_orbitals(self) -> int:
-        return len(next(iter(self.truncations.values())))
 
     def truncation_l2(self, order: int, a: int) -> float:
         return norm(self.truncations[order][a], 2)
@@ -91,26 +87,14 @@ def project_orbitals(
         cho = sla.cho_factor(gram[:order, :order])
         coeff = sla.cho_solve(cho, rhs[:order, :])
         coefficients[order] = coeff
-        ts = []
-        errs = []
-        for a, psi in enumerate(orbitals.orbitals):
-            vals = sum(coeff[k, a] * sampled[k].values for k in range(order))
-            t_field = ScalarField(grid=grid, values=vals)
-            ts.append(t_field)
-            errs.append(norm(t_field - psi, 2))
-        truncations[order] = tuple(ts)
-        fit_errors[order] = tuple(errs)
-        n_orb = len(orbitals)
-        r = [[None] * n_orb for _ in range(n_orb)]
-        for a in range(n_orb):
-            for c in range(a, n_orb):
-                r_ac = coulomb_convolve(ts[c].conj() * ts[a], plan=plan)
-                r[a][c] = r_ac
-                if c != a:
-                    r[c][a] = r_ac.conj()
-        r_fields[order] = tuple(tuple(row) for row in r)
-        q_fields[order] = ScalarField(
-            grid=grid, values=4.0 * sum(r[c][c].values for c in range(n_orb))
+        ts = tuple(
+            ScalarField(grid=grid, values=sum(coeff[k, a] * sampled[k].values for k in range(order)))
+            for a in range(len(orbitals))
+        )
+        truncations[order] = ts
+        fit_errors[order] = tuple(norm(t - psi, 2) for t, psi in zip(ts, orbitals.orbitals))
+        r_fields[order], q_fields[order] = build_overlap_fields(
+            OrbitalSet(ts, orbitals.energies, validate=False), plan=plan
         )
 
     # uniform bound realized as the projection bound ||psi|| + max_n ||T_n - psi||
@@ -131,17 +115,21 @@ def project_orbitals(
     )
 
 
-def _expansion_terms(state, order, a, orbitals, fields):
-    t_a = state.truncations[order][a]
-    eps_a = orbitals.energies[a]
-    local = t_a.with_values(
-        (fields.p.values - state.q_fields[order].values + 2.0 * eps_a) * t_a.values
-    )
-    exch = sum(
-        state.r_fields[order][a][c].values * state.truncations[order][c].values
-        for c in range(state.n_orbitals)
-    )
-    return t_a, local, t_a.with_values(exch)
+def _truncated_inputs(state: ExpansionState, orbitals: OrbitalSet, fields: HfFields, orders):
+    """(order, truncated orbital set, truncated fields) per requested order."""
+    orders = state.orders if orders is None else tuple(int(n) for n in orders)
+    missing = [n for n in orders if n not in state.truncations]
+    if missing:
+        raise KeyError(f"orders {missing} not present in the expansion state")
+    return [
+        (n, OrbitalSet(state.truncations[n], orbitals.energies, validate=False),
+         HfFields(p=fields.p, q=state.q_fields[n], s=state.r_fields[n]))
+        for n in orders
+    ]
+
+
+def _with_order(report: ResidualReport, order: int) -> ResidualReport:
+    return replace(report, params={**report.params, "order": order})
 
 
 def expansion_poisson_residuals(
@@ -158,31 +146,14 @@ def expansion_poisson_residuals(
         T[n,a] * d2t P_t - [(p - q_n + 2 eps_a) T[n,a]] * P_t
                          - 2 sum_c [r[n,a,c] T[n,c]] * P_t
 
-    Signs follow the height-transform identity (the same that the
-    crosscheck enforces), with the expansion surrogates in place of the
-    exact fields.
+    that is, :func:`poisson_transformed_residual` with the expansion
+    surrogates in place of the exact orbitals and fields.
     """
     plan = plan or get_plan(orbitals.grid)
-    orders = state.orders if orders is None else tuple(int(n) for n in orders)
-    missing = [n for n in orders if n not in state.truncations]
-    if missing:
-        raise KeyError(f"orders {missing} not present in the expansion state")
-    reports = []
-    for order in orders:
-        t_a, local, exch = _expansion_terms(state, order, a, orbitals, fields)
-        terms = (
-            convolve_with_kernel(t_a, PoissonDt2Kernel(t=t), plan=plan, strict=True),
-            -1.0 * convolve_with_kernel(local, PoissonKernel(t=t), plan=plan, strict=True),
-            -2.0 * convolve_with_kernel(exch, PoissonKernel(t=t), plan=plan, strict=True),
-        )
-        reports.append(
-            ResidualReport.from_terms(
-                ("kernel_dt2", "potential", "exchange"),
-                terms,
-                {"t": t, "orbital": a, "order": order},
-            )
-        )
-    return reports
+    return [
+        _with_order(poisson_transformed_residual(a, trunc, trunc_fields, t, plan=plan), n)
+        for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, orders)
+    ]
 
 
 def expansion_window_residuals(
@@ -199,28 +170,12 @@ def expansion_window_residuals(
         T[n,a] * (lap w) + [(p - q_n + 2 eps_a) T[n,a]] * w
                          + 2 sum_c [r[n,a,c] T[n,c]] * w
 
+    that is, :func:`window_transformed_residual` on each truncation.
     Gaussian windows are integrable, so L2 norms are always reported
     alongside the sup norms.
     """
-    _require_gaussian_window(w)
     plan = plan or get_plan(orbitals.grid)
-    orders = state.orders if orders is None else tuple(int(n) for n in orders)
-    missing = [n for n in orders if n not in state.truncations]
-    if missing:
-        raise KeyError(f"orders {missing} not present in the expansion state")
-    reports = []
-    for order in orders:
-        t_a, local, exch = _expansion_terms(state, order, a, orbitals, fields)
-        terms = (
-            convolve_with_kernel(t_a, w.laplacian(), plan=plan),
-            convolve_with_kernel(local, w, plan=plan),
-            2.0 * convolve_with_kernel(exch, w, plan=plan),
-        )
-        reports.append(
-            ResidualReport.from_terms(
-                ("kernel_lap", "potential", "exchange"),
-                terms,
-                {"window_alpha": w.alpha, "orbital": a, "order": order},
-            )
-        )
-    return reports
+    return [
+        _with_order(window_transformed_residual(a, trunc, trunc_fields, w, plan=plan), n)
+        for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, orders)
+    ]

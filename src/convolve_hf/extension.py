@@ -106,7 +106,7 @@ def harmonicity_residual(ext: HarmonicExtension, t_index: int, method: str = "sp
         )
     u_lo, u, u_hi = (ext.slices[t_index + k] for k in (-1, 0, 1))
     lap_u = laplacian(u, method=method)
-    dtt = (u_hi.values - 2.0 * u.values + u_lo.values) / delta**2
+    dtt = (u_hi.values - 2.0 * u.values + u_lo.values) * (1.0 / delta**2)
     den = norm(lap_u, 2)
     if den == 0.0:
         return 0.0

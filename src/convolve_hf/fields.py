@@ -2,15 +2,17 @@
 
 The grid covers the cube [-L, L]^3 with n nodes per axis at
 x_i = -L + i*h, h = 2L/n (the origin is a node for even n).  A field's
-values are stored as a C-ordered (n, n, n) complex array indexed
-``values[i, j, k]`` for the point (x_i, y_j, z_k); quadrature assigns
-every node the weight h^3.
+values are stored as a C-ordered (n, n, n) array indexed ``values[i, j, k]``
+for the point (x_i, y_j, z_k): float64 for real data, complex128 only when
+the data carries a nonzero imaginary part.  Quadrature assigns every node
+the weight h^3.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -24,6 +26,7 @@ __all__ = [
     "norm",
     "inner",
     "laplacian",
+    "spectral_laplacian",
     "outer_shell_mass_fraction",
 ]
 
@@ -79,44 +82,41 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Complex-valued function sampled on a :class:`GridSpec`.
+    """Function sampled on a :class:`GridSpec`.
 
-    Values are validated to be finite on construction; all operations
-    below return new fields, so instances can be shared freely across
-    threads.
+    Values are validated to be finite on construction and stored as
+    float64 unless their imaginary part is nonzero somewhere; all
+    operations below return new fields, so instances can be shared freely
+    across threads.
     """
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = np.asarray(self.values)
+        if np.iscomplexobj(vals) and not vals.imag.any():
+            vals = vals.real
+        vals = np.ascontiguousarray(vals, np.complex128 if np.iscomplexobj(vals) else np.float64)
         if vals.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(vals.view(np.float64))):
+        if not np.isfinite(vals).all():
             raise ValueError("field values must be finite (no NaN/Inf)")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_values(cls, grid: GridSpec, values: np.ndarray) -> "ScalarField":
-        return cls(grid=grid, values=values)
-
-    @classmethod
     def zeros(cls, grid: GridSpec) -> "ScalarField":
-        return cls(grid=grid, values=np.zeros(grid.shape, dtype=np.complex128))
+        return cls(grid=grid, values=np.zeros(grid.shape))
 
     def with_values(self, values: np.ndarray) -> "ScalarField":
         return ScalarField(grid=self.grid, values=values)
 
     @property
     def is_real(self) -> bool:
-        return not np.any(self.values.imag)
-
-    def real_values(self) -> np.ndarray:
-        return self.values.real
+        return not np.iscomplexobj(self.values)
 
     # -- field algebra ------------------------------------------------
 
@@ -140,7 +140,7 @@ class ScalarField:
         return self.with_values(-self.values)
 
     def conj(self) -> "ScalarField":
-        return self.with_values(np.conj(self.values))
+        return self if self.is_real else self.with_values(np.conj(self.values))
 
 
 def _require_same_grid(f: ScalarField, g: ScalarField):
@@ -172,13 +172,24 @@ def inner(f: ScalarField, g: ScalarField) -> complex:
     return complex(np.vdot(f.values, g.values) * f.grid.spacing**3)
 
 
-def _spectral_multiplier(grid: GridSpec, real_layout: bool) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _spectral_multiplier(grid: GridSpec) -> np.ndarray:
+    """-4 pi^2 |omega|^2 on the rFFT frequency grid, shared read-only."""
     h = grid.spacing
     kx = sfft.fftfreq(grid.points_per_axis, d=h)
-    kz = sfft.rfftfreq(grid.points_per_axis, d=h) if real_layout else kx
-    return -4.0 * np.pi**2 * (
+    kz = sfft.rfftfreq(grid.points_per_axis, d=h)
+    mult = -4.0 * np.pi**2 * (
         kx[:, None, None] ** 2 + kx[None, :, None] ** 2 + kz[None, None, :] ** 2
     )
+    mult.flags.writeable = False
+    return mult
+
+
+def spectral_laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Spectral (periodic) Laplacian of a real (n, n, n) array on ``grid``."""
+    spec = sfft.rfftn(values)
+    spec *= _spectral_multiplier(grid)
+    return sfft.irfftn(spec, s=grid.shape)
 
 
 def laplacian(f: ScalarField, method: str = "spectral") -> ScalarField:
@@ -194,7 +205,7 @@ def laplacian(f: ScalarField, method: str = "spectral") -> ScalarField:
         out = -6.0 * v
         for ax in range(3):
             out += np.roll(v, 1, axis=ax) + np.roll(v, -1, axis=ax)
-        return f.with_values(out / f.grid.spacing**2)
+        return f.with_values(out * (1.0 / f.grid.spacing**2))
     if method == "spectral":
         frac = outer_shell_mass_fraction(f)
         if frac > 0.01:
@@ -204,12 +215,9 @@ def laplacian(f: ScalarField, method: str = "spectral") -> ScalarField:
                 SupportWarning,
                 stacklevel=2,
             )
-        if f.is_real:
-            spec = sfft.rfftn(f.values.real)
-            spec *= _spectral_multiplier(f.grid, real_layout=True)
-            out = sfft.irfftn(spec, s=f.grid.shape).astype(np.complex128)
-        else:
-            out = sfft.ifftn(sfft.fftn(f.values) * _spectral_multiplier(f.grid, real_layout=False))
+        out = spectral_laplacian(f.values.real, f.grid)
+        if not f.is_real:
+            out = out + 1j * spectral_laplacian(f.values.imag, f.grid)
         return f.with_values(out)
     raise ValueError(f"unknown laplacian method {method!r}")
 

@@ -11,8 +11,11 @@ and the strong residual of the transformed eigenvalue equation is
     R_a = lap(psi_a) + (p - q + 2 eps_a) psi_a + 2 sum_c s[a,c] psi_c,
 
 masked inside a small radius around each nucleus where the equation is
-singular.  Nucleus count and orbital count are independent here even
-though the source equations index both by the same letter.
+singular.  ``equation_terms`` assembles the pointwise terms psi_a,
+(p - q + 2 eps_a) psi_a and sum_c s[a,c] psi_c once; the strong residual
+and both convolution-transformed residuals are built from them.  Nucleus
+count and orbital count are independent here even though the source
+equations index both by the same letter.
 """
 
 from __future__ import annotations
@@ -34,8 +37,11 @@ __all__ = [
     "HfFields",
     "build_p",
     "build_s",
+    "build_overlap_fields",
     "build_fields",
     "nuclear_mask",
+    "equation_terms",
+    "strong_terms",
     "strong_residual",
     "EnergyReport",
     "energies",
@@ -82,10 +88,6 @@ class MolecularSystem:
             raise ValueError("pair_count must be >= 1")
         if self.regular_set_margin is not None and self.regular_set_margin <= 0:
             raise ValueError("regular_set_margin must be positive")
-
-    @property
-    def total_charge(self) -> float:
-        return sum(z for z, _ in self.nuclei)
 
     def charge_barycenter(self) -> np.ndarray:
         zs = np.array([z for z, _ in self.nuclei])
@@ -171,7 +173,7 @@ class HfFields:
 def build_p(system: MolecularSystem, grid: GridSpec) -> ScalarField:
     """Nuclear field 2 sum_c Z_c h_{xi_c}, mollified at nuclear nodes."""
     system.require_inside(grid)
-    total = np.zeros(grid.shape, dtype=np.complex128)
+    total = np.zeros(grid.shape)
     for z, pos in system.nuclei:
         total = total + 2.0 * z * sample(CoulombKernel(center=pos), grid).values
     return ScalarField(grid=grid, values=total)
@@ -186,24 +188,29 @@ def build_s(a: int, c: int, orbitals: OrbitalSet, plan: ConvolutionPlan | None =
     return coulomb_convolve(product, plan=plan)
 
 
-def build_fields(
-    system: MolecularSystem, orbitals: OrbitalSet, plan: ConvolutionPlan | None = None
-) -> HfFields:
-    """Assemble p, q and all s fields; q = 4 sum_c s[c,c] exactly, and
-    s[a,c] = conj(s[c,a]) by construction (only the upper triangle is
-    convolved)."""
+def build_overlap_fields(
+    orbitals: OrbitalSet, plan: ConvolutionPlan | None = None
+) -> tuple[tuple[tuple[ScalarField, ...], ...], ScalarField]:
+    """The n x n matrix of s fields and q = 4 sum_c s[c,c]; s[a,c] =
+    conj(s[c,a]) by construction (only the upper triangle is convolved)."""
     plan = plan or get_plan(orbitals.grid)
     n = len(orbitals)
     s = [[None] * n for _ in range(n)]
     for a in range(n):
         for c in range(a, n):
-            s_ac = build_s(a, c, orbitals, plan=plan)
-            s[a][c] = s_ac
+            s[a][c] = build_s(a, c, orbitals, plan=plan)
             if c != a:
-                s[c][a] = s_ac.conj()
-    q_vals = 4.0 * sum(s[c][c].values for c in range(n))
-    q = ScalarField(grid=orbitals.grid, values=q_vals)
-    return HfFields(p=build_p(system, orbitals.grid), q=q, s=tuple(tuple(row) for row in s))
+                s[c][a] = s[a][c].conj()
+    q = ScalarField(grid=orbitals.grid, values=4.0 * sum(s[c][c].values for c in range(n)))
+    return tuple(tuple(row) for row in s), q
+
+
+def build_fields(
+    system: MolecularSystem, orbitals: OrbitalSet, plan: ConvolutionPlan | None = None
+) -> HfFields:
+    """Assemble p, q and all s fields (see :func:`build_overlap_fields`)."""
+    s, q = build_overlap_fields(orbitals, plan=plan)
+    return HfFields(p=build_p(system, orbitals.grid), q=q, s=s)
 
 
 def nuclear_mask(grid: GridSpec, system: MolecularSystem, margin: float | None = None) -> np.ndarray:
@@ -215,6 +222,37 @@ def nuclear_mask(grid: GridSpec, system: MolecularSystem, margin: float | None =
     return keep
 
 
+def equation_terms(
+    a: int, orbitals: OrbitalSet, fields: HfFields
+) -> tuple[ScalarField, ScalarField, ScalarField]:
+    """The pointwise terms of the eigenvalue equation for orbital ``a``:
+    psi_a, (p - q + 2 eps_a) psi_a and sum_c s[a,c] psi_c."""
+    if fields.n != len(orbitals):
+        raise ValueError("fields were built from a different orbital count")
+    psi_a = orbitals.orbitals[a]
+    local = (fields.p.values - fields.q.values + 2.0 * orbitals.energies[a]) * psi_a.values
+    exchange = sum(s_ac.values * psi_c.values for s_ac, psi_c in zip(fields.s[a], orbitals.orbitals))
+    return psi_a, psi_a.with_values(local), psi_a.with_values(exchange)
+
+
+def strong_terms(
+    a: int,
+    orbitals: OrbitalSet,
+    fields: HfFields,
+    system: MolecularSystem,
+    method: str = "spectral",
+) -> tuple[ScalarField, ScalarField, ScalarField]:
+    """lap psi_a, (p - q + 2 eps_a) psi_a and 2 sum_c s[a,c] psi_c, each
+    zeroed inside the nuclear exclusion radius; they sum to the strong
+    residual."""
+    psi_a, local, exchange = equation_terms(a, orbitals, fields)
+    keep = nuclear_mask(psi_a.grid, system)
+    return tuple(
+        t.with_values(np.where(keep, t.values, 0.0))
+        for t in (laplacian(psi_a, method=method), local, 2.0 * exchange)
+    )
+
+
 def strong_residual(
     a: int,
     orbitals: OrbitalSet,
@@ -224,16 +262,8 @@ def strong_residual(
 ) -> ScalarField:
     """Pointwise residual of the transformed eigenvalue equation for
     orbital ``a``, zeroed inside the nuclear exclusion radius."""
-    if fields.n != len(orbitals):
-        raise ValueError("fields were built from a different orbital count")
-    psi_a = orbitals.orbitals[a]
-    eps_a = orbitals.energies[a]
-    vals = laplacian(psi_a, method=method).values.copy()
-    vals += (fields.p.values - fields.q.values + 2.0 * eps_a) * psi_a.values
-    for c in range(len(orbitals)):
-        vals += 2.0 * fields.s[a][c].values * orbitals.orbitals[c].values
-    vals[~nuclear_mask(psi_a.grid, system)] = 0.0
-    return psi_a.with_values(vals)
+    lap_term, local, exchange = strong_terms(a, orbitals, fields, system, method=method)
+    return lap_term + local + exchange
 
 
 @dataclass(frozen=True)

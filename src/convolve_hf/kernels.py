@@ -166,9 +166,6 @@ class Gaussian(AnalyticFunction):
         return GaussianLaplacian(center=self.center, alpha=self.alpha,
                                  amplitude=self.prefactor)
 
-    def l2_norm(self) -> float:
-        return float(self.prefactor * (np.pi / (2 * self.alpha)) ** 0.75)
-
 
 @dataclass(frozen=True)
 class GaussianLaplacian(AnalyticFunction):
@@ -230,7 +227,7 @@ def sample(f: AnalyticFunction, grid: GridSpec) -> ScalarField:
         if np.sqrt(r2[idx]) < grid.spacing:
             vals = np.array(vals)
             vals[idx] = f.singular_cell_mean(grid.spacing)
-    return ScalarField(grid=grid, values=vals.astype(np.complex128))
+    return ScalarField(grid=grid, values=vals)
 
 
 def basis_function(k: int, alpha0: float, beta: float) -> Gaussian:

@@ -3,10 +3,10 @@
 Two transforms eliminate the Laplacian: convolution with the Poisson
 kernel (the height derivative takes over the second derivatives) and
 convolution with a smooth window w (the Laplacian moves onto w).  Both
-are evaluated per-term so the reports expose which contribution
-dominates, and both are cross-validated against the convolved strong
-residual: the kernel-derivative route and the grid-Laplacian route must
-agree.
+are evaluated per-term (from ``hf.equation_terms``) so the reports expose
+which contribution dominates, and both are cross-validated against the
+convolved strong residual: the kernel-derivative route and the
+grid-Laplacian route must agree.
 
 The printed window form that drops the exchange term and the psi_a
 factor in the Hartree term is provided as ``window_residual_literal``
@@ -22,7 +22,7 @@ import numpy as np
 
 from .convolution import ConvolutionPlan, convolve, convolve_with_kernel, get_plan
 from .fields import ScalarField, laplacian, norm
-from .hf import HfFields, MolecularSystem, OrbitalSet, strong_residual
+from .hf import HfFields, MolecularSystem, OrbitalSet, equation_terms, strong_residual
 from .kernels import Gaussian, PoissonDt2Kernel, PoissonKernel
 
 __all__ = [
@@ -112,23 +112,14 @@ def poisson_transformed_residual(
     for exact solutions.  Heights below 2h are rejected.
     """
     plan = plan or get_plan(orbitals.grid)
-    psi_a = orbitals.orbitals[a]
-    eps_a = orbitals.energies[a]
-    kernel_term = convolve_with_kernel(psi_a, PoissonDt2Kernel(t=t), plan=plan, strict=True)
-    local = psi_a.with_values(
-        (fields.p.values - fields.q.values + 2.0 * eps_a) * psi_a.values
-    )
-    potential_term = -1.0 * convolve_with_kernel(local, PoissonKernel(t=t), plan=plan, strict=True)
-    exch_vals = sum(
-        fields.s[a][c].values * orbitals.orbitals[c].values for c in range(len(orbitals))
-    )
-    exchange_term = -2.0 * convolve_with_kernel(
-        psi_a.with_values(exch_vals), PoissonKernel(t=t), plan=plan, strict=True
+    psi_a, local, exchange = equation_terms(a, orbitals, fields)
+    terms = (
+        convolve_with_kernel(psi_a, PoissonDt2Kernel(t=t), plan=plan, strict=True),
+        -1.0 * convolve_with_kernel(local, PoissonKernel(t=t), plan=plan, strict=True),
+        -2.0 * convolve_with_kernel(exchange, PoissonKernel(t=t), plan=plan, strict=True),
     )
     return ResidualReport.from_terms(
-        ("kernel_dt2", "potential", "exchange"),
-        (kernel_term, potential_term, exchange_term),
-        {"t": t, "orbital": a},
+        ("kernel_dt2", "potential", "exchange"), terms, {"t": t, "orbital": a}
     )
 
 
@@ -155,20 +146,15 @@ def window_transformed_residual(
     """
     _require_gaussian_window(w)
     plan = plan or get_plan(orbitals.grid)
-    psi_a = orbitals.orbitals[a]
-    eps_a = orbitals.energies[a]
-    kernel_term = convolve_with_kernel(psi_a, w.laplacian(), plan=plan)
-    local = psi_a.with_values(
-        (fields.p.values - fields.q.values + 2.0 * eps_a) * psi_a.values
+    psi_a, local, exchange = equation_terms(a, orbitals, fields)
+    terms = (
+        convolve_with_kernel(psi_a, w.laplacian(), plan=plan),
+        convolve_with_kernel(local, w, plan=plan),
+        2.0 * convolve_with_kernel(exchange, w, plan=plan),
     )
-    potential_term = convolve_with_kernel(local, w, plan=plan)
-    exch_vals = sum(
-        fields.s[a][c].values * orbitals.orbitals[c].values for c in range(len(orbitals))
-    )
-    exchange_term = 2.0 * convolve_with_kernel(psi_a.with_values(exch_vals), w, plan=plan)
     return ResidualReport.from_terms(
         ("kernel_lap", "potential", "exchange"),
-        (kernel_term, potential_term, exchange_term),
+        terms,
         {"window_alpha": w.alpha, "window_amplitude": w.prefactor, "orbital": a},
     )
 

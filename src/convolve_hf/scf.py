@@ -5,7 +5,9 @@ inner loop relaxes the lowest eigenpair of the frozen one-particle
 operator, and linear density mixing damps the feedback.  Because the
 overlap-Coulomb convolution is linear, mixing densities is implemented
 by mixing the convolved fields directly, so each outer iteration costs a
-single padded convolution plus the inner-loop Laplacians.
+single padded convolution plus the inner-loop Laplacians.  The loop works
+on plain real arrays with :func:`convolve_hf.fields.spectral_laplacian`;
+a diverging eigensolver raises :class:`ScfDivergedError`.
 
 For a single orbital the exchange acting on the occupied orbital itself
 collapses onto the local field s[0,0], so the frozen operator is local:
@@ -24,7 +26,8 @@ from scipy import fft as sfft
 from scipy.sparse import linalg as spla
 
 from .convolution import ConvolutionPlan, coulomb_convolve, get_plan
-from .fields import GridSpec, ScalarField, laplacian
+from .errors import ScfDivergedError
+from .fields import GridSpec, ScalarField, _spectral_multiplier, laplacian, spectral_laplacian
 from .hf import (
     HfFields,
     MolecularSystem,
@@ -110,20 +113,11 @@ def apply_fock(
     plan = plan or get_plan(psi.grid)
     # p = 2 sum Z_c h_c and q = 4 sum s_cc, so nuclear + Hartree = (q - p)/2
     vals = -0.5 * laplacian(psi, method="spectral").values
-    vals += 0.5 * (fields.q.values - fields.p.values) * psi.values
+    vals = vals + 0.5 * (fields.q.values - fields.p.values) * psi.values
     for psi_c in orbitals.orbitals:
         overlap = coulomb_convolve(psi_c.conj() * psi, plan=plan)
-        vals -= overlap.values * psi_c.values
+        vals = vals - overlap.values * psi_c.values
     return psi.with_values(vals)
-
-
-def _spectral_k2(grid: GridSpec) -> np.ndarray:
-    h = grid.spacing
-    kx = sfft.fftfreq(grid.points_per_axis, d=h)
-    kz = sfft.rfftfreq(grid.points_per_axis, d=h)
-    return 4.0 * np.pi**2 * (
-        kx[:, None, None] ** 2 + kx[None, :, None] ** 2 + kz[None, None, :] ** 2
-    )
 
 
 def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResult:
@@ -143,26 +137,20 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
     h3 = h**3
     shape = grid.shape
 
-    v_nuc = -0.5 * build_p(system, grid).values.real  # -sum_c Z_c h_c, mollified
-    k2 = _spectral_k2(grid)
-
-    def lap(arr):
-        return sfft.irfftn(sfft.rfftn(arr) * (-k2), s=shape)
+    v_nuc = -0.5 * build_p(system, grid).values  # -sum_c Z_c h_c, mollified
 
     def l2(arr):
         return np.sqrt((arr * arr).sum() * h3)
 
     # initial guess: normalized Gaussian at the charge barycenter
     guess = sample(Gaussian(alpha=1.0, center=tuple(system.charge_barycenter())), grid)
-    psi = guess.values.real.copy()
+    psi = guess.values.copy()
     psi /= l2(psi)
 
     plan = get_plan(grid)
 
     def s_of(density):
-        return coulomb_convolve(
-            ScalarField(grid=grid, values=density.astype(np.complex128)), plan=plan
-        ).values.real
+        return coulomb_convolve(ScalarField(grid=grid, values=density), plan=plan).values
 
     rho = psi * psi
     s_mix = s_of(rho)
@@ -184,26 +172,28 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
 
         if config.eigensolver == "imaginary_time":
             for _ in range(_INNER_STEPS):
-                f_psi = -0.5 * lap(psi) + v_eff * psi
+                f_psi = -0.5 * spectral_laplacian(psi, grid) + v_eff * psi
                 eps = (psi * f_psi).sum() * h3
-                psi = psi - dt * (f_psi - eps * psi)
-                nrm = l2(psi)
+                with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                    psi = psi - dt * (f_psi - eps * psi)
+                    nrm = l2(psi)
                 if not np.isfinite(nrm) or nrm == 0.0:
-                    raise ValueError(
+                    raise ScfDivergedError(
                         "imaginary-time propagation diverged; reduce time_step"
                     )
                 psi /= nrm
         else:  # inverse_iteration
-            f_psi = -0.5 * lap(psi) + v_eff * psi
+            f_psi = -0.5 * spectral_laplacian(psi, grid) + v_eff * psi
             eps = (psi * f_psi).sum() * h3
             shift = eps - 1.0
             op = spla.LinearOperator(
                 (psi.size, psi.size),
                 matvec=lambda v: (
-                    -0.5 * lap(v.reshape(shape)) + (v_eff - shift) * v.reshape(shape)
+                    -0.5 * spectral_laplacian(v.reshape(shape), grid)
+                    + (v_eff - shift) * v.reshape(shape)
                 ).ravel(),
             )
-            precond_mul = 1.0 / (0.5 * k2 + max(1.0, -shift))
+            precond_mul = 1.0 / (-0.5 * _spectral_multiplier(grid) + max(1.0, -shift))
             precond = spla.LinearOperator(
                 (psi.size, psi.size),
                 matvec=lambda v: sfft.irfftn(
@@ -212,7 +202,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
             )
             sol, info = spla.cg(op, psi.ravel(), rtol=_CG_TOL, maxiter=400, M=precond)
             if info != 0:
-                raise ValueError(f"inverse-iteration CG failed to converge (info={info})")
+                raise ScfDivergedError(f"inverse-iteration CG failed to converge (info={info})")
             psi = sol.reshape(shape)
             psi /= l2(psi)
 
@@ -221,7 +211,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
         rho_new = psi * psi
         s_new = s_of(rho_new)
 
-        kinetic_1 = -0.5 * (psi * lap(psi)).sum() * h3
+        kinetic_1 = -0.5 * (psi * spectral_laplacian(psi, grid)).sum() * h3
         v_nuc_1 = 2.0 * (rho_new * v_nuc).sum() * h3
         hartree = (rho_new * s_new).sum() * h3
         energy = 2.0 * kinetic_1 + v_nuc_1 + hartree
@@ -245,15 +235,14 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
             converged = True
             break
 
-    psi_field = ScalarField(grid=grid, values=psi.astype(np.complex128))
-    final_fields = None
+    psi_field = ScalarField(grid=grid, values=psi)
     if history:
         v_eff = v_nuc + s_new
-        f_psi = -0.5 * lap(psi) + v_eff * psi
+        f_psi = -0.5 * spectral_laplacian(psi, grid) + v_eff * psi
         eps = (psi * f_psi).sum() * h3
-        resid = f_psi - eps * psi
-        resid[~nuclear_mask(grid, system)] = 0.0
-        den = l2(np.where(nuclear_mask(grid, system), f_psi, 0.0))
+        keep = nuclear_mask(grid, system)
+        resid = np.where(keep, f_psi - eps * psi, 0.0)
+        den = l2(np.where(keep, f_psi, 0.0))
         final_residual = l2(resid) / den if den > 0 else 0.0
     else:
         eps = 0.0

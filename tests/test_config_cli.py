@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,26 @@ class TestScfCommand:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["scf", "--config", str(tmp_path / "absent.cfg")]) == 1
+
+    def test_divergence_exit_code_single_error_line(self, tmp_path):
+        # a huge explicit step overflows the imaginary-time norm
+        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 8.0\nscf.time_step = 1e300\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "convolve_hf.cli", "scf",
+             "--config", str(cfg), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: imaginary-time propagation diverged; reduce time_step"
+        ]
+
+    def test_quiet_leaves_warning_filters_unchanged(self, tmp_path):
+        before = list(warnings.filters)
+        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 2.0\n")
+        assert main(["extend-sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 0
+        assert warnings.filters == before
 
 
 class TestExtendSweepCommand:

@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
 import convolve_hf as chf
+from convolve_hf import convolution
 from convolve_hf.convolution import ConvolutionPlan, _sample_kernel_offsets
 from convolve_hf.errors import GridMismatchError, ResolutionError, ResolutionWarning
 
@@ -195,6 +198,29 @@ class TestPlanCache:
         s1 = plan.kernel_spectrum(chf.CoulombKernel())
         s2 = plan.kernel_spectrum(chf.CoulombKernel())
         assert s1 is s2
+
+    def test_concurrent_misses_count_bytes_once(self, grid32, monkeypatch):
+        # both threads miss the same kernel before either inserts it
+        barrier = threading.Barrier(2, timeout=30)
+        sample_offsets = convolution._sample_kernel_offsets
+
+        def sample_in_step(kernel, grid):
+            barrier.wait()
+            return sample_offsets(kernel, grid)
+
+        monkeypatch.setattr(convolution, "_sample_kernel_offsets", sample_in_step)
+        plan = ConvolutionPlan(grid32)
+        threads = [
+            threading.Thread(target=plan.kernel_spectrum, args=(chf.CoulombKernel(),))
+            for _ in range(2)
+        ]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+        assert len(plan._cache) == 1
+        assert plan._cache_bytes == sum(v.nbytes for v in plan._cache.values())
 
     def test_cache_eviction_is_bounded(self, grid32):
         plan = ConvolutionPlan(grid32, max_cache_bytes=1)

@@ -87,6 +87,20 @@ class TestResidualLadders:
         diff7 = chf.norm(ladder7[0].total_field - direct5.total_field, 2)
         assert diff7 <= 1e-10
 
+    def test_ladders_are_the_transformed_residuals_of_each_truncation(self):
+        grid, system, orbitals, fields, basis = gaussian_orbital_setup(n=32)
+        state = chf.project_orbitals(orbitals, basis, orders=(1, 2, 3))
+        t = 1.2  # resolved: 2h = 1 on this grid
+        w = chf.Gaussian(alpha=1.0, amplitude=1.0)
+        ladder6 = chf.expansion_poisson_residuals(state, 0, orbitals, fields, t)
+        ladder7 = chf.expansion_window_residuals(state, 0, orbitals, fields, w)
+        for n, r6, r7 in zip(state.orders, ladder6, ladder7):
+            trunc = chf.OrbitalSet(state.truncations[n], orbitals.energies, validate=False)
+            trunc_fields = chf.HfFields(fields.p, state.q_fields[n], state.r_fields[n])
+            assert r6.total_l2 == chf.poisson_transformed_residual(0, trunc, trunc_fields, t).total_l2
+            assert r7.total_l2 == chf.window_transformed_residual(0, trunc, trunc_fields, w).total_l2
+            assert r6.params["order"] == r7.params["order"] == n
+
     def test_zero_orbital_gives_zero_ladder(self):
         grid = chf.GridSpec(points_per_axis=32, extent=8.0)
         zero = chf.ScalarField.zeros(grid)

@@ -48,6 +48,18 @@ class TestScalarField:
         with pytest.raises(ValueError, match="shape"):
             chf.ScalarField(grid=grid32, values=np.zeros((4, 4, 4)))
 
+    def test_dtype_follows_data(self, grid32, rng):
+        re = rng.standard_normal(grid32.shape)
+        for values, dtype in (
+            (re, np.float64),
+            (re.astype(np.complex128), np.float64),  # zero imaginary part
+            (re + 1j * rng.standard_normal(grid32.shape), np.complex128),
+        ):
+            f = chf.ScalarField(grid=grid32, values=values)
+            assert f.values.dtype == dtype
+            assert f.is_real == (dtype == np.float64)
+        assert np.array_equal(chf.ScalarField(grid=grid32, values=re + 0j).values, re)
+
     def test_grid_mismatch_on_algebra(self, grid32, grid64):
         with pytest.raises(GridMismatchError):
             chf.ScalarField.zeros(grid32) + chf.ScalarField.zeros(grid64)

@@ -193,12 +193,12 @@ def window_residual_literal(
 
 @dataclass(frozen=True)
 class CrosscheckReport:
-    """Agreement between the kernel-derivative and grid-Laplacian routes."""
+    """Agreement between the kernel-derivative and grid-Laplacian routes;
+    ``transformed`` is the height-transformed residual it compared."""
 
+    transformed: ResidualReport
     diff_l2: float
     diff_sup: float
-    transformed_l2: float
-    transformed_sup: float
     convolved_strong_l2: float
     convolved_strong_sup: float
     scale: float
@@ -230,10 +230,9 @@ def poisson_crosscheck(
     diff = norm(diff_field, 2)
     scale = max(max(report.term_l2), cross_l2)
     return CrosscheckReport(
+        transformed=report,
         diff_l2=diff,
         diff_sup=norm(diff_field, np.inf),
-        transformed_l2=report.total_l2,
-        transformed_sup=report.total_sup,
         convolved_strong_l2=cross_l2,
         convolved_strong_sup=norm(cross, np.inf),
         scale=scale,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from convolve_hf import residuals
 from convolve_hf.cli import main
 from convolve_hf.config import parse_config
 from convolve_hf.errors import ConfigError
@@ -191,6 +192,22 @@ class TestResidualsCommand:
         for line in (out / "residuals.csv").read_text().splitlines()[1:]:
             cells = line.split(",")
             assert all(float(c) == 0.0 for c in cells[1:10])
+
+    def test_poisson_residual_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = residuals.poisson_transformed_residual
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(residuals, "poisson_transformed_residual", counted)
+        code = main([
+            "residuals", "--config", str(REPO / "configs" / "zero_orbital.cfg"),
+            "--out", str(tmp_path / "out"), "--quiet",
+        ])
+        assert code == 0
+        assert calls == [0]
 
 
 class TestExpandCommand:

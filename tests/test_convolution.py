@@ -1,12 +1,15 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 import convolve_hf as chf
 from convolve_hf import convolution
-from convolve_hf.convolution import ConvolutionPlan, _sample_kernel_offsets
+from convolve_hf.convolution import ConvolutionPlan, _sample_kernel_octant
 from convolve_hf.errors import GridMismatchError, ResolutionError, ResolutionWarning
 
 from support import direct_convolution, radial_coulomb_potential
@@ -17,6 +20,39 @@ def _random(grid, rng, complex_values=True):
     if complex_values:
         vals = vals + 1j * rng.standard_normal(grid.shape)
     return chf.ScalarField(grid=grid, values=vals)
+
+
+# every convolvable kind, as a function of the grid spacing h; heights below
+# 2h take the cell-averaged sampling path
+KERNELS = {
+    "coulomb": lambda h: chf.CoulombKernel(),
+    "poisson": lambda h: chf.PoissonKernel(t=3.0 * h),
+    "poisson_under_resolved": lambda h: chf.PoissonKernel(t=0.5 * h),
+    "poisson_dt2": lambda h: chf.PoissonDt2Kernel(t=3.0 * h),
+    "poisson_dt2_under_resolved": lambda h: chf.PoissonDt2Kernel(t=h),
+    "gaussian": lambda h: chf.Gaussian(alpha=1.0, amplitude=1.0),
+    "gaussian_laplacian": lambda h: chf.GaussianLaplacian(alpha=1.0),
+}
+
+
+def _mirrored(octant):
+    """The full (2n)^3 offset grid of an even kernel from its octant."""
+    n = octant.shape[0] - 1
+    idx = np.r_[0 : n + 1, n - 1 : 0 : -1]
+    return octant[np.ix_(idx, idx, idx)]
+
+
+def _padded_reference(values, partner_padded, start, h):
+    """Explicit (2n)^3 zero-padded FFT convolution, cropped from ``start``."""
+    n = values.shape[0]
+    pad = np.zeros((2 * n,) * 3, dtype=complex)
+    pad[:n, :n, :n] = values
+    full = np.fft.ifftn(np.fft.fftn(pad) * np.fft.fftn(partner_padded))
+    return full[start : start + n, start : start + n, start : start + n] * h**3
+
+
+def _rel_err(out, ref):
+    return np.abs(out - ref).max() / np.abs(ref).max()
 
 
 class TestFieldConvolution:
@@ -148,12 +184,21 @@ class TestKernelConvolution:
     def test_discrete_kernel_mass_bounded_by_one(self):
         g = chf.GridSpec(points_per_axis=64, extent=10.0)
         for t in (0.1, 0.05):
-            with pytest.warns(ResolutionWarning):
-                k = _sample_kernel_offsets(chf.PoissonKernel(t=t), g)
-            mass = k.sum() * g.spacing**3
+            kernel = chf.PoissonKernel(t=t)
+            octant = _sample_kernel_octant(kernel, g)
+            # the spectrum's DC term is the mirrored sum of the octant
+            mass = ConvolutionPlan(g).kernel_spectrum(kernel)[0, 0, 0] * g.spacing**3
             assert mass == pytest.approx(1.0, abs=0.01)
             assert mass <= 1.0 + 1e-9
-            assert k.min() >= 0.0
+            assert octant.min() >= 0.0
+
+    def test_under_resolved_warns_on_every_convolution(self, grid32):
+        plan = ConvolutionPlan(grid32)
+        f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
+        kernel = chf.PoissonKernel(t=0.5 * grid32.spacing)
+        for _ in range(2):  # spectrum-cache miss, then hit
+            with pytest.warns(ResolutionWarning):
+                chf.convolve_with_kernel(f, kernel, plan=plan)
 
     def test_unsupported_kernel_kind(self, grid32):
         f = chf.ScalarField.zeros(grid32)
@@ -202,13 +247,13 @@ class TestPlanCache:
     def test_concurrent_misses_count_bytes_once(self, grid32, monkeypatch):
         # both threads miss the same kernel before either inserts it
         barrier = threading.Barrier(2, timeout=30)
-        sample_offsets = convolution._sample_kernel_offsets
+        sample_octant = convolution._sample_kernel_octant
 
         def sample_in_step(kernel, grid):
             barrier.wait()
-            return sample_offsets(kernel, grid)
+            return sample_octant(kernel, grid)
 
-        monkeypatch.setattr(convolution, "_sample_kernel_offsets", sample_in_step)
+        monkeypatch.setattr(convolution, "_sample_kernel_octant", sample_in_step)
         plan = ConvolutionPlan(grid32)
         threads = [
             threading.Thread(target=plan.kernel_spectrum, args=(chf.CoulombKernel(),))
@@ -227,3 +272,65 @@ class TestPlanCache:
         plan.kernel_spectrum(chf.PoissonKernel(t=1.0))
         plan.kernel_spectrum(chf.PoissonKernel(t=2.0))
         assert len(plan._cache) == 1
+
+    def test_cached_spectrum_is_the_real_octant(self, grid32):
+        plan = ConvolutionPlan(grid32)
+        spec = plan.kernel_spectrum(chf.CoulombKernel())
+        assert spec.dtype == np.float64
+        assert spec.nbytes == plan._cache_bytes == 33**3 * 8
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(sorted(KERNELS)),
+        complex_values=st.booleans(),
+    )
+    def test_cold_warm_and_rerun_outputs_identical(self, seed, kind, complex_values):
+        g = chf.GridSpec(points_per_axis=16, extent=4.0)
+        rng = np.random.default_rng(seed)
+        f, partner = _random(g, rng, complex_values), _random(g, rng, complex_values)
+        kernel = KERNELS[kind](g.spacing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            cold = ConvolutionPlan(g).convolve_with_kernel(f, kernel).values.tobytes()
+            plan = ConvolutionPlan(g)
+            runs = [plan.convolve_with_kernel(f, kernel).values.tobytes() for _ in range(2)]
+        assert runs == [cold, cold]
+        pairs = [plan.convolve_fields(f, partner).values.tobytes() for _ in range(2)]
+        assert pairs[0] == pairs[1]
+
+
+class TestPrunedEngine:
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_octant_spectrum_is_full_grid_dft(self, grid32, kind):
+        kernel = KERNELS[kind](grid32.spacing)
+        octant = _sample_kernel_octant(kernel, grid32)
+        n = grid32.points_per_axis
+        full = np.fft.rfftn(_mirrored(octant))[: n + 1, : n + 1, :]
+        spec = ConvolutionPlan(grid32).kernel_spectrum(kernel)
+        assert _rel_err(spec, full.real) <= 1e-14
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_kernel_convolution_matches_padded_reference(self, grid32, rng, kind,
+                                                          complex_values):
+        f = _random(grid32, rng, complex_values)
+        kernel = KERNELS[kind](grid32.spacing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            out = ConvolutionPlan(grid32).convolve_with_kernel(f, kernel).values
+            full_kernel = _mirrored(_sample_kernel_octant(kernel, grid32))
+        ref = _padded_reference(f.values, full_kernel, 0, grid32.spacing)
+        assert out.dtype == f.values.dtype
+        assert _rel_err(out, ref) <= 1e-14
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_field_convolution_matches_padded_reference(self, grid32, rng, complex_values):
+        f, g = _random(grid32, rng, complex_values), _random(grid32, rng, complex_values)
+        n = grid32.points_per_axis
+        g_padded = np.zeros((2 * n,) * 3, dtype=complex)
+        g_padded[:n, :n, :n] = g.values
+        out = ConvolutionPlan(grid32).convolve_fields(f, g).values
+        ref = _padded_reference(f.values, g_padded, n // 2, grid32.spacing)
+        assert out.dtype == f.values.dtype
+        assert _rel_err(out, ref) <= 1e-14

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import convolve_hf as chf
 from convolve_hf.errors import GridMismatchError, SupportWarning
+from convolve_hf.fields import outer_shell_mass_fraction
 
 from support import unit_gaussian_orbital
 
@@ -195,3 +196,16 @@ class TestLaplacian:
         with warnings.catch_warnings():
             warnings.simplefilter("error", SupportWarning)
             chf.laplacian(f, method="spectral")
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_shell_fraction_matches_uncached_formula(self, grid32, rng, complex_values):
+        f = random_field(grid32, rng, complex_values)
+        x = np.abs(grid32.axis_coordinates())
+        edge = 0.9 * grid32.extent
+        shell = (
+            (x[:, None, None] >= edge) | (x[None, :, None] >= edge) | (x[None, None, :] >= edge)
+        )
+        dens = f.values.real**2 + f.values.imag**2
+        expected = float(dens[shell].sum() / dens.sum())
+        for _ in range(2):  # cold and cached mask
+            assert outer_shell_mass_fraction(f) == expected

@@ -6,7 +6,6 @@ from .convolution import (
     convolve,
     convolve_with_kernel,
     coulomb_convolve,
-    get_plan,
     resolution_floor,
 )
 from .expansion import (
@@ -47,9 +46,6 @@ from .kernels import (
     PoissonKernel,
     Slater1s,
     basis_function,
-    eval_coulomb,
-    eval_poisson,
-    eval_poisson_dt2,
     sample,
 )
 from .residuals import (

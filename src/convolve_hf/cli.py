@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .convolution import get_plan, resolution_floor
+from .convolution import resolution_floor
 from .errors import ConfigError, IllConditionedBasisError, ResolutionError, ScfDivergedError
 from .expansion import (
     expansion_poisson_residuals,
@@ -130,14 +130,13 @@ def cmd_extend_sweep(config: RunConfig, out: Path, quiet: bool) -> int:
     if not config.poisson_t_values:
         raise ConfigError("poisson.t_values is empty")
     grid = config.grid()
-    plan = get_plan(grid)
     base = sample(Gaussian(alpha=config.window_alpha, amplitude=1.0), grid)
     floor = resolution_floor(grid)
     base_l2 = norm(base, 2)
     rows = []
     for t in sorted(config.poisson_t_values, reverse=True):
         delta = t / 8.0
-        ext = extend(base, (t - delta, t, t + delta), plan=plan)
+        ext = extend(base, (t - delta, t, t + delta))
         sl = ext.slice_at(t)
         defect = harmonicity_residual(ext, 1)
         flag = "" if t >= floor * (1 - 1e-12) else "unresolved"

@@ -18,7 +18,6 @@ from .scf import ScfConfig
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
-_EIGENSOLVERS = ("imaginary_time", "inverse_iteration")
 _RESIDUAL_SOURCES = ("scf", "hydrogen_identity", "zero")
 
 
@@ -67,6 +66,8 @@ class RunConfig:
 
     def validated(self) -> "RunConfig":
         """Trigger every module-level precondition; raise ConfigError on any."""
+        if self.masking_radius_cells <= 0:
+            raise ConfigError("masking.radius_cells must be positive")
         try:
             grid = self.grid()
             system = self.system()
@@ -74,8 +75,6 @@ class RunConfig:
             self.scf()
         except (ValueError, NotImplementedError) as exc:
             raise ConfigError(str(exc)) from exc
-        if self.scf_eigensolver not in _EIGENSOLVERS:
-            raise ConfigError(f"scf.eigensolver must be one of {_EIGENSOLVERS}")
         if self.residuals_source not in _RESIDUAL_SOURCES:
             raise ConfigError(f"residuals.source must be one of {_RESIDUAL_SOURCES}")
         if not all(t > 0 for t in self.poisson_t_values):
@@ -88,8 +87,6 @@ class RunConfig:
             raise ConfigError("basis.beta must exceed 1")
         if self.basis_count < 1:
             raise ConfigError("basis.count must be >= 1")
-        if self.masking_radius_cells <= 0:
-            raise ConfigError("masking.radius_cells must be positive")
         if self.residuals_t <= 0:
             raise ConfigError("residuals.t must be positive")
         if self.expand_orders is not None:

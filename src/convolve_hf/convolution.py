@@ -29,6 +29,14 @@ inputs use the real transform along z; complex fields are split into
 real and imaginary parts for a kernel, and take the complex transform
 along z against another field.
 
+Spectrum cache
+--------------
+Spectra live in one process-wide LRU keyed by (grid, kernel), under one
+lock and one byte budget shared by all grids: 768 MB, about 100 spectra
+at n = 96.  Hits are bit-identical to cold computations because sampling
+is deterministic.  Two threads that miss the same key both compute it;
+the first insertion is kept and its bytes are counted once.
+
 Kernel sampling flavors
 -----------------------
 Resolved kernels (Poisson height t >= 2h) are sampled pointwise: the
@@ -65,7 +73,6 @@ from .kernels import (
 
 __all__ = [
     "ConvolutionPlan",
-    "get_plan",
     "convolve",
     "coulomb_convolve",
     "convolve_with_kernel",
@@ -160,40 +167,43 @@ def _multiply_even(spec: np.ndarray, octant: np.ndarray) -> None:
     spec[hi, hi] *= octant[mirror, mirror]
 
 
-class ConvolutionPlan:
-    """Per-grid convolution workspace with a kernel-spectrum cache.
+_SPECTRUM_BUDGET_BYTES = 768_000_000
+_spectra: OrderedDict[tuple[GridSpec, AnalyticFunction], np.ndarray] = OrderedDict()
+_spectra_bytes = 0
+_spectra_lock = threading.Lock()
 
-    The cache maps an analytic kernel to the real octant of its padded
-    spectrum; hits are bit-identical to cold computations because sampling
-    is deterministic.  Access is serialized by a lock, so concurrent
-    convolutions of distinct fields are safe.
+
+class ConvolutionPlan:
+    """Zero-padded convolutions on one grid.
+
+    A plan holds only its grid, so building one costs nothing; kernel
+    spectra come from the process-wide cache, and concurrent convolutions
+    of distinct fields are safe.
     """
 
-    def __init__(self, grid: GridSpec, max_cache_bytes: int = 768_000_000):
+    def __init__(self, grid: GridSpec):
         self.grid = grid
-        self._cache: OrderedDict[AnalyticFunction, np.ndarray] = OrderedDict()
-        self._cache_bytes = 0
-        self._max_cache_bytes = max_cache_bytes
-        self._lock = threading.Lock()
 
     def kernel_spectrum(self, kernel: AnalyticFunction) -> np.ndarray:
         """Read-only (n+1)^3 octant of the padded kernel's DFT: the type-I
         DCT of its octant samples."""
-        with self._lock:
-            if kernel in self._cache:
-                self._cache.move_to_end(kernel)
-                return self._cache[kernel]
+        global _spectra_bytes
+        key = (self.grid, kernel)
+        with _spectra_lock:
+            if key in _spectra:
+                _spectra.move_to_end(key)
+                return _spectra[key]
         spec = sfft.dctn(_sample_kernel_octant(kernel, self.grid), type=1)
         spec.flags.writeable = False
-        with self._lock:
-            if kernel in self._cache:  # another thread computed it meanwhile
-                self._cache.move_to_end(kernel)
-                return self._cache[kernel]
-            self._cache[kernel] = spec
-            self._cache_bytes += spec.nbytes
-            while self._cache_bytes > self._max_cache_bytes and len(self._cache) > 1:
-                _, old = self._cache.popitem(last=False)
-                self._cache_bytes -= old.nbytes
+        with _spectra_lock:
+            if key in _spectra:  # another thread computed it meanwhile
+                _spectra.move_to_end(key)
+                return _spectra[key]
+            _spectra[key] = spec
+            _spectra_bytes += spec.nbytes
+            while _spectra_bytes > _SPECTRUM_BUDGET_BYTES and len(_spectra) > 1:
+                _, old = _spectra.popitem(last=False)
+                _spectra_bytes -= old.nbytes
         return spec
 
     # -- pruned zero-padded transforms ----------------------------------
@@ -253,51 +263,27 @@ class ConvolutionPlan:
         return f.with_values(self._inverse(spec, n // 2, real) * h**3)
 
 
-_registry_lock = threading.Lock()
-_plan_registry: OrderedDict[GridSpec, ConvolutionPlan] = OrderedDict()
-_MAX_PLANS = 4
-
-
-def get_plan(grid: GridSpec) -> ConvolutionPlan:
-    """Shared plan for ``grid``; at most a few grids are kept alive."""
-    with _registry_lock:
-        plan = _plan_registry.get(grid)
-        if plan is None:
-            plan = ConvolutionPlan(grid)
-            _plan_registry[grid] = plan
-            while len(_plan_registry) > _MAX_PLANS:
-                _plan_registry.popitem(last=False)
-        else:
-            _plan_registry.move_to_end(grid)
-        return plan
-
-
-def convolve(f: ScalarField, g: ScalarField, plan: ConvolutionPlan | None = None) -> ScalarField:
+def convolve(f: ScalarField, g: ScalarField) -> ScalarField:
     """Linear convolution of two fields sampled on the same grid."""
-    plan = plan or get_plan(f.grid)
-    return plan.convolve_fields(f, g)
+    return ConvolutionPlan(f.grid).convolve_fields(f, g)
 
 
 def convolve_with_kernel(
-    f: ScalarField,
-    kernel: AnalyticFunction,
-    plan: ConvolutionPlan | None = None,
-    strict: bool = False,
+    f: ScalarField, kernel: AnalyticFunction, strict: bool = False
 ) -> ScalarField:
     """Convolve a field with an origin-centered analytic kernel.
 
     With ``strict=True`` an under-resolved Poisson kernel raises
     :class:`ResolutionError` instead of warning.
     """
-    plan = plan or get_plan(f.grid)
     if strict and _under_resolved(kernel, f.grid):
         raise ResolutionError(
             f"Poisson height t={kernel.t:g} below resolution floor "
             f"2h={resolution_floor(f.grid):g}"
         )
-    return plan.convolve_with_kernel(f, kernel)
+    return ConvolutionPlan(f.grid).convolve_with_kernel(f, kernel)
 
 
-def coulomb_convolve(f: ScalarField, plan: ConvolutionPlan | None = None) -> ScalarField:
+def coulomb_convolve(f: ScalarField) -> ScalarField:
     """f * (1/|x|) by padded FFT against the mollified Coulomb kernel."""
-    return convolve_with_kernel(f, CoulombKernel(), plan=plan)
+    return convolve_with_kernel(f, CoulombKernel())

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg as sla
 
-from .convolution import ConvolutionPlan, get_plan
 from .errors import IllConditionedBasisError
 from .fields import ScalarField, inner, norm
 from .hf import HfFields, OrbitalSet, build_overlap_fields
@@ -52,7 +51,6 @@ def project_orbitals(
     orbitals: OrbitalSet,
     basis,
     orders,
-    plan: ConvolutionPlan | None = None,
 ) -> ExpansionState:
     """Project every orbital onto the first n basis members for each order n.
 
@@ -66,7 +64,6 @@ def project_orbitals(
         raise ValueError("need at least one basis function and one order")
     if max(orders) > len(basis):
         raise ValueError(f"order {max(orders)} exceeds basis size {len(basis)}")
-    plan = plan or get_plan(orbitals.grid)
     grid = orbitals.grid
     sampled = [sample(b, grid) for b in basis]
     m = len(basis)
@@ -94,7 +91,7 @@ def project_orbitals(
         truncations[order] = ts
         fit_errors[order] = tuple(norm(t - psi, 2) for t, psi in zip(ts, orbitals.orbitals))
         r_fields[order], q_fields[order] = build_overlap_fields(
-            OrbitalSet(ts, orbitals.energies, validate=False), plan=plan
+            OrbitalSet(ts, orbitals.energies, validate=False)
         )
 
     # uniform bound realized as the projection bound ||psi|| + max_n ||T_n - psi||
@@ -139,7 +136,6 @@ def expansion_poisson_residuals(
     fields: HfFields,
     t: float,
     orders=None,
-    plan: ConvolutionPlan | None = None,
 ) -> list[ResidualReport]:
     """Height-transformed residual of each truncation:
 
@@ -149,9 +145,8 @@ def expansion_poisson_residuals(
     that is, :func:`poisson_transformed_residual` with the expansion
     surrogates in place of the exact orbitals and fields.
     """
-    plan = plan or get_plan(orbitals.grid)
     return [
-        _with_order(poisson_transformed_residual(a, trunc, trunc_fields, t, plan=plan), n)
+        _with_order(poisson_transformed_residual(a, trunc, trunc_fields, t), n)
         for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, orders)
     ]
 
@@ -163,7 +158,6 @@ def expansion_window_residuals(
     fields: HfFields,
     w: Gaussian,
     orders=None,
-    plan: ConvolutionPlan | None = None,
 ) -> list[ResidualReport]:
     """Window-transformed residual ladder (lap moves onto the window):
 
@@ -174,8 +168,7 @@ def expansion_window_residuals(
     Gaussian windows are integrable, so L2 norms are always reported
     alongside the sup norms.
     """
-    plan = plan or get_plan(orbitals.grid)
     return [
-        _with_order(window_transformed_residual(a, trunc, trunc_fields, w, plan=plan), n)
+        _with_order(window_transformed_residual(a, trunc, trunc_fields, w), n)
         for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, orders)
     ]

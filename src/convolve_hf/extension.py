@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import ConvolutionPlan, convolve_with_kernel, get_plan, resolution_floor
+from .convolution import convolve_with_kernel, resolution_floor
 from .errors import ResolutionError
 from .fields import ScalarField, laplacian, norm
 from .kernels import PoissonKernel
@@ -42,7 +42,7 @@ class HarmonicExtension:
             raise ValueError("one slice per height required")
         if any(t <= 0 for t in self.heights):
             raise ValueError("heights must be positive")
-        if list(self.heights) != sorted(self.heights):
+        if any(lo >= hi for lo, hi in zip(self.heights, self.heights[1:])):
             raise ValueError("heights must be strictly increasing")
 
     def slice_at(self, t: float) -> ScalarField:
@@ -54,18 +54,8 @@ class HarmonicExtension:
     def l2_distances(self) -> tuple[float, ...]:
         return tuple(norm(s - self.base, 2) for s in self.slices)
 
-    def ladder_monotone(self) -> bool:
-        """True when smaller heights are (weakly) closer to the base in L2."""
-        d = self.l2_distances()
-        return all(d[i] <= d[i + 1] * (1 + 1e-12) for i in range(len(d) - 1))
 
-
-def extend(
-    f: ScalarField,
-    heights,
-    plan: ConvolutionPlan | None = None,
-    strict: bool = False,
-) -> HarmonicExtension:
+def extend(f: ScalarField, heights, strict: bool = False) -> HarmonicExtension:
     """Poisson extension of ``f`` at the given heights.
 
     Heights below the resolution floor 2h are computed with the
@@ -75,7 +65,6 @@ def extend(
     heights = tuple(float(t) for t in heights)
     if not heights:
         raise ValueError("at least one height required")
-    plan = plan or get_plan(f.grid)
     if strict:
         floor = resolution_floor(f.grid)
         bad = [t for t in heights if t < floor * (1 - 1e-12)]
@@ -83,7 +72,7 @@ def extend(
             raise ResolutionError(f"heights {bad} below resolution floor 2h={floor:g}")
     order = np.argsort(heights)
     hs = tuple(heights[i] for i in order)
-    slices = tuple(convolve_with_kernel(f, PoissonKernel(t=t), plan=plan) for t in hs)
+    slices = tuple(convolve_with_kernel(f, PoissonKernel(t=t)) for t in hs)
     return HarmonicExtension(base=f, heights=hs, slices=slices)
 
 

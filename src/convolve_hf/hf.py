@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolution import ConvolutionPlan, coulomb_convolve, get_plan
+from .convolution import coulomb_convolve
 from .errors import GridMismatchError
 from .fields import GridSpec, ScalarField, inner, laplacian, norm
 from .kernels import CoulombKernel, sample
@@ -179,37 +179,34 @@ def build_p(system: MolecularSystem, grid: GridSpec) -> ScalarField:
     return ScalarField(grid=grid, values=total)
 
 
-def build_s(a: int, c: int, orbitals: OrbitalSet, plan: ConvolutionPlan | None = None) -> ScalarField:
+def build_s(a: int, c: int, orbitals: OrbitalSet) -> ScalarField:
     """Overlap-Coulomb field s[a,c] = [(conj(psi_c) psi_a) * h]."""
     n = len(orbitals)
     if not (0 <= a < n and 0 <= c < n):
         raise IndexError(f"orbital indices ({a}, {c}) out of range for n={n}")
     product = orbitals.orbitals[c].conj() * orbitals.orbitals[a]
-    return coulomb_convolve(product, plan=plan)
+    return coulomb_convolve(product)
 
 
 def build_overlap_fields(
-    orbitals: OrbitalSet, plan: ConvolutionPlan | None = None
+    orbitals: OrbitalSet,
 ) -> tuple[tuple[tuple[ScalarField, ...], ...], ScalarField]:
     """The n x n matrix of s fields and q = 4 sum_c s[c,c]; s[a,c] =
     conj(s[c,a]) by construction (only the upper triangle is convolved)."""
-    plan = plan or get_plan(orbitals.grid)
     n = len(orbitals)
     s = [[None] * n for _ in range(n)]
     for a in range(n):
         for c in range(a, n):
-            s[a][c] = build_s(a, c, orbitals, plan=plan)
+            s[a][c] = build_s(a, c, orbitals)
             if c != a:
                 s[c][a] = s[a][c].conj()
     q = ScalarField(grid=orbitals.grid, values=4.0 * sum(s[c][c].values for c in range(n)))
     return tuple(tuple(row) for row in s), q
 
 
-def build_fields(
-    system: MolecularSystem, orbitals: OrbitalSet, plan: ConvolutionPlan | None = None
-) -> HfFields:
+def build_fields(system: MolecularSystem, orbitals: OrbitalSet) -> HfFields:
     """Assemble p, q and all s fields (see :func:`build_overlap_fields`)."""
-    s, q = build_overlap_fields(orbitals, plan=plan)
+    s, q = build_overlap_fields(orbitals)
     return HfFields(p=build_p(system, orbitals.grid), q=q, s=s)
 
 
@@ -278,7 +275,6 @@ def energies(
     orbitals: OrbitalSet,
     system: MolecularSystem,
     fields: HfFields | None = None,
-    plan: ConvolutionPlan | None = None,
 ) -> EnergyReport:
     """Closed-shell electronic energies (occupancy 2 per orbital).
 
@@ -287,7 +283,7 @@ def energies(
     ratio |V| / (2 T) equals 1 for exact stationary solutions.
     """
     if fields is None:
-        fields = build_fields(system, orbitals, plan=plan)
+        fields = build_fields(system, orbitals)
     h3 = orbitals.grid.spacing**3
     kinetic = 0.0
     v_nuc = 0.0
@@ -385,12 +381,11 @@ def check_orbital_bounds(
     fields: HfFields | None = None,
     n_random: int = 10,
     seed: int = 2026,
-    plan: ConvolutionPlan | None = None,
 ) -> BoundCheckReport:
     """Verify the overlap-field sup bound and the weighted-L2 bound at the
     nuclei plus ``n_random`` deterministic pseudo-random points."""
     if fields is None:
-        fields = build_fields(system, orbitals, plan=plan)
+        fields = build_fields(system, orbitals)
     grid = orbitals.grid
     rng = np.random.default_rng(seed)
     points = [pos for _, pos in system.nuclei]

@@ -25,9 +25,6 @@ __all__ = [
     "Gaussian",
     "GaussianLaplacian",
     "Slater1s",
-    "eval_poisson",
-    "eval_poisson_dt2",
-    "eval_coulomb",
     "sample",
     "basis_function",
 ]
@@ -189,29 +186,6 @@ class Slater1s(AnalyticFunction):
 
     def evaluate_r2(self, r2):
         return np.exp(-np.sqrt(r2)) / np.sqrt(np.pi)
-
-
-def eval_poisson(x, t: float) -> float:
-    """P_t at a single point x in R^3."""
-    _require_positive("t", t)
-    r2 = float(np.dot(x, x))
-    return float(_poisson_value(r2, t))
-
-
-def eval_poisson_dt2(x, t: float) -> float:
-    """d2/dt2 P_t at a single point x in R^3."""
-    _require_positive("t", t)
-    r2 = float(np.dot(x, x))
-    return float(_poisson_dt2(r2, t))
-
-
-def eval_coulomb(x, center=(0.0, 0.0, 0.0)) -> float:
-    """1/|x - center|; rejects evaluation at the singular point."""
-    d = np.asarray(x, dtype=float) - np.asarray(center, dtype=float)
-    r = float(np.sqrt(np.dot(d, d)))
-    if r == 0.0:
-        raise SingularPointError("Coulomb kernel evaluated at its center")
-    return 1.0 / r
 
 
 def sample(f: AnalyticFunction, grid: GridSpec) -> ScalarField:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import ConvolutionPlan, convolve, convolve_with_kernel, get_plan
+from .convolution import convolve, convolve_with_kernel
 from .fields import ScalarField, laplacian, norm
 from .hf import HfFields, MolecularSystem, OrbitalSet, equation_terms, strong_residual
 from .kernels import Gaussian, PoissonDt2Kernel, PoissonKernel
@@ -77,7 +77,6 @@ class ResidualReport:
 def laplacian_convolution_symmetry_defect(
     f: ScalarField,
     g: ScalarField,
-    plan: ConvolutionPlan | None = None,
     method: str = "spectral",
 ) -> float:
     """||(lap f) * g - f * (lap g)||_inf / ||(lap f) * g||_inf.
@@ -87,9 +86,8 @@ def laplacian_convolution_symmetry_defect(
     the local stencil, whose transfer through the linear convolution is
     exact away from the boundary.
     """
-    plan = plan or get_plan(f.grid)
-    lhs = convolve(laplacian(f, method=method), g, plan=plan)
-    rhs = convolve(f, laplacian(g, method=method), plan=plan)
+    lhs = convolve(laplacian(f, method=method), g)
+    rhs = convolve(f, laplacian(g, method=method))
     den = norm(lhs, np.inf)
     if den == 0.0:
         return 0.0
@@ -101,7 +99,6 @@ def poisson_transformed_residual(
     orbitals: OrbitalSet,
     fields: HfFields,
     t: float,
-    plan: ConvolutionPlan | None = None,
 ) -> ResidualReport:
     """Height-transformed residual at height t for orbital ``a``:
 
@@ -111,12 +108,11 @@ def poisson_transformed_residual(
     The first term goes through the analytic kernel derivative; vanishes
     for exact solutions.  Heights below 2h are rejected.
     """
-    plan = plan or get_plan(orbitals.grid)
     psi_a, local, exchange = equation_terms(a, orbitals, fields)
     terms = (
-        convolve_with_kernel(psi_a, PoissonDt2Kernel(t=t), plan=plan, strict=True),
-        -1.0 * convolve_with_kernel(local, PoissonKernel(t=t), plan=plan, strict=True),
-        -2.0 * convolve_with_kernel(exchange, PoissonKernel(t=t), plan=plan, strict=True),
+        convolve_with_kernel(psi_a, PoissonDt2Kernel(t=t), strict=True),
+        -1.0 * convolve_with_kernel(local, PoissonKernel(t=t), strict=True),
+        -2.0 * convolve_with_kernel(exchange, PoissonKernel(t=t), strict=True),
     )
     return ResidualReport.from_terms(
         ("kernel_dt2", "potential", "exchange"), terms, {"t": t, "orbital": a}
@@ -135,7 +131,6 @@ def window_transformed_residual(
     orbitals: OrbitalSet,
     fields: HfFields,
     w: Gaussian,
-    plan: ConvolutionPlan | None = None,
 ) -> ResidualReport:
     """Window-transformed residual (the strong equation convolved with w):
 
@@ -145,12 +140,11 @@ def window_transformed_residual(
     with lap w evaluated in closed form.  Scales linearly with w.
     """
     _require_gaussian_window(w)
-    plan = plan or get_plan(orbitals.grid)
     psi_a, local, exchange = equation_terms(a, orbitals, fields)
     terms = (
-        convolve_with_kernel(psi_a, w.laplacian(), plan=plan),
-        convolve_with_kernel(local, w, plan=plan),
-        2.0 * convolve_with_kernel(exchange, w, plan=plan),
+        convolve_with_kernel(psi_a, w.laplacian()),
+        convolve_with_kernel(local, w),
+        2.0 * convolve_with_kernel(exchange, w),
     )
     return ResidualReport.from_terms(
         ("kernel_lap", "potential", "exchange"),
@@ -164,7 +158,6 @@ def window_residual_literal(
     orbitals: OrbitalSet,
     fields: HfFields,
     w: Gaussian,
-    plan: ConvolutionPlan | None = None,
 ) -> ResidualReport:
     """The literal printed window expression, for logging only:
 
@@ -175,14 +168,13 @@ def window_residual_literal(
     asserted against zero.
     """
     _require_gaussian_window(w)
-    plan = plan or get_plan(orbitals.grid)
     psi_a = orbitals.orbitals[a]
     eps_a = orbitals.energies[a]
     terms = (
-        convolve_with_kernel(psi_a, w.laplacian(), plan=plan),
-        -1.0 * convolve_with_kernel(psi_a.with_values(fields.p.values * psi_a.values), w, plan=plan),
-        convolve_with_kernel(fields.q, w, plan=plan),
-        -2.0 * eps_a * convolve_with_kernel(psi_a, w, plan=plan),
+        convolve_with_kernel(psi_a, w.laplacian()),
+        -1.0 * convolve_with_kernel(psi_a.with_values(fields.p.values * psi_a.values), w),
+        convolve_with_kernel(fields.q, w),
+        -2.0 * eps_a * convolve_with_kernel(psi_a, w),
     )
     return ResidualReport.from_terms(
         ("kernel_lap", "nuclear", "hartree", "energy"),
@@ -212,7 +204,6 @@ def poisson_crosscheck(
     fields: HfFields,
     system: MolecularSystem,
     t: float,
-    plan: ConvolutionPlan | None = None,
     method: str = "finite_difference_2nd",
 ) -> CrosscheckReport:
     """Compare the height-transformed residual with -(strong residual * P_t).
@@ -221,10 +212,9 @@ def poisson_crosscheck(
     ||convolved strong residual||): for exact solutions both routes are
     residual-sized and a ratio of the two alone would be noise over noise.
     """
-    plan = plan or get_plan(orbitals.grid)
-    report = poisson_transformed_residual(a, orbitals, fields, t, plan=plan)
+    report = poisson_transformed_residual(a, orbitals, fields, t)
     strong = strong_residual(a, orbitals, fields, system, method=method)
-    cross = -1.0 * convolve_with_kernel(strong, PoissonKernel(t=t), plan=plan, strict=True)
+    cross = -1.0 * convolve_with_kernel(strong, PoissonKernel(t=t), strict=True)
     diff_field = report.total_field - cross
     cross_l2 = norm(cross, 2)
     diff = norm(diff_field, 2)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.sparse import linalg as spla
 
-from .convolution import ConvolutionPlan, coulomb_convolve, get_plan
+from .convolution import coulomb_convolve
 from .errors import ScfDivergedError
 from .fields import GridSpec, ScalarField, _spectral_multiplier, laplacian, spectral_laplacian
 from .hf import (
@@ -97,7 +97,6 @@ def apply_fock(
     system: MolecularSystem,
     fields: HfFields,
     orbitals: OrbitalSet,
-    plan: ConvolutionPlan | None = None,
 ) -> ScalarField:
     """One-particle operator with frozen fields applied to a trial field:
 
@@ -110,12 +109,11 @@ def apply_fock(
     """
     if fields.n != len(orbitals):
         raise ValueError("fields were built from a different orbital count")
-    plan = plan or get_plan(psi.grid)
     # p = 2 sum Z_c h_c and q = 4 sum s_cc, so nuclear + Hartree = (q - p)/2
     vals = -0.5 * laplacian(psi, method="spectral").values
     vals = vals + 0.5 * (fields.q.values - fields.p.values) * psi.values
     for psi_c in orbitals.orbitals:
-        overlap = coulomb_convolve(psi_c.conj() * psi, plan=plan)
+        overlap = coulomb_convolve(psi_c.conj() * psi)
         vals = vals - overlap.values * psi_c.values
     return psi.with_values(vals)
 
@@ -147,10 +145,8 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
     psi = guess.values.copy()
     psi /= l2(psi)
 
-    plan = get_plan(grid)
-
     def s_of(density):
-        return coulomb_convolve(ScalarField(grid=grid, values=density), plan=plan).values
+        return coulomb_convolve(ScalarField(grid=grid, values=density)).values
 
     rho = psi * psi
     s_mix = s_of(rho)
@@ -248,7 +244,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
         eps = 0.0
         final_residual = np.inf
     orbitals = OrbitalSet(orbitals=(psi_field,), energies=(float(eps),))
-    final_fields = build_fields(system, orbitals, plan=plan)
+    final_fields = build_fields(system, orbitals)
     return ScfResult(
         orbitals=orbitals,
         converged=converged,

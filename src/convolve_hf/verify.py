@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import erf
 
 from .config import RunConfig
-from .convolution import convolve, coulomb_convolve, get_plan
+from .convolution import convolve, coulomb_convolve
 from .extension import extend, harmonicity_residual, sup_bound_check
 from .fields import GridSpec, ScalarField, norm
 from .hf import (
@@ -50,14 +50,13 @@ def _normalized(f: ScalarField) -> ScalarField:
 
 def run_verify(config: RunConfig) -> list[CheckResult]:
     grid = config.grid()
-    plan = get_plan(grid)
     h = grid.spacing
     results: list[CheckResult] = []
 
     # Coulomb oracle: unit Gaussian density against erf(sqrt(a) r)/r
     alpha = 1.0
     density = _gaussian_field(grid, alpha)
-    potential = coulomb_convolve(density, plan=plan)
+    potential = coulomb_convolve(density)
     r = np.sqrt(grid.radius_squared())
     with np.errstate(divide="ignore", invalid="ignore"):
         exact = np.where(r > 1e-12, erf(np.sqrt(alpha) * r) / np.where(r > 0, r, 1.0),
@@ -74,7 +73,7 @@ def run_verify(config: RunConfig) -> list[CheckResult]:
     psi = _normalized(_gaussian_field(grid, 0.5, amplitude=1.0))
     system = MolecularSystem(nuclei=((2.0, (0.0, 0.0, 0.0)),))
     orbitals = OrbitalSet(orbitals=(psi,), energies=(0.0,))
-    fields = build_fields(system, orbitals, plan=plan)
+    fields = build_fields(system, orbitals)
     s_sup = fields.s_sup_max()
     results.append(CheckResult("eq5_s_sup_bound", s_sup, S_SUP_BOUND, s_sup <= S_SUP_BOUND))
 
@@ -95,14 +94,14 @@ def run_verify(config: RunConfig) -> list[CheckResult]:
     # Laplacian-convolution symmetry on a Gaussian pair
     f = _gaussian_field(grid, 1.0, amplitude=1.0)
     g = _gaussian_field(grid, 2.0, amplitude=1.0)
-    defect = laplacian_convolution_symmetry_defect(f, g, plan=plan)
+    defect = laplacian_convolution_symmetry_defect(f, g)
     results.append(CheckResult("thm2_symmetry", defect, 1e-6, defect <= 1e-6))
 
     # interior harmonicity of a Poisson extension (resolved triple)
     t0 = max(0.5, 3.0 * h)
     delta = max(0.05, 0.5 * h)
     base = _gaussian_field(grid, 1.0, amplitude=1.0)
-    ext3 = extend(base, (t0 - delta, t0, t0 + delta), plan=plan)
+    ext3 = extend(base, (t0 - delta, t0, t0 + delta))
     hdef = harmonicity_residual(ext3, 1)
     results.append(CheckResult("thm3a_harmonicity", hdef, 0.05, hdef <= 0.05,
                                detail=f"t={t0:g} delta={delta:g}"))
@@ -112,7 +111,7 @@ def run_verify(config: RunConfig) -> list[CheckResult]:
     if config.verify_violate_sup:
         wide = 1.5 * wide  # test hook: breaks the sup-bound precondition
     heights = tuple(sorted(set(config.poisson_t_values) | {2.0}))
-    ext = extend(wide, heights, plan=plan)
+    ext = extend(wide, heights)
     distances = [d for _, d in sorted(zip(ext.heights, ext.l2_distances()))]
     strictly_decreasing = all(d2 < d1 for d1, d2 in zip(distances[1:], distances[:-1]))
     final_rel = distances[0] / norm(wide, 2)
@@ -133,7 +132,7 @@ def run_verify(config: RunConfig) -> list[CheckResult]:
     # semigroup of the Poisson family at a resolved height
     t_semi = max(0.5, 1.1 * 2.0 * h)
     half = sample(PoissonKernel(t=t_semi), grid)
-    composed = convolve(half, half, plan=plan)
+    composed = convolve(half, half)
     target = sample(PoissonKernel(t=2.0 * t_semi), grid)
     semi = norm(composed - target, np.inf) / norm(target, np.inf)
     results.append(CheckResult("semigroup", semi, 0.02, semi <= 0.02,

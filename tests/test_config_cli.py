@@ -62,6 +62,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("system.nuclei = 2.0, 99.0, 0.0, 0.0\n")  # outside box
 
+    @pytest.mark.parametrize("radius", ["0", "-1.5"])
+    def test_nonpositive_masking_radius_named(self, radius):
+        with pytest.raises(ConfigError, match=r"^masking\.radius_cells must be positive$"):
+            parse_config(f"masking.radius_cells = {radius}\n")
+
+    def test_unknown_eigensolver_rejected(self):
+        with pytest.raises(ConfigError, match="eigensolver"):
+            parse_config("scf.eigensolver = lobpcg\n")
+
     def test_time_step_auto(self):
         assert parse_config("scf.time_step = auto\n").scf_time_step is None
         assert parse_config("scf.time_step = 0.004\n").scf_time_step == 0.004

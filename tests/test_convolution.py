@@ -1,5 +1,8 @@
+import sys
 import threading
 import warnings
+from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +56,18 @@ def _padded_reference(values, partner_padded, start, h):
 
 def _rel_err(out, ref):
     return np.abs(out - ref).max() / np.abs(ref).max()
+
+
+def _empty_cache():
+    """Context in which the process-wide spectrum cache starts empty; the
+    previous cache comes back on exit."""
+    return mock.patch.multiple(convolution, _spectra=OrderedDict(), _spectra_bytes=0)
+
+
+@pytest.fixture
+def empty_cache():
+    with _empty_cache():
+        yield
 
 
 class TestFieldConvolution:
@@ -192,13 +207,13 @@ class TestKernelConvolution:
             assert mass <= 1.0 + 1e-9
             assert octant.min() >= 0.0
 
-    def test_under_resolved_warns_on_every_convolution(self, grid32):
+    def test_under_resolved_warns_on_every_convolution(self, grid32, empty_cache):
         plan = ConvolutionPlan(grid32)
         f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
         kernel = chf.PoissonKernel(t=0.5 * grid32.spacing)
         for _ in range(2):  # spectrum-cache miss, then hit
             with pytest.warns(ResolutionWarning):
-                chf.convolve_with_kernel(f, kernel, plan=plan)
+                plan.convolve_with_kernel(f, kernel)
 
     def test_unsupported_kernel_kind(self, grid32):
         f = chf.ScalarField.zeros(grid32)
@@ -228,20 +243,18 @@ class TestKernelConvolution:
         assert np.abs(out.values - recombined).max() <= 1e-14
 
 
-class TestPlanCache:
+@pytest.mark.usefixtures("empty_cache")
+class TestSpectrumCache:
     def test_warm_and_cold_runs_identical(self, grid32):
         f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
-        cold_plan = ConvolutionPlan(grid32)
-        cold = cold_plan.convolve_with_kernel(f, chf.CoulombKernel())
-        warm_plan = ConvolutionPlan(grid32)
-        warm_plan.convolve_with_kernel(f, chf.CoulombKernel())  # populate
-        warm = warm_plan.convolve_with_kernel(f, chf.CoulombKernel())
+        cold = chf.coulomb_convolve(f)
+        assert len(convolution._spectra) == 1
+        warm = ConvolutionPlan(grid32).convolve_with_kernel(f, chf.CoulombKernel())
         assert np.array_equal(cold.values, warm.values)
 
-    def test_cache_hit_reuses_spectrum(self, grid32):
-        plan = ConvolutionPlan(grid32)
-        s1 = plan.kernel_spectrum(chf.CoulombKernel())
-        s2 = plan.kernel_spectrum(chf.CoulombKernel())
+    def test_cache_hit_is_shared_by_every_plan(self, grid32):
+        s1 = ConvolutionPlan(grid32).kernel_spectrum(chf.CoulombKernel())
+        s2 = ConvolutionPlan(grid32).kernel_spectrum(chf.CoulombKernel())
         assert s1 is s2
 
     def test_concurrent_misses_count_bytes_once(self, grid32, monkeypatch):
@@ -254,9 +267,10 @@ class TestPlanCache:
             return sample_octant(kernel, grid)
 
         monkeypatch.setattr(convolution, "_sample_kernel_octant", sample_in_step)
-        plan = ConvolutionPlan(grid32)
         threads = [
-            threading.Thread(target=plan.kernel_spectrum, args=(chf.CoulombKernel(),))
+            threading.Thread(
+                target=ConvolutionPlan(grid32).kernel_spectrum, args=(chf.CoulombKernel(),)
+            )
             for _ in range(2)
         ]
         for th in threads:
@@ -264,20 +278,66 @@ class TestPlanCache:
         for th in threads:
             th.join(timeout=60)
             assert not th.is_alive()
-        assert len(plan._cache) == 1
-        assert plan._cache_bytes == sum(v.nbytes for v in plan._cache.values())
+        assert len(convolution._spectra) == 1
+        assert convolution._spectra_bytes == sum(v.nbytes for v in convolution._spectra.values())
 
-    def test_cache_eviction_is_bounded(self, grid32):
-        plan = ConvolutionPlan(grid32, max_cache_bytes=1)
+    def test_threads_on_two_grids_keep_the_byte_count(self, monkeypatch):
+        # tiny grids keep each miss short, so the threads interleave often
+        grids = (chf.GridSpec(points_per_axis=8, extent=1.0),
+                 chf.GridSpec(points_per_axis=10, extent=1.0))
+        budget = 3 * 11**3 * 8  # evicts while the threads insert
+        monkeypatch.setattr(convolution, "_SPECTRUM_BUDGET_BYTES", budget)
+        kernels = [chf.PoissonKernel(t=1.0 + 0.25 * i) for i in range(5)]
+        failures = []
+
+        def work(grid):
+            try:
+                for _ in range(300):
+                    for kernel in kernels:
+                        ConvolutionPlan(grid).kernel_spectrum(kernel)
+            except Exception as exc:  # surfaced by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(g,)) for g in grids * 4]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert convolution._spectra_bytes == sum(v.nbytes for v in convolution._spectra.values())
+        assert convolution._spectra_bytes <= budget
+
+    def test_cache_eviction_is_bounded(self, grid32, monkeypatch):
+        monkeypatch.setattr(convolution, "_SPECTRUM_BUDGET_BYTES", 1)
+        plan = ConvolutionPlan(grid32)
         plan.kernel_spectrum(chf.PoissonKernel(t=1.0))
         plan.kernel_spectrum(chf.PoissonKernel(t=2.0))
-        assert len(plan._cache) == 1
+        assert list(convolution._spectra) == [(grid32, chf.PoissonKernel(t=2.0))]
+
+    def test_one_budget_evicts_across_grids(self, grid32, monkeypatch):
+        grid16 = chf.GridSpec(points_per_axis=16, extent=4.0)
+        # room for one 33^3 and one 17^3 spectrum, not for a third
+        monkeypatch.setattr(convolution, "_SPECTRUM_BUDGET_BYTES", (33**3 + 17**3) * 8)
+        ConvolutionPlan(grid32).kernel_spectrum(chf.CoulombKernel())
+        ConvolutionPlan(grid16).kernel_spectrum(chf.CoulombKernel())
+        assert len(convolution._spectra) == 2
+        ConvolutionPlan(grid16).kernel_spectrum(chf.PoissonKernel(t=1.0))
+        assert list(convolution._spectra) == [
+            (grid16, chf.CoulombKernel()),
+            (grid16, chf.PoissonKernel(t=1.0)),
+        ]
+        assert convolution._spectra_bytes == 2 * 17**3 * 8
 
     def test_cached_spectrum_is_the_real_octant(self, grid32):
-        plan = ConvolutionPlan(grid32)
-        spec = plan.kernel_spectrum(chf.CoulombKernel())
+        spec = ConvolutionPlan(grid32).kernel_spectrum(chf.CoulombKernel())
         assert spec.dtype == np.float64
-        assert spec.nbytes == plan._cache_bytes == 33**3 * 8
+        assert spec.nbytes == convolution._spectra_bytes == 33**3 * 8
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -290,12 +350,13 @@ class TestPlanCache:
         rng = np.random.default_rng(seed)
         f, partner = _random(g, rng, complex_values), _random(g, rng, complex_values)
         kernel = KERNELS[kind](g.spacing)
-        with warnings.catch_warnings():
+        plan = ConvolutionPlan(g)
+        with _empty_cache(), warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
-            cold = ConvolutionPlan(g).convolve_with_kernel(f, kernel).values.tobytes()
-            plan = ConvolutionPlan(g)
-            runs = [plan.convolve_with_kernel(f, kernel).values.tobytes() for _ in range(2)]
-        assert runs == [cold, cold]
+            # a miss, then two hits of the spectrum it cached
+            runs = [plan.convolve_with_kernel(f, kernel).values.tobytes() for _ in range(3)]
+            assert len(convolution._spectra) == 1
+        assert runs[1:] == [runs[0], runs[0]]
         pairs = [plan.convolve_fields(f, partner).values.tobytes() for _ in range(2)]
         assert pairs[0] == pairs[1]
 

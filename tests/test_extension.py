@@ -38,6 +38,13 @@ class TestExtend:
         with pytest.raises(ValueError):
             chf.extend(base, ())
 
+    def test_repeated_heights_rejected(self, grid48):
+        base = wide_gaussian(grid48)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            chf.extend(base, (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            chf.HarmonicExtension(base=base, heights=(0.5, 0.8, 0.8), slices=(base,) * 3)
+
     def test_strict_mode_rejects_under_resolved(self, grid48):
         base = wide_gaussian(grid48)
         with pytest.raises(ResolutionError):
@@ -91,7 +98,8 @@ class TestBoundaryConvergence:
         assert [t for t, _ in ladder] == [0.8, 0.4, 0.2, 0.1]
         dists = [d for _, d in ladder]
         assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
-        assert ext.ladder_monotone()
+        d = ext.l2_distances()  # increasing heights
+        assert all(lo < hi for lo, hi in zip(d, d[1:]))
 
     def test_sup_ladder(self):
         g = chf.GridSpec(points_per_axis=48, extent=10.0)

@@ -2,29 +2,28 @@ import numpy as np
 import pytest
 
 import convolve_hf as chf
-from convolve_hf.errors import SingularPointError
 
 from support import gaussian_overlap
 
 
 class TestPoissonKernel:
     def test_value_at_origin(self):
-        assert chf.eval_poisson((0, 0, 0), 1.0) == pytest.approx(1 / np.pi**2)
+        assert chf.PoissonKernel(t=1.0)(0, 0, 0) == pytest.approx(1 / np.pi**2)
 
     def test_value_at_unit_radius(self):
-        assert chf.eval_poisson((1, 0, 0), 1.0) == pytest.approx(1 / (4 * np.pi**2))
+        assert chf.PoissonKernel(t=1.0)(1, 0, 0) == pytest.approx(1 / (4 * np.pi**2))
 
     def test_dilation_identity(self, rng):
         for _ in range(20):
             x = rng.uniform(-3, 3, 3)
             t = rng.uniform(0.2, 4.0)
-            lhs = chf.eval_poisson(x, t)
-            rhs = t**-3 * chf.eval_poisson(x / t, 1.0)
+            lhs = chf.PoissonKernel(t=t)(*x)
+            rhs = t**-3 * chf.PoissonKernel(t=1.0)(*(x / t))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_positive_height_required(self):
         with pytest.raises(ValueError):
-            chf.eval_poisson((0, 0, 0), 0.0)
+            chf.PoissonKernel(t=0.0)
         with pytest.raises(ValueError):
             chf.PoissonKernel(t=-1.0)
 
@@ -32,7 +31,7 @@ class TestPoissonKernel:
 class TestPoissonSecondDerivative:
     def test_value_at_origin(self):
         # frozen from the symbolic derivative of the kernel in t
-        assert chf.eval_poisson_dt2((0, 0, 0), 1.0) == pytest.approx(12 / np.pi**2)
+        assert chf.PoissonDt2Kernel(t=1.0)(0, 0, 0) == pytest.approx(12 / np.pi**2)
 
     def test_finite_difference_oracle(self, rng):
         delta = 1e-3
@@ -40,39 +39,35 @@ class TestPoissonSecondDerivative:
             x = rng.uniform(-2, 2, 3)
             t = rng.uniform(0.5, 2.0)
             fd = (
-                chf.eval_poisson(x, t + delta)
-                - 2 * chf.eval_poisson(x, t)
-                + chf.eval_poisson(x, t - delta)
+                chf.PoissonKernel(t=t + delta)(*x)
+                - 2 * chf.PoissonKernel(t=t)(*x)
+                + chf.PoissonKernel(t=t - delta)(*x)
             ) / delta**2
-            assert abs(fd - chf.eval_poisson_dt2(x, t)) <= 1e-5
+            assert abs(fd - chf.PoissonDt2Kernel(t=t)(*x)) <= 1e-5
 
     def test_radial_symmetry(self, rng):
+        kernel = chf.PoissonDt2Kernel(t=1.3)
         for _ in range(10):
             x = rng.uniform(-2, 2, 3)
             r = np.linalg.norm(x)
-            assert chf.eval_poisson_dt2(x, 1.3) == pytest.approx(
-                chf.eval_poisson_dt2((r, 0, 0), 1.3), rel=1e-12
-            )
+            assert kernel(*x) == pytest.approx(kernel(r, 0, 0), rel=1e-12)
 
     def test_rejects_nonpositive_height(self):
         with pytest.raises(ValueError):
-            chf.eval_poisson_dt2((0, 0, 0), -0.5)
+            chf.PoissonDt2Kernel(t=-0.5)
 
 
 class TestCoulomb:
     def test_simple_values(self):
-        assert chf.eval_coulomb((2, 0, 0)) == pytest.approx(0.5)
-        assert chf.eval_coulomb((1, 1, 1)) == pytest.approx(1 / np.sqrt(3))
+        assert chf.CoulombKernel()(2, 0, 0) == pytest.approx(0.5)
+        assert chf.CoulombKernel()(1, 1, 1) == pytest.approx(1 / np.sqrt(3))
 
     def test_translation(self, rng):
         for _ in range(10):
             x = rng.uniform(-3, 3, 3)
             c = rng.uniform(-1, 1, 3)
-            assert chf.eval_coulomb(x, c) == pytest.approx(chf.eval_coulomb(x - c), rel=1e-12)
-
-    def test_singular_point_rejected(self):
-        with pytest.raises(SingularPointError):
-            chf.eval_coulomb((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
+            shifted = chf.CoulombKernel(center=tuple(c))(*x)
+            assert shifted == pytest.approx(chf.CoulombKernel()(*(x - c)), rel=1e-12)
 
 
 class TestSample:

@@ -233,7 +233,12 @@ class ConvolutionPlan:
         _multiply_even(spec, octant)
         return self._inverse(spec, 0, real=True) * self.grid.spacing**3
 
-    def convolve_with_kernel(self, f: ScalarField, kernel: AnalyticFunction) -> ScalarField:
+    def convolve_with_kernel(
+        self, f: ScalarField, kernel: AnalyticFunction, *, stacklevel: int = 2
+    ) -> ScalarField:
+        """``f`` convolved with an origin-centered kernel; ``stacklevel``
+        places the :class:`ResolutionWarning` as in ``warnings.warn``, by
+        default at the caller of this method."""
         if f.grid != self.grid:
             raise GridMismatchError("field grid does not match the plan grid")
         if not isinstance(kernel, _CONVOLVABLE):
@@ -245,7 +250,7 @@ class ConvolutionPlan:
                 f"Poisson height t={kernel.t:g} is below the resolution floor "
                 f"2h={resolution_floor(self.grid):g}; using cell-averaged sampling",
                 ResolutionWarning,
-                stacklevel=2,
+                stacklevel=stacklevel,
             )
         spec = self.kernel_spectrum(kernel)
         out = self._convolve_real_with_octant(f.values.real, spec)
@@ -281,7 +286,8 @@ def convolve_with_kernel(
             f"Poisson height t={kernel.t:g} below resolution floor "
             f"2h={resolution_floor(f.grid):g}"
         )
-    return ConvolutionPlan(f.grid).convolve_with_kernel(f, kernel)
+    # name our caller, not this line, in the ResolutionWarning
+    return ConvolutionPlan(f.grid).convolve_with_kernel(f, kernel, stacklevel=3)
 
 
 def coulomb_convolve(f: ScalarField) -> ScalarField:

@@ -215,6 +215,20 @@ class TestKernelConvolution:
             with pytest.warns(ResolutionWarning):
                 plan.convolve_with_kernel(f, kernel)
 
+    def test_resolution_warning_names_the_caller(self, grid32):
+        f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
+        kernel = chf.PoissonKernel(t=0.5 * grid32.spacing)
+        entry_points = (
+            lambda: chf.convolve_with_kernel(f, kernel),
+            lambda: ConvolutionPlan(grid32).convolve_with_kernel(f, kernel),
+        )
+        for convolve_once in entry_points:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                convolve_once()
+            assert [w.category for w in caught] == [ResolutionWarning]
+            assert caught[0].filename == __file__
+
     def test_unsupported_kernel_kind(self, grid32):
         f = chf.ScalarField.zeros(grid32)
         with pytest.raises(ValueError, match="unsupported"):

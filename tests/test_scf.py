@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -194,3 +197,40 @@ class TestSolve:
         vals = result.orbitals.orbitals[0].values.real
         flipped = np.roll(vals[::-1, :, :], 1, axis=0)
         assert np.abs((vals - flipped)[1:, :, :]).max() <= 1e-4
+
+
+class TestSemiImplicitStep:
+    """The kinetic term of each imaginary-time step is solved exactly in
+    Fourier space, so the outer-iteration count stays flat as h shrinks."""
+
+    @pytest.fixture(scope="class")
+    def he_shifted_64(self):
+        # a whole-node shift leaves the discrete problem unchanged up to
+        # box truncation, so it reproduces the N = 64 reference
+        grid = chf.GridSpec(points_per_axis=64, extent=12.0)
+        center = tuple(s * grid.spacing for s in (2, -1, 2))
+        system = chf.MolecularSystem(nuclei=((2.0, center),), pair_count=1)
+        result = chf.solve(system, grid, chf.ScfConfig(max_iterations=200, mixing=0.6))
+        return system, result
+
+    def test_outer_iterations_flat_in_n(self, he_result_48, he_shifted_64, he_result_96):
+        for result in (he_result_48, he_shifted_64[1], he_result_96):
+            assert result.converged
+            assert result.iteration_count <= 20
+
+    def test_shifted_energy_matches_reference(self, he_shifted_64):
+        system, result = he_shifted_64
+        reference = json.loads(
+            (Path(chf.__file__).parent / "data" / "he_reference.json").read_text()
+        )["grids"]["64"]["total_energy"]
+        report = chf.energies(result.orbitals, system, fields=result.fields)
+        assert report.total == pytest.approx(reference, abs=1e-7)
+
+    def test_eigensolvers_agree_tightly(self, he_system, he_result_48):
+        grid = chf.GridSpec(points_per_axis=48, extent=12.0)
+        cfg = chf.ScfConfig(max_iterations=60, mixing=0.6, eigensolver="inverse_iteration")
+        result = chf.solve(he_system, grid, cfg)
+        assert result.converged
+        assert result.orbitals.energies[0] == pytest.approx(
+            he_result_48.orbitals.energies[0], abs=1e-5
+        )

@@ -1,8 +1,8 @@
-"""Smoke test of the package's contract with ``perfbench/trace_cli.py``.
+"""Smoke tests of the package's contract with ``perfbench/trace_cli.py``.
 
-The tracer wraps the ``ConvolutionPlan`` methods by name and reads the
-plan's ``grid``, so renaming or moving them would silently empty its
-convolution spans.
+The tracer wraps the ``ConvolutionPlan`` methods and ``scf.solve`` by name
+and reads the plan's ``grid`` and the result's ``iteration_count``, so
+renaming or moving them would silently empty its spans.
 """
 
 import json
@@ -27,3 +27,36 @@ def test_traced_extend_sweep_records_convolution_spans(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert {"convolution.spectrum", "convolution.kernel"} <= names
+
+
+HE_32 = """\
+grid.n = 32
+grid.extent = 12.0
+system.nuclei = 2.0, 0.0, 0.0, 0.0
+system.pairs = 1
+scf.eigensolver = imaginary_time
+scf.time_step = auto
+"""
+
+
+def test_traced_scf_records_its_iterations(tmp_path):
+    # the benchmark's scf.outer_iterations comes from the solve span
+    config = tmp_path / "he32.cfg"
+    config.write_text(HE_32)
+    spans = tmp_path / "spans.json"
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "trace_cli.py"), str(spans),
+         "scf", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads(spans.read_text())["spans"]
+    solves = [span for span in recorded if span[0] == "scf.solve"]
+    assert len(solves) == 1
+    summary = dict(
+        line.split(" = ", 1) for line in (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    )
+    assert solves[0][4]["iterations"] == int(summary["iterations"])
+    assert any(span[0] == "fft" for span in recorded)

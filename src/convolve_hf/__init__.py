@@ -11,6 +11,7 @@ from .convolution import (
 from .expansion import (
     ExpansionState,
     expansion_poisson_residuals,
+    expansion_transformed_residuals,
     expansion_window_residuals,
     project_orbitals,
 )
@@ -54,6 +55,7 @@ from .residuals import (
     laplacian_convolution_symmetry_defect,
     poisson_crosscheck,
     poisson_transformed_residual,
+    transformed_residuals,
     window_residual_literal,
     window_transformed_residual,
 )

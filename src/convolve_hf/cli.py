@@ -25,11 +25,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .convolution import resolution_floor
 from .errors import ConfigError, IllConditionedBasisError, ResolutionError, ScfDivergedError
-from .expansion import (
-    expansion_poisson_residuals,
-    expansion_window_residuals,
-    project_orbitals,
-)
+from .expansion import expansion_transformed_residuals, project_orbitals
 from .extension import extend, harmonicity_residual
 from .fields import ScalarField, norm
 from .hf import (
@@ -42,12 +38,7 @@ from .hf import (
     strong_terms,
 )
 from .kernels import Gaussian, Slater1s, basis_function, sample
-from .residuals import (
-    ResidualReport,
-    poisson_crosscheck,
-    window_residual_literal,
-    window_transformed_residual,
-)
+from .residuals import ResidualReport, poisson_crosscheck, transformed_residuals
 from .scf import solve
 from .verify import run_verify
 
@@ -199,10 +190,8 @@ def cmd_residuals(config: RunConfig, out: Path, quiet: bool) -> int:
         strong_terms(a, orbitals, fields, system),
         {"orbital": a, "laplacian": "spectral", "masked": True},
     )
-    cross = poisson_crosscheck(a, orbitals, fields, system, t)
-    thm4 = cross.transformed
-    thm5 = window_transformed_residual(a, orbitals, fields, w)
-    literal = window_residual_literal(a, orbitals, fields, w)
+    thm4, thm5 = transformed_residuals(a, orbitals, fields, t, w)
+    cross = poisson_crosscheck(a, orbitals, fields, system, t, transformed=thm4)
 
     def row(name, rep: ResidualReport, param):
         return (
@@ -235,8 +224,6 @@ def cmd_residuals(config: RunConfig, out: Path, quiet: bool) -> int:
     _say(quiet, f"thm4 relative = {_fmt(thm4.relative)}")
     _say(quiet, f"thm5 relative = {_fmt(thm5.relative)}")
     _say(quiet, f"crosscheck relative = {_fmt(cross.relative)}")
-    _say(quiet, "literal window form (logged, not asserted): "
-         f"total_l2 = {_fmt(literal.total_l2)} vs consistent {_fmt(thm5.total_l2)}")
     return code
 
 
@@ -253,8 +240,7 @@ def cmd_expand(config: RunConfig, out: Path, quiet: bool) -> int:
     state = project_orbitals(orbitals, basis, orders)
     t = config.residuals_t
     w = Gaussian(alpha=config.window_alpha, amplitude=1.0)
-    thm6 = expansion_poisson_residuals(state, 0, orbitals, fields, t)
-    thm7 = expansion_window_residuals(state, 0, orbitals, fields, w)
+    ladder = expansion_transformed_residuals(state, 0, orbitals, fields, t, w)
     rows = [
         (
             str(n),
@@ -263,7 +249,7 @@ def cmd_expand(config: RunConfig, out: Path, quiet: bool) -> int:
             r7.total_sup, r7.total_l2,
             state.k_bound,
         )
-        for n, r6, r7 in zip(state.orders, thm6, thm7)
+        for n, (r6, r7) in zip(state.orders, ladder)
     ]
     _write_csv(
         out / "expansion_ladder.csv",

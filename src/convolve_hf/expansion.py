@@ -21,10 +21,15 @@ from .errors import IllConditionedBasisError
 from .fields import ScalarField, inner, norm
 from .hf import HfFields, OrbitalSet, build_overlap_fields
 from .kernels import Gaussian, sample
-from .residuals import ResidualReport, poisson_transformed_residual, window_transformed_residual
+from .residuals import (
+    ResidualReport,
+    poisson_transformed_residual,
+    transformed_residuals,
+    window_transformed_residual,
+)
 
-__all__ = ["ExpansionState", "project_orbitals",
-           "expansion_poisson_residuals", "expansion_window_residuals"]
+__all__ = ["ExpansionState", "project_orbitals", "expansion_poisson_residuals",
+           "expansion_window_residuals", "expansion_transformed_residuals"]
 
 GRAM_CONDITION_LIMIT = 1e12
 
@@ -170,5 +175,25 @@ def expansion_window_residuals(
     """
     return [
         _with_order(window_transformed_residual(a, trunc, trunc_fields, w), n)
+        for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, orders)
+    ]
+
+
+def expansion_transformed_residuals(
+    state: ExpansionState,
+    a: int,
+    orbitals: OrbitalSet,
+    fields: HfFields,
+    t: float,
+    w: Gaussian,
+    orders=None,
+) -> list[tuple[ResidualReport, ResidualReport]]:
+    """Both ladders at once: per order, the pair of
+    :func:`expansion_poisson_residuals` and :func:`expansion_window_residuals`
+    rows, each term field transformed once for both kernels
+    (:func:`convolve_hf.residuals.transformed_residuals`).
+    """
+    return [
+        tuple(_with_order(r, n) for r in transformed_residuals(a, trunc, trunc_fields, t, w))
         for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, orders)
     ]

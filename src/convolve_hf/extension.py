@@ -56,7 +56,8 @@ class HarmonicExtension:
 
 
 def extend(f: ScalarField, heights, strict: bool = False) -> HarmonicExtension:
-    """Poisson extension of ``f`` at the given heights.
+    """Poisson extension of ``f`` at the given heights, all from one
+    forward transform of ``f``.
 
     Heights below the resolution floor 2h are computed with the
     cell-averaged kernel flavor and a ResolutionWarning (``strict=True``
@@ -72,7 +73,7 @@ def extend(f: ScalarField, heights, strict: bool = False) -> HarmonicExtension:
             raise ResolutionError(f"heights {bad} below resolution floor 2h={floor:g}")
     order = np.argsort(heights)
     hs = tuple(heights[i] for i in order)
-    slices = tuple(convolve_with_kernel(f, PoissonKernel(t=t)) for t in hs)
+    slices = convolve_with_kernel(f, tuple(PoissonKernel(t=t) for t in hs))
     return HarmonicExtension(base=f, heights=hs, slices=slices)
 
 

@@ -6,12 +6,13 @@ convolution with a smooth window w (the Laplacian moves onto w).  Both
 are evaluated per-term (from ``hf.equation_terms``) so the reports expose
 which contribution dominates, and both are cross-validated against the
 convolved strong residual: the kernel-derivative route and the
-grid-Laplacian route must agree.
+grid-Laplacian route must agree.  ``transformed_residuals`` evaluates
+the pair together, transforming each term field once for both kernels.
 
 The printed window form that drops the exchange term and the psi_a
-factor in the Hartree term is provided as ``window_residual_literal``
-for side-by-side logging only; the asserted form is the one consistent
-with convolving the strong equation with w.
+factor in the Hartree term is kept as ``window_residual_literal``, a
+record of the printed expression that no command evaluates; the asserted
+form is the one consistent with convolving the strong equation with w.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "laplacian_convolution_symmetry_defect",
     "poisson_transformed_residual",
     "window_transformed_residual",
+    "transformed_residuals",
     "window_residual_literal",
     "CrosscheckReport",
     "poisson_crosscheck",
@@ -94,6 +96,22 @@ def laplacian_convolution_symmetry_defect(
     return norm(lhs - rhs, np.inf) / den
 
 
+def _poisson_report(a, t, dt2, local, exchange) -> ResidualReport:
+    return ResidualReport.from_terms(
+        ("kernel_dt2", "potential", "exchange"),
+        (dt2, -1.0 * local, -2.0 * exchange),
+        {"t": t, "orbital": a},
+    )
+
+
+def _window_report(a, w, lap, local, exchange) -> ResidualReport:
+    return ResidualReport.from_terms(
+        ("kernel_lap", "potential", "exchange"),
+        (lap, local, 2.0 * exchange),
+        {"window_alpha": w.alpha, "window_amplitude": w.prefactor, "orbital": a},
+    )
+
+
 def poisson_transformed_residual(
     a: int,
     orbitals: OrbitalSet,
@@ -109,13 +127,11 @@ def poisson_transformed_residual(
     for exact solutions.  Heights below 2h are rejected.
     """
     psi_a, local, exchange = equation_terms(a, orbitals, fields)
-    terms = (
+    return _poisson_report(
+        a, t,
         convolve_with_kernel(psi_a, PoissonDt2Kernel(t=t), strict=True),
-        -1.0 * convolve_with_kernel(local, PoissonKernel(t=t), strict=True),
-        -2.0 * convolve_with_kernel(exchange, PoissonKernel(t=t), strict=True),
-    )
-    return ResidualReport.from_terms(
-        ("kernel_dt2", "potential", "exchange"), terms, {"t": t, "orbital": a}
+        convolve_with_kernel(local, PoissonKernel(t=t), strict=True),
+        convolve_with_kernel(exchange, PoissonKernel(t=t), strict=True),
     )
 
 
@@ -141,15 +157,35 @@ def window_transformed_residual(
     """
     _require_gaussian_window(w)
     psi_a, local, exchange = equation_terms(a, orbitals, fields)
-    terms = (
+    return _window_report(
+        a, w,
         convolve_with_kernel(psi_a, w.laplacian()),
         convolve_with_kernel(local, w),
-        2.0 * convolve_with_kernel(exchange, w),
+        convolve_with_kernel(exchange, w),
     )
-    return ResidualReport.from_terms(
-        ("kernel_lap", "potential", "exchange"),
-        terms,
-        {"window_alpha": w.alpha, "window_amplitude": w.prefactor, "orbital": a},
+
+
+def transformed_residuals(
+    a: int,
+    orbitals: OrbitalSet,
+    fields: HfFields,
+    t: float,
+    w: Gaussian,
+) -> tuple[ResidualReport, ResidualReport]:
+    """:func:`poisson_transformed_residual` at height t and
+    :func:`window_transformed_residual` with window w, byte-identical to
+    the two calls, from one assembly of the equation terms: each term
+    field is forward-transformed once for its P_t-family kernel and its
+    window kernel together.
+    """
+    _require_gaussian_window(w)
+    psi_a, local, exchange = equation_terms(a, orbitals, fields)
+    dt2, lap = convolve_with_kernel(psi_a, (PoissonDt2Kernel(t=t), w.laplacian()), strict=True)
+    local_t, local_w = convolve_with_kernel(local, (PoissonKernel(t=t), w), strict=True)
+    exchange_t, exchange_w = convolve_with_kernel(exchange, (PoissonKernel(t=t), w), strict=True)
+    return (
+        _poisson_report(a, t, dt2, local_t, exchange_t),
+        _window_report(a, w, lap, local_w, exchange_w),
     )
 
 
@@ -159,7 +195,7 @@ def window_residual_literal(
     fields: HfFields,
     w: Gaussian,
 ) -> ResidualReport:
-    """The literal printed window expression, for logging only:
+    """The literal printed window expression, for comparison only:
 
         psi_a * (lap w) - [(p psi_a) * w] + [q * w] - 2 eps_a [psi_a * w]
 
@@ -205,22 +241,31 @@ def poisson_crosscheck(
     system: MolecularSystem,
     t: float,
     method: str = "finite_difference_2nd",
+    transformed: ResidualReport | None = None,
 ) -> CrosscheckReport:
     """Compare the height-transformed residual with -(strong residual * P_t).
 
-    The relative measure divides by max(largest transformed term,
+    ``transformed`` is that residual when the caller has already evaluated
+    it for orbital ``a`` at height t; by default it is computed here.  The
+    relative measure divides by max(largest transformed term,
     ||convolved strong residual||): for exact solutions both routes are
     residual-sized and a ratio of the two alone would be noise over noise.
     """
-    report = poisson_transformed_residual(a, orbitals, fields, t)
+    if transformed is None:
+        transformed = poisson_transformed_residual(a, orbitals, fields, t)
+    elif (transformed.params.get("t"), transformed.params.get("orbital")) != (t, a):
+        raise ValueError(
+            f"transformed residual has params {transformed.params}, expected t={t} "
+            f"and orbital {a}"
+        )
     strong = strong_residual(a, orbitals, fields, system, method=method)
     cross = -1.0 * convolve_with_kernel(strong, PoissonKernel(t=t), strict=True)
-    diff_field = report.total_field - cross
+    diff_field = transformed.total_field - cross
     cross_l2 = norm(cross, 2)
     diff = norm(diff_field, 2)
-    scale = max(max(report.term_l2), cross_l2)
+    scale = max(max(transformed.term_l2), cross_l2)
     return CrosscheckReport(
-        transformed=report,
+        transformed=transformed,
         diff_l2=diff,
         diff_sup=norm(diff_field, np.inf),
         convolved_strong_l2=cross_l2,

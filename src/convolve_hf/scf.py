@@ -46,7 +46,6 @@ from .hf import (
     HfFields,
     MolecularSystem,
     OrbitalSet,
-    build_fields,
     build_p,
     nuclear_mask,
 )
@@ -281,10 +280,14 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
     else:
         eps = 0.0
         final_residual = np.inf
-    orbitals = OrbitalSet(orbitals=(psi_field,), energies=(float(eps),))
-    final_fields = build_fields(system, orbitals)
+    # the fields of the returned orbital from what the loop holds: -2 v_nuc
+    # is p exactly, and s is the last convolution of this psi's density
+    s_final = ScalarField(grid=grid, values=s_new if history else s_mix)
+    final_fields = HfFields(
+        p=ScalarField(grid=grid, values=-2.0 * v_nuc), q=s_final * 4.0, s=((s_final,),)
+    )
     return ScfResult(
-        orbitals=orbitals,
+        orbitals=OrbitalSet(orbitals=(psi_field,), energies=(float(eps),)),
         converged=converged,
         iteration_count=len(history),
         history=tuple(history),

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from convolve_hf import residuals
+from convolve_hf import cli
 from convolve_hf.cli import main
 from convolve_hf.config import parse_config
+from convolve_hf.convolution import ConvolutionPlan
 from convolve_hf.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -203,20 +204,34 @@ class TestResidualsCommand:
             assert all(float(c) == 0.0 for c in cells[1:10])
 
     def test_poisson_residual_computed_once(self, tmp_path, monkeypatch):
-        calls = []
-        original = residuals.poisson_transformed_residual
+        # d2t P_t enters only the height-transformed residual, so one Poisson
+        # evaluation per run convolves exactly one field with it; P_t itself
+        # takes its two terms and the crosscheck's convolved strong residual
+        kernels = []
+        convolve = ConvolutionPlan.convolve_with_kernel
+
+        def recorded(plan, f, kernel, **kwargs):
+            kernels.extend(kernel if isinstance(kernel, tuple) else (kernel,))
+            return convolve(plan, f, kernel, **kwargs)
+
+        orbitals = []
+        paired = cli.transformed_residuals
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+            orbitals.append(args[0])
+            return paired(*args, **kwargs)
 
-        monkeypatch.setattr(residuals, "poisson_transformed_residual", counted)
+        monkeypatch.setattr(ConvolutionPlan, "convolve_with_kernel", recorded)
+        monkeypatch.setattr(cli, "transformed_residuals", counted)
         code = main([
             "residuals", "--config", str(REPO / "configs" / "zero_orbital.cfg"),
             "--out", str(tmp_path / "out"), "--quiet",
         ])
         assert code == 0
-        assert calls == [0]
+        assert orbitals == [0]
+        kinds = [type(k).__name__ for k in kernels]
+        assert kinds.count("PoissonDt2Kernel") == 1
+        assert kinds.count("PoissonKernel") == 3
 
 
 class TestExpandCommand:

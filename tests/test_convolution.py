@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import OrderedDict
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 import convolve_hf as chf
-from convolve_hf import convolution
+from convolve_hf import convolution, extension
 from convolve_hf.convolution import ConvolutionPlan, _sample_kernel_octant
 from convolve_hf.errors import GridMismatchError, ResolutionError, ResolutionWarning
 
@@ -409,3 +410,105 @@ class TestPrunedEngine:
         ref = _padded_reference(f.values, g_padded, n // 2, grid32.spacing)
         assert out.dtype == f.values.dtype
         assert _rel_err(out, ref) <= 1e-14
+
+
+def _peak_bytes(fn):
+    """Peak bytes traced by tracemalloc while ``fn()`` runs, over what was
+    allocated before it started."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestGroupedKernels:
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_group_outputs_are_the_single_kernel_outputs(self, grid32, rng, size,
+                                                         complex_values):
+        # rotating through all kinds puts every kind at every group position
+        kernels = [KERNELS[kind](grid32.spacing) for kind in sorted(KERNELS)]
+        f = _random(grid32, rng, complex_values)
+        plan = ConvolutionPlan(grid32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            singles = {k: plan.convolve_with_kernel(f, k).values for k in kernels}
+            for i in range(len(kernels)):
+                group = tuple(kernels[(i + j) % len(kernels)] for j in range(size))
+                outs = plan.convolve_with_kernel(f, group)
+                assert isinstance(outs, tuple) and len(outs) == size
+                for kernel, out in zip(group, outs):
+                    assert out.values.dtype == f.values.dtype
+                    assert out.values.tobytes() == singles[kernel].tobytes()
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_repeated_kernel_in_a_group(self, grid32, rng, complex_values):
+        f = _random(grid32, rng, complex_values)
+        poisson = KERNELS["poisson"](grid32.spacing)
+        gaussian = KERNELS["gaussian"](grid32.spacing)
+        single = chf.convolve_with_kernel(f, poisson).values.tobytes()
+        outs = chf.convolve_with_kernel(f, (poisson, gaussian, poisson))
+        assert outs[0].values.tobytes() == outs[2].values.tobytes() == single
+
+    def test_group_leaves_spectra_and_field_unchanged(self, grid32, rng, empty_cache):
+        f = _random(grid32, rng, complex_values=True)
+        field_before = f.values.tobytes()
+        kernels = tuple(KERNELS[kind](grid32.spacing)
+                        for kind in ("poisson", "gaussian", "coulomb"))
+        plan = ConvolutionPlan(grid32)
+        spectra_before = [plan.kernel_spectrum(k).tobytes() for k in kernels]
+        plan.convolve_with_kernel(f, kernels)
+        assert f.values.tobytes() == field_before
+        assert [plan.kernel_spectrum(k).tobytes() for k in kernels] == spectra_before
+
+    def test_extend_group_warns_once_per_under_resolved_height(self, grid32):
+        f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
+        h = grid32.spacing
+        under = (0.25 * h, 0.5 * h)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chf.extend(f, (*under, 3.0 * h))
+        assert [w.category for w in caught] == [ResolutionWarning] * 2
+        assert all(f"t={t:g} " in str(w.message) for w, t in zip(caught, under))
+        # the caller of the grouped convolution, not the engine
+        assert {w.filename for w in caught} == {extension.__file__}
+
+    def test_grouped_call_names_its_caller(self, grid32):
+        f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
+        under = chf.PoissonKernel(t=0.5 * grid32.spacing)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chf.convolve_with_kernel(f, (under, chf.Gaussian(alpha=1.0)))
+        assert [w.category for w in caught] == [ResolutionWarning]
+        assert caught[0].filename == __file__
+
+    def test_group_is_validated_before_any_transform(self, grid32, monkeypatch):
+        f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
+        monkeypatch.setattr(ConvolutionPlan, "_forward", None)  # any transform fails
+        with pytest.raises(ResolutionError):
+            chf.convolve_with_kernel(f, (chf.Gaussian(), chf.PoissonKernel(t=0.1)), strict=True)
+        with pytest.raises(ValueError, match="unsupported"):
+            chf.convolve_with_kernel(f, (chf.Gaussian(), chf.Slater1s()))
+        with pytest.raises(ValueError, match="at least one kernel"):
+            chf.convolve_with_kernel(f, ())
+
+    def test_group_peak_memory_stays_near_one_spectrum(self, empty_cache):
+        # one kept padded spectrum plus slab-sized buffers; a copy of the
+        # spectrum per kernel would peak at about 1.7x a single convolution
+        grid = chf.GridSpec(points_per_axis=48, extent=10.0)
+        f = chf.sample(chf.Gaussian(alpha=0.05, amplitude=1.0), grid)
+        kernels = (chf.PoissonKernel(t=1.0), chf.PoissonDt2Kernel(t=1.0),
+                   chf.Gaussian(alpha=1.0))
+        plan = ConvolutionPlan(grid)
+        for kernel in kernels:  # warm: measure the transforms, not sampling
+            plan.kernel_spectrum(kernel)
+        single = _peak_bytes(lambda: plan.convolve_with_kernel(f, kernels[0]))
+        group = _peak_bytes(lambda: plan.convolve_with_kernel(f, kernels))
+        assert group < 1.5 * single

@@ -101,6 +101,19 @@ class TestResidualLadders:
             assert r7.total_l2 == chf.window_transformed_residual(0, trunc, trunc_fields, w).total_l2
             assert r6.params["order"] == r7.params["order"] == n
 
+    def test_paired_ladder_is_the_two_ladders(self):
+        grid, system, orbitals, fields, basis = gaussian_orbital_setup(n=32)
+        state = chf.project_orbitals(orbitals, basis, orders=(1, 3))
+        t, w = 1.2, chf.Gaussian(alpha=1.0, amplitude=1.0)
+        pairs = chf.expansion_transformed_residuals(state, 0, orbitals, fields, t, w)
+        ladder6 = chf.expansion_poisson_residuals(state, 0, orbitals, fields, t)
+        ladder7 = chf.expansion_window_residuals(state, 0, orbitals, fields, w)
+        assert len(pairs) == len(state.orders)
+        for (r6, r7), s6, s7 in zip(pairs, ladder6, ladder7):
+            assert r6.params == s6.params and r7.params == s7.params
+            assert r6.total_field.values.tobytes() == s6.total_field.values.tobytes()
+            assert r7.total_field.values.tobytes() == s7.total_field.values.tobytes()
+
     def test_zero_orbital_gives_zero_ladder(self):
         grid = chf.GridSpec(points_per_axis=32, extent=8.0)
         zero = chf.ScalarField.zeros(grid)

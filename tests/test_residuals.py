@@ -130,3 +130,39 @@ class TestWindowTransformed:
         # exact solution it stays O(1) while the consistent form vanishes
         assert literal.total_l2 > 10.0 * consistent.total_l2
         assert literal.params["literal"] is True
+
+
+class TestPairedEvaluation:
+    def test_pair_is_the_two_single_evaluations(self, rng):
+        grid, system, orbitals, fields = random_orbital_setup(rng, n=32)
+        t, w = 3.0 * grid.spacing, chf.Gaussian(alpha=1.0, amplitude=1.0)
+        poisson, window = chf.transformed_residuals(0, orbitals, fields, t, w)
+        for paired, single in (
+            (poisson, chf.poisson_transformed_residual(0, orbitals, fields, t)),
+            (window, chf.window_transformed_residual(0, orbitals, fields, w)),
+        ):
+            assert paired.term_names == single.term_names
+            assert paired.params == single.params
+            assert paired.term_l2 == single.term_l2 and paired.term_sup == single.term_sup
+            assert paired.total_field.values.tobytes() == single.total_field.values.tobytes()
+
+    def test_pair_rejects_what_the_singles_reject(self, rng):
+        grid, system, orbitals, fields = random_orbital_setup(rng, n=32)
+        w = chf.Gaussian(alpha=1.0, amplitude=1.0)
+        with pytest.raises(ResolutionError):
+            chf.transformed_residuals(0, orbitals, fields, 0.01, w)
+        with pytest.raises(ValueError, match="window"):
+            chf.transformed_residuals(0, orbitals, fields, 1.0, chf.Slater1s())
+
+    def test_crosscheck_reuses_the_given_report(self, rng):
+        grid, system, orbitals, fields = random_orbital_setup(
+            rng, n=32, extent=6.0, hole_radius=0.5
+        )
+        t = 3.0 * grid.spacing
+        report = chf.poisson_transformed_residual(0, orbitals, fields, t)
+        reused = chf.poisson_crosscheck(0, orbitals, fields, system, t, transformed=report)
+        computed = chf.poisson_crosscheck(0, orbitals, fields, system, t)
+        assert reused.transformed is report
+        assert (reused.diff_l2, reused.relative) == (computed.diff_l2, computed.relative)
+        with pytest.raises(ValueError, match="expected t="):
+            chf.poisson_crosscheck(0, orbitals, fields, system, 2.0 * t, transformed=report)

@@ -20,6 +20,15 @@ def hydrogen_like_fock_setup(n, extent):
     return grid, system, orbitals, fields
 
 
+def _assert_fields_bitwise_equal(got, want):
+    pairs = [(got.p, want.p), (got.q, want.q)]
+    pairs += [(g, w) for g_row, w_row in zip(got.s, want.s) for g, w in zip(g_row, w_row)]
+    assert got.n == want.n
+    for g, w in pairs:
+        assert g.values.dtype == w.values.dtype
+        assert g.values.tobytes() == w.values.tobytes()
+
+
 class TestApplyFock:
     def test_hydrogen_eigenpair(self):
         grid, system, orbitals, fields = hydrogen_like_fock_setup(64, 10.0)
@@ -109,6 +118,17 @@ class TestSolve:
         guess = unit_gaussian_orbital(grid, 1.0)
         overlap = abs(chf.inner(result.orbitals.orbitals[0], guess))
         assert overlap == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("max_iterations", [0, 2])
+    def test_returned_fields_are_those_of_the_orbital(self, he_system, max_iterations):
+        grid = chf.GridSpec(points_per_axis=32, extent=12.0)
+        result = chf.solve(he_system, grid, chf.ScfConfig(max_iterations=max_iterations))
+        assert result.iteration_count == max_iterations
+        _assert_fields_bitwise_equal(result.fields, chf.build_fields(he_system, result.orbitals))
+
+    def test_converged_fields_are_those_of_the_orbital(self, he_system, he_result_48):
+        built = chf.build_fields(he_system, he_result_48.orbitals)
+        _assert_fields_bitwise_equal(he_result_48.fields, built)
 
     def test_helium_converges_on_coarse_grid(self, he_result_48):
         result = he_result_48

@@ -27,12 +27,12 @@ class RunConfig:
     grid_extent: float = 10.0
     nuclei: tuple = ((2.0, (0.0, 0.0, 0.0)),)
     pairs: int = 1
-    scf_max_iter: int = 200
-    scf_mixing: float = 0.6
-    scf_tol_energy: float = 1e-7
-    scf_tol_orbital: float = 1e-6
-    scf_eigensolver: str = "imaginary_time"
-    scf_time_step: float | None = None
+    scf_max_iter: int = ScfConfig.max_iterations
+    scf_mixing: float = ScfConfig.mixing
+    scf_tol_energy: float = ScfConfig.energy_tolerance
+    scf_tol_orbital: float = ScfConfig.orbital_tolerance
+    scf_eigensolver: str = ScfConfig.eigensolver
+    scf_time_step: float | None = ScfConfig.time_step
     poisson_t_values: tuple[float, ...] = (0.8, 0.4, 0.2, 0.1)
     window_alpha: float = 1.0
     basis_alpha0: float = 0.1
@@ -43,7 +43,6 @@ class RunConfig:
     residuals_source: str = "scf"
     residuals_t: float = 0.25
     expand_orders: tuple[int, ...] | None = None
-    verify_violate_sup: bool = False  # test hook: breaks the sup-bound precondition
 
     def grid(self) -> GridSpec:
         return GridSpec(points_per_axis=self.grid_n, extent=self.grid_extent)
@@ -106,98 +105,58 @@ class RunConfig:
         return tuple(range(2, self.basis_count + 1, 2))
 
 
-def _parse_nuclei(raw: str, key: str):
+def _nuclei(raw: str):
     out = []
     for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) != 4:
-            raise ConfigError(f"{key}: expected 'Z,x,y,z' but got {chunk!r}")
-        try:
+        if chunk.strip():
+            parts = chunk.split(",")
+            if len(parts) != 4:
+                raise ValueError(f"expected 'Z,x,y,z', got {chunk.strip()!r}")
             z, x, y, zz = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: non-numeric entry in {chunk!r}") from exc
-        out.append((z, (x, y, zz)))
+            out.append((z, (x, y, zz)))
     if not out:
-        raise ConfigError(f"{key}: no nuclei given")
+        raise ValueError("no nuclei given")
     return tuple(out)
 
 
-def _parse_float_list(raw: str, key: str):
-    try:
-        return tuple(float(p) for p in raw.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected comma-separated reals, got {raw!r}") from exc
+def _floats(raw: str):
+    return tuple(float(p) for p in raw.split(",") if p.strip())
 
 
-def _parse_int_list(raw: str, key: str):
-    try:
-        return tuple(int(p) for p in raw.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {raw!r}") from exc
+def _ints(raw: str):
+    return tuple(int(p) for p in raw.split(",") if p.strip())
 
 
-def _scalar(parser, key):
-    def convert(raw: str):
-        try:
-            return parser(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
-
-    return convert
+def _time_step(raw: str):
+    return None if raw.lower() == "auto" else float(raw)
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    v = raw.strip().lower()
-    if v in ("true", "1", "yes", "on"):
-        return True
-    if v in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-
-
-def _key_table():
-    return {
-        "grid.n": ("grid_n", _scalar(int, "grid.n")),
-        "grid.extent": ("grid_extent", _scalar(float, "grid.extent")),
-        "system.nuclei": ("nuclei", lambda raw: _parse_nuclei(raw, "system.nuclei")),
-        "system.pairs": ("pairs", _scalar(int, "system.pairs")),
-        "scf.max_iter": ("scf_max_iter", _scalar(int, "scf.max_iter")),
-        "scf.mixing": ("scf_mixing", _scalar(float, "scf.mixing")),
-        "scf.tol_energy": ("scf_tol_energy", _scalar(float, "scf.tol_energy")),
-        "scf.tol_orbital": ("scf_tol_orbital", _scalar(float, "scf.tol_orbital")),
-        "scf.eigensolver": ("scf_eigensolver", str),
-        "scf.time_step": (
-            "scf_time_step",
-            lambda raw: None if raw.strip().lower() == "auto" else _scalar(float, "scf.time_step")(raw),
-        ),
-        "poisson.t_values": (
-            "poisson_t_values",
-            lambda raw: _parse_float_list(raw, "poisson.t_values"),
-        ),
-        "window.alpha": ("window_alpha", _scalar(float, "window.alpha")),
-        "basis.alpha0": ("basis_alpha0", _scalar(float, "basis.alpha0")),
-        "basis.beta": ("basis_beta", _scalar(float, "basis.beta")),
-        "basis.count": ("basis_count", _scalar(int, "basis.count")),
-        "masking.radius_cells": (
-            "masking_radius_cells",
-            _scalar(float, "masking.radius_cells"),
-        ),
-        "output.dir": ("output_dir", str),
-        "residuals.source": ("residuals_source", str),
-        "residuals.t": ("residuals_t", _scalar(float, "residuals.t")),
-        "expand.orders": ("expand_orders", lambda raw: _parse_int_list(raw, "expand.orders")),
-        "verify.violate_sup": (
-            "verify_violate_sup",
-            lambda raw: _parse_bool(raw, "verify.violate_sup"),
-        ),
-    }
+# config key -> (RunConfig field, converter); a converter raises ValueError
+_KEYS = {
+    "grid.n": ("grid_n", int),
+    "grid.extent": ("grid_extent", float),
+    "system.nuclei": ("nuclei", _nuclei),
+    "system.pairs": ("pairs", int),
+    "scf.max_iter": ("scf_max_iter", int),
+    "scf.mixing": ("scf_mixing", float),
+    "scf.tol_energy": ("scf_tol_energy", float),
+    "scf.tol_orbital": ("scf_tol_orbital", float),
+    "scf.eigensolver": ("scf_eigensolver", str),
+    "scf.time_step": ("scf_time_step", _time_step),
+    "poisson.t_values": ("poisson_t_values", _floats),
+    "window.alpha": ("window_alpha", float),
+    "basis.alpha0": ("basis_alpha0", float),
+    "basis.beta": ("basis_beta", float),
+    "basis.count": ("basis_count", int),
+    "masking.radius_cells": ("masking_radius_cells", float),
+    "output.dir": ("output_dir", str),
+    "residuals.source": ("residuals_source", str),
+    "residuals.t": ("residuals_t", float),
+    "expand.orders": ("expand_orders", _ints),
+}
 
 
 def parse_config(text: str) -> RunConfig:
-    table = _key_table()
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -206,10 +165,13 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in table:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, convert = table[key]
-        updates[attr] = convert(raw)
+        attr, convert = _KEYS[key]
+        try:
+            updates[attr] = convert(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
     return replace(RunConfig(), **updates).validated()
 
 

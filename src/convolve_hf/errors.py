@@ -5,10 +5,6 @@ class GridMismatchError(ValueError):
     """Two fields that must live on the same grid do not."""
 
 
-class SingularPointError(ValueError):
-    """A singular kernel was evaluated exactly at its singularity."""
-
-
 class ResolutionError(ValueError):
     """A kernel width is below the grid's resolution floor in strict mode."""
 

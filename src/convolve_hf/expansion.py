@@ -117,16 +117,12 @@ def project_orbitals(
     )
 
 
-def _truncated_inputs(state: ExpansionState, orbitals: OrbitalSet, fields: HfFields, orders):
-    """(order, truncated orbital set, truncated fields) per requested order."""
-    orders = state.orders if orders is None else tuple(int(n) for n in orders)
-    missing = [n for n in orders if n not in state.truncations]
-    if missing:
-        raise KeyError(f"orders {missing} not present in the expansion state")
+def _truncated_inputs(state: ExpansionState, orbitals: OrbitalSet, fields: HfFields):
+    """(order, truncated orbital set, truncated fields) per projected order."""
     return [
         (n, OrbitalSet(state.truncations[n], orbitals.energies, validate=False),
          HfFields(p=fields.p, q=state.q_fields[n], s=state.r_fields[n]))
-        for n in orders
+        for n in state.orders
     ]
 
 
@@ -140,7 +136,6 @@ def expansion_poisson_residuals(
     orbitals: OrbitalSet,
     fields: HfFields,
     t: float,
-    orders=None,
 ) -> list[ResidualReport]:
     """Height-transformed residual of each truncation:
 
@@ -152,7 +147,7 @@ def expansion_poisson_residuals(
     """
     return [
         _with_order(poisson_transformed_residual(a, trunc, trunc_fields, t), n)
-        for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, orders)
+        for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields)
     ]
 
 
@@ -162,7 +157,6 @@ def expansion_window_residuals(
     orbitals: OrbitalSet,
     fields: HfFields,
     w: Gaussian,
-    orders=None,
 ) -> list[ResidualReport]:
     """Window-transformed residual ladder (lap moves onto the window):
 
@@ -175,7 +169,7 @@ def expansion_window_residuals(
     """
     return [
         _with_order(window_transformed_residual(a, trunc, trunc_fields, w), n)
-        for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, orders)
+        for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields)
     ]
 
 
@@ -186,7 +180,6 @@ def expansion_transformed_residuals(
     fields: HfFields,
     t: float,
     w: Gaussian,
-    orders=None,
 ) -> list[tuple[ResidualReport, ResidualReport]]:
     """Both ladders at once: per order, the pair of
     :func:`expansion_poisson_residuals` and :func:`expansion_window_residuals`
@@ -195,5 +188,5 @@ def expansion_transformed_residuals(
     """
     return [
         tuple(_with_order(r, n) for r in transformed_residuals(a, trunc, trunc_fields, t, w))
-        for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, orders)
+        for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields)
     ]

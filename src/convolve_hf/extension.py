@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import convolve_with_kernel, resolution_floor
-from .errors import ResolutionError
+from .convolution import convolve_with_kernel
 from .fields import ScalarField, laplacian, norm
 from .kernels import PoissonKernel
 
@@ -55,29 +54,24 @@ class HarmonicExtension:
         return tuple(norm(s - self.base, 2) for s in self.slices)
 
 
-def extend(f: ScalarField, heights, strict: bool = False) -> HarmonicExtension:
+def extend(f: ScalarField, heights) -> HarmonicExtension:
     """Poisson extension of ``f`` at the given heights, all from one
     forward transform of ``f``.
 
     Heights below the resolution floor 2h are computed with the
-    cell-averaged kernel flavor and a ResolutionWarning (``strict=True``
-    raises instead; the CLI flags such rows).
+    cell-averaged kernel flavor and a ResolutionWarning (the CLI flags
+    such rows).
     """
     heights = tuple(float(t) for t in heights)
     if not heights:
         raise ValueError("at least one height required")
-    if strict:
-        floor = resolution_floor(f.grid)
-        bad = [t for t in heights if t < floor * (1 - 1e-12)]
-        if bad:
-            raise ResolutionError(f"heights {bad} below resolution floor 2h={floor:g}")
     order = np.argsort(heights)
     hs = tuple(heights[i] for i in order)
     slices = convolve_with_kernel(f, tuple(PoissonKernel(t=t) for t in hs))
     return HarmonicExtension(base=f, heights=hs, slices=slices)
 
 
-def harmonicity_residual(ext: HarmonicExtension, t_index: int, method: str = "spectral") -> float:
+def harmonicity_residual(ext: HarmonicExtension, t_index: int) -> float:
     """Relative defect of (lap + d2/dt2) at an interior ladder index.
 
     The t-second-derivative uses the stored neighboring slices (never the
@@ -95,7 +89,7 @@ def harmonicity_residual(ext: HarmonicExtension, t_index: int, method: str = "sp
             f"{t_mid - t_lo:g} vs {t_hi - t_mid:g}"
         )
     u_lo, u, u_hi = (ext.slices[t_index + k] for k in (-1, 0, 1))
-    lap_u = laplacian(u, method=method)
+    lap_u = laplacian(u)
     dtt = (u_hi.values - 2.0 * u.values + u_lo.values) * (1.0 / delta**2)
     den = norm(lap_u, 2)
     if den == 0.0:

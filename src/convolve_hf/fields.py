@@ -57,10 +57,6 @@ class GridSpec:
     def axis_coordinates(self) -> np.ndarray:
         return -self.extent + self.spacing * np.arange(self.points_per_axis)
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = self.axis_coordinates()
-        return np.meshgrid(x, x, x, indexing="ij")
-
     def radius_squared(self, center=(0.0, 0.0, 0.0)) -> np.ndarray:
         x = self.axis_coordinates()
         cx, cy, cz = center

@@ -379,17 +379,15 @@ def check_orbital_bounds(
     orbitals: OrbitalSet,
     system: MolecularSystem,
     fields: HfFields | None = None,
-    n_random: int = 10,
-    seed: int = 2026,
 ) -> BoundCheckReport:
     """Verify the overlap-field sup bound and the weighted-L2 bound at the
-    nuclei plus ``n_random`` deterministic pseudo-random points."""
+    nuclei plus 10 deterministic pseudo-random points."""
     if fields is None:
         fields = build_fields(system, orbitals)
     grid = orbitals.grid
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2026)
     points = [pos for _, pos in system.nuclei]
-    points += [tuple(rng.uniform(-0.5 * grid.extent, 0.5 * grid.extent, 3)) for _ in range(n_random)]
+    points += [tuple(rng.uniform(-0.5 * grid.extent, 0.5 * grid.extent, 3)) for _ in range(10)]
     normalized = all(abs(norm(o, 2) - 1.0) < 1e-3 for o in orbitals.orbitals)
     rows = []
     for a, psi in enumerate(orbitals.orbitals):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPointError
 from .fields import GridSpec, ScalarField
 
 __all__ = [
@@ -76,9 +75,6 @@ class AnalyticFunction:
         cx, cy, cz = self.center
         r2 = (np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2 + (np.asarray(z) - cz) ** 2
         return self.evaluate_r2(r2)
-
-    def singular_cell_mean(self, h: float) -> float:
-        raise SingularPointError(f"{type(self).__name__} has no singular point")
 
 
 @dataclass(frozen=True)

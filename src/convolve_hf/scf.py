@@ -21,7 +21,10 @@ Fourier space, so the step need not shrink like h^2 and the iteration
 count does not grow as h shrinks; for every dt its fixed point satisfies
 H psi = eps psi for the same spectral operator.  A step costs one rfftn
 and one irfftn: the norm and the kinetic part of the next eps come from
-the same spectrum (Parseval), and the next eps adds <psi, v psi>.
+the same spectrum (Parseval), and the next eps adds <psi, v psi>.  The
+last step's Parseval sum is also the kinetic energy of the outer
+iteration's energy and eps, so no separate Laplacian is taken per
+iteration.
 
 For a single orbital the exchange acting on the occupied orbital itself
 collapses onto the local field s[0,0], so the frozen operator is local:
@@ -37,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.sparse import linalg as spla
 
 from .convolution import coulomb_convolve
 from .errors import ScfDivergedError
@@ -181,8 +183,10 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
 
     def relax(psi, v_eff, kinetic):
         """``_INNER_STEPS`` semi-implicit imaginary-time steps; ``kinetic``
-        is that of ``psi``.  The step's arrays are freed on return, before
-        the padded convolution, which sets the solver's peak memory."""
+        is that of ``psi``.  Returns the new psi and its kinetic energy,
+        the last step's Parseval sum.  The step's arrays are freed on
+        return, before the padded convolution, which sets the solver's
+        peak memory."""
         sigma = max(0.0, float(v_eff.max()))
         gain = 1.0 / (1.0 + dt * (sigma - 0.5 * mult))
         for _ in range(_INNER_STEPS):
@@ -201,7 +205,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
                 raise ScfDivergedError("imaginary-time propagation diverged; reduce time_step")
             psi = sfft.irfftn(spec, s=shape)
             psi /= np.sqrt(mass * h3 / psi.size)
-        return psi
+        return psi, kinetic
 
     history: list[ScfIteration] = []
     converged = False
@@ -214,11 +218,10 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
         v_eff = v_nuc + s_mix
 
         if config.eigensolver == "imaginary_time":
-            psi = relax(psi, v_eff, kinetic)
+            psi, kinetic = relax(psi, v_eff, kinetic)
         else:  # inverse_iteration
-            f_psi = -0.5 * spectral_laplacian(psi, grid) + v_eff * psi
-            eps = (psi * f_psi).sum() * h3
-            shift = eps - 1.0
+            from scipy.sparse import linalg as spla
+            shift = kinetic + (psi * v_eff * psi).sum() * h3 - 1.0
             op = spla.LinearOperator(
                 (psi.size, psi.size),
                 matvec=lambda v: (
@@ -238,13 +241,13 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
                 raise ScfDivergedError(f"inverse-iteration CG failed to converge (info={info})")
             psi = sol.reshape(shape)
             psi /= l2(psi)
+            kinetic = -0.5 * (psi * spectral_laplacian(psi, grid)).sum() * h3
 
         if psi.sum() < 0:  # fix the global sign for reproducible output
             psi = -psi
         rho_new = psi * psi
         s_new = s_of(rho_new)
 
-        kinetic = -0.5 * (psi * spectral_laplacian(psi, grid)).sum() * h3
         v_nuc_1 = 2.0 * (rho_new * v_nuc).sum() * h3
         hartree = (rho_new * s_new).sum() * h3
         energy = 2.0 * kinetic + v_nuc_1 + hartree
@@ -269,16 +272,13 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
             break
 
     psi_field = ScalarField(grid=grid, values=psi)
-    if history:
-        v_eff = v_nuc + s_new
-        f_psi = -0.5 * spectral_laplacian(psi, grid) + v_eff * psi
-        eps = (psi * f_psi).sum() * h3
+    if history:  # eps is the Rayleigh quotient of psi with v_nuc + s_new
+        f_psi = -0.5 * spectral_laplacian(psi, grid) + (v_nuc + s_new) * psi
         keep = nuclear_mask(grid, system)
         resid = np.where(keep, f_psi - eps * psi, 0.0)
         den = l2(np.where(keep, f_psi, 0.0))
         final_residual = l2(resid) / den if den > 0 else 0.0
     else:
-        eps = 0.0
         final_residual = np.inf
     # the fields of the returned orbital from what the loop holds: -2 v_nuc
     # is p exactly, and s is the last convolution of this psi's density

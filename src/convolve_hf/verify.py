@@ -108,8 +108,6 @@ def run_verify(config: RunConfig) -> list[CheckResult]:
 
     # boundary convergence ladder and the two sup bounds
     wide = _gaussian_field(grid, 0.05, amplitude=1.0)
-    if config.verify_violate_sup:
-        wide = 1.5 * wide  # test hook: breaks the sup-bound precondition
     heights = tuple(sorted(set(config.poisson_t_values) | {2.0}))
     ext = extend(wide, heights)
     distances = [d for _, d in sorted(zip(ext.heights, ext.l2_distances()))]
@@ -160,27 +158,17 @@ def run_verify(config: RunConfig) -> list[CheckResult]:
 
 
 def _direct_convolution(f: ScalarField, g: ScalarField) -> np.ndarray:
-    """O(N^6) reference: out[o] = h^3 sum_s f[s] g[o - s + n/2]."""
+    """O(N^6) reference: out[o] = h^3 sum_s f[s] g[o - s + n/2], adding one
+    shifted slab of g per nonzero source node, in source order."""
     n = f.grid.points_per_axis
-    h3 = f.grid.spacing**3
-    fv, gv = f.values, g.values
-    out = np.zeros(f.grid.shape, dtype=np.complex128)
     half = n // 2
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = 0.0 + 0.0j
-                for si in range(n):
-                    gi = i - si + half
-                    if not (0 <= gi < n):
-                        continue
-                    for sj in range(n):
-                        gj = j - sj + half
-                        if not (0 <= gj < n):
-                            continue
-                        for sk in range(n):
-                            gk = k - sk + half
-                            if 0 <= gk < n:
-                                acc += fv[si, sj, sk] * gv[gi, gj, gk]
-                out[i, j, k] = acc * h3
-    return out
+    out = np.zeros(f.grid.shape)
+
+    def window(s):  # output indices reached from source index s, and g's
+        lo, hi = max(0, s - half), min(n, s - half + n)
+        return slice(lo, hi), slice(lo - s + half, hi - s + half)
+
+    for s in zip(*np.nonzero(f.values)):
+        (oi, gi), (oj, gj), (ok, gk) = (window(int(x)) for x in s)
+        out[oi, oj, ok] += f.values[s] * g.values[gi, gj, gk]
+    return out * f.grid.spacing**3

@@ -1,4 +1,7 @@
+import importlib.util
 import os
+import random
+import re
 import subprocess
 import sys
 import warnings
@@ -6,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from convolve_hf import cli
+from convolve_hf import cli, verify
 from convolve_hf.cli import main
-from convolve_hf.config import parse_config
+from convolve_hf.config import _KEYS, RunConfig, parse_config
 from convolve_hf.convolution import ConvolutionPlan
 from convolve_hf.errors import ConfigError
+from convolve_hf.extension import HarmonicExtension
+from convolve_hf.scf import ScfConfig
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -76,11 +81,45 @@ class TestConfigParsing:
         assert parse_config("scf.time_step = auto\n").scf_time_step is None
         assert parse_config("scf.time_step = 0.004\n").scf_time_step == 0.004
 
+    def test_scf_defaults_are_those_of_scf_config(self):
+        assert RunConfig().scf() == ScfConfig()
+
+    def test_readme_table_lists_every_key(self):
+        text = (REPO / "README.md").read_text()
+        table = text.split("### Config format", 1)[1].split("###", 1)[0]
+        rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+        listed = [key for row in rows for key in re.findall(r"`([^`]+)`", row)]
+        assert sorted(listed) == sorted(_KEYS)
+
     def test_orders_default_ladder(self):
         cfg = parse_config("basis.count = 8\n")
         assert cfg.orders() == (2, 4, 6, 8)
         cfg = parse_config("basis.count = 8\nexpand.orders = 3, 5\n")
         assert cfg.orders() == (3, 5)
+
+
+class TestBenchmarkConfigs:
+    """The configs ``perfbench/run.py`` generates must keep parsing."""
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        sys.path.insert(0, str(REPO / "perfbench"))  # run.py imports its sibling layers
+        try:
+            spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                          REPO / "perfbench" / "run.py")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            sys.path.remove(str(REPO / "perfbench"))
+        return module
+
+    def test_generated_inputs_parse(self, bench, tmp_path):
+        # SCF_CONFIG, RESIDUALS_CONFIG, EXTEND_CONFIG and VERIFY_CONFIG,
+        # formatted with the values of seed 101
+        for make_inputs in (bench.scf_inputs, bench.transforms_inputs):
+            commands, _ = make_inputs(random.Random(101), tmp_path)
+            for command in commands:
+                parse_config(command.config.read_text())
 
 
 class TestShippedConfigs:
@@ -285,9 +324,16 @@ class TestVerifyCommand:
         text = (out / "verify_results.csv").read_text()
         assert ",FAIL" in text
 
-    def test_violated_sup_hook_names_the_check(self, tmp_path, capsys):
-        base = (REPO / "configs" / "verify.cfg").read_text()
-        cfg = write_config(tmp_path, base + "\nverify.violate_sup = true\n")
+    def test_violated_sup_hook_names_the_check(self, tmp_path, capsys, monkeypatch):
+        # check a 1.5x extension instead, which breaks ||base||_inf <= 1
+        check = verify.sup_bound_check
+
+        def scaled(ext):
+            return check(HarmonicExtension(base=ext.base * 1.5, heights=ext.heights,
+                                           slices=tuple(s * 1.5 for s in ext.slices)))
+
+        monkeypatch.setattr(verify, "sup_bound_check", scaled)
+        cfg = REPO / "configs" / "verify.cfg"
         code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 3
         err = capsys.readouterr().err

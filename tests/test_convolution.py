@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 import convolve_hf as chf
-from convolve_hf import convolution, extension
+from convolve_hf import convolution, extension, verify
 from convolve_hf.convolution import ConvolutionPlan, _sample_kernel_octant
 from convolve_hf.errors import GridMismatchError, ResolutionError, ResolutionWarning
 
@@ -129,6 +129,8 @@ class TestFieldConvolution:
         fast = chf.convolve(f, k).values
         brute = direct_convolution(f, k)
         assert np.abs(fast - brute).max() <= 1e-10
+        # the verify command's own direct sum adds in the same order
+        assert np.array_equal(verify._direct_convolution(f, k), brute.real)
 
     def test_grid_mismatch(self, grid32, grid64):
         with pytest.raises(GridMismatchError):

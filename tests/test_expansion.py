@@ -128,12 +128,6 @@ class TestResidualLadders:
         for rep in chf.expansion_window_residuals(state, 0, orbitals, fields, w):
             assert rep.total_l2 == 0.0
 
-    def test_missing_order_rejected(self):
-        grid, system, orbitals, fields, basis = gaussian_orbital_setup(n=32)
-        state = chf.project_orbitals(orbitals, basis, orders=(1, 2))
-        with pytest.raises(KeyError):
-            chf.expansion_poisson_residuals(state, 0, orbitals, fields, 1.2, orders=(3,))
-
     def test_window_reports_carry_l2_and_sup(self):
         grid, system, orbitals, fields, basis = gaussian_orbital_setup(n=32)
         state = chf.project_orbitals(orbitals, basis, orders=(1, 2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import convolve_hf as chf
-from convolve_hf.errors import ResolutionError, ResolutionWarning
+from convolve_hf.errors import ResolutionWarning
 
 
 def wide_gaussian(grid, alpha=0.05):
@@ -44,11 +44,6 @@ class TestExtend:
             chf.extend(base, (1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="strictly increasing"):
             chf.HarmonicExtension(base=base, heights=(0.5, 0.8, 0.8), slices=(base,) * 3)
-
-    def test_strict_mode_rejects_under_resolved(self, grid48):
-        base = wide_gaussian(grid48)
-        with pytest.raises(ResolutionError):
-            chf.extend(base, (0.1,), strict=True)
 
     def test_linearity(self, grid48):
         f = wide_gaussian(grid48, 0.1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import convolve_hf as chf
+from convolve_hf import scf
 
 from support import normalized_field, random_smooth_orbital, unit_gaussian_orbital
 
@@ -171,6 +172,26 @@ class TestSolve:
         system = chf.MolecularSystem(nuclei=((2.0, (50.0, 0.0, 0.0)),))
         with pytest.raises(ValueError, match="outside"):
             chf.solve(system, grid32, chf.ScfConfig())
+
+    def test_kinetic_energy_needs_no_laplacian_per_iteration(self, he_system, monkeypatch):
+        # each iteration's kinetic energy is its last inner step's Parseval
+        # sum: one Laplacian for the guess and one for the closing residual,
+        # however many iterations run
+        calls = []
+        laplacian = scf.spectral_laplacian
+
+        def counted(values, grid):
+            calls.append(values.shape)
+            return laplacian(values, grid)
+
+        monkeypatch.setattr(scf, "spectral_laplacian", counted)
+        grid = chf.GridSpec(points_per_axis=16, extent=8.0)
+        counts = []
+        for max_iterations in (1, 3):
+            calls.clear()
+            chf.solve(he_system, grid, chf.ScfConfig(max_iterations=max_iterations))
+            counts.append(len(calls))
+        assert counts == [2, 2]
 
     def test_divergence_guard(self, he_system):
         # per-step renormalization absorbs moderate instability, so only a

@@ -31,7 +31,6 @@ from .fields import ScalarField, norm
 from .hf import (
     HfFields,
     OrbitalSet,
-    build_fields,
     build_p,
     check_orbital_bounds,
     energies,
@@ -84,7 +83,7 @@ def cmd_scf(config: RunConfig, out: Path, quiet: bool) -> int:
     )
     x = grid.axis_coordinates()
     k0 = grid.points_per_axis // 2  # z = 0 plane
-    psi = result.orbitals.orbitals[0].values.real
+    psi = result.orbitals.orbitals[0].values
     plane_rows = [
         (x[i], x[j], psi[i, j, k0])
         for i in range(grid.points_per_axis)
@@ -160,24 +159,23 @@ def _residual_inputs(config: RunConfig):
     """(orbitals, fields, system, scf_exit) for the configured source."""
     grid = config.grid()
     system = config.system()
+    if config.residuals_source == "scf":
+        result = solve(system, grid, config.scf())
+        code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+        return result.orbitals, result.fields, system, code
+    # zero and hydrogen_identity: the two-electron fields q and s are zero
     if config.residuals_source == "zero":
         zero = ScalarField.zeros(grid)
         orbitals = OrbitalSet(orbitals=(zero,), energies=(0.0,), validate=False)
-        return orbitals, build_fields(system, orbitals), system, EXIT_OK
-    if config.residuals_source == "hydrogen_identity":
-        center = system.nuclei[0][1]
-        psi = sample(Slater1s(center=center), grid)
-        psi = psi * (1.0 / norm(psi, 2))
-        orbitals = OrbitalSet(orbitals=(psi,), energies=(-0.5,))
-        fields = HfFields(
-            p=build_p(system, grid),
-            q=ScalarField.zeros(grid),
-            s=((ScalarField.zeros(grid),),),
-        )
-        return orbitals, fields, system, EXIT_OK
-    result = solve(system, grid, config.scf())
-    code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
-    return result.orbitals, result.fields, system, code
+    else:
+        psi = sample(Slater1s(center=system.nuclei[0][1]), grid)
+        orbitals = OrbitalSet(orbitals=(psi * (1.0 / norm(psi, 2)),), energies=(-0.5,))
+    fields = HfFields(
+        p=build_p(system, grid),
+        q=ScalarField.zeros(grid),
+        s=((ScalarField.zeros(grid),),),
+    )
+    return orbitals, fields, system, EXIT_OK
 
 
 def cmd_residuals(config: RunConfig, out: Path, quiet: bool) -> int:

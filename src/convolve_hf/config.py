@@ -67,12 +67,15 @@ class RunConfig:
         """Trigger every module-level precondition; raise ConfigError on any."""
         if self.masking_radius_cells <= 0:
             raise ConfigError("masking.radius_cells must be positive")
+        if self.pairs != 1:
+            raise ConfigError(f"system.pairs must be 1 (the SCF solves one orbital), "
+                              f"got {self.pairs}")
         try:
             grid = self.grid()
             system = self.system()
             system.require_inside(grid)
             self.scf()
-        except (ValueError, NotImplementedError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.residuals_source not in _RESIDUAL_SOURCES:
             raise ConfigError(f"residuals.source must be one of {_RESIDUAL_SOURCES}")

@@ -24,10 +24,9 @@ one axis at a time and skips the all-zero lines: z on n^2 lines, then y
 on n(n+1) lines, then x on all lines.  The inverse crops each axis as
 soon as it has been transformed: kernel convolutions keep [:n], the
 nodes of the field itself; field-field convolutions keep the centre
-[n/2 : 3n/2], because the origin of both fields sits at node n/2.  Real
-inputs use the real transform along z; complex fields are split into
-real and imaginary parts for a kernel, and take the complex transform
-along z against another field.
+[n/2 : 3n/2], because the origin of both fields sits at node n/2.  Fields
+are real, so every transform is real along z: the spectrum keeps the
+n+1 nonnegative z frequencies.
 
 Grouped kernels
 ---------------
@@ -238,28 +237,24 @@ class ConvolutionPlan:
 
     # -- pruned zero-padded transforms ----------------------------------
 
-    def _forward(self, values: np.ndarray, real: bool) -> np.ndarray:
-        """DFT of ``values`` zero-padded to (2n)^3, one axis at a time;
-        ``real`` keeps the n+1 nonnegative frequencies along z."""
+    def _forward(self, values: np.ndarray) -> np.ndarray:
+        """DFT of real ``values`` zero-padded to (2n)^3, one axis at a
+        time; the n+1 nonnegative frequencies along z are kept."""
         m = 2 * self.grid.points_per_axis
-        spec = (sfft.rfftn if real else sfft.fftn)(values, s=(m,), axes=(2,))
+        spec = sfft.rfftn(values, s=(m,), axes=(2,))
         spec = sfft.fftn(spec, s=(m,), axes=(1,), overwrite_x=True)
         return sfft.fftn(spec, s=(m,), axes=(0,), overwrite_x=True)
 
-    def _inverse(self, spec: np.ndarray, start: int, real: bool) -> np.ndarray:
+    def _inverse(self, spec: np.ndarray, start: int) -> np.ndarray:
         """Inverse of :meth:`_forward`, keeping n nodes from ``start`` per axis."""
         n = self.grid.points_per_axis
         keep = slice(start, start + n)
-        return self._inverse_yz(sfft.ifftn(spec, axes=(0,), overwrite_x=True)[keep], keep, real)
+        return self._inverse_yz(sfft.ifftn(spec, axes=(0,), overwrite_x=True)[keep], keep)
 
-    def _inverse_yz(self, out: np.ndarray, keep: slice, real: bool) -> np.ndarray:
+    def _inverse_yz(self, out: np.ndarray, keep: slice) -> np.ndarray:
         """The y and z passes of :meth:`_inverse` on its cropped x pass."""
         out = sfft.ifftn(out, axes=(1,), overwrite_x=True)[:, keep]
-        if real:
-            out = sfft.irfftn(out, s=(2 * self.grid.points_per_axis,), axes=(2,),
-                              overwrite_x=True)
-        else:
-            out = sfft.ifftn(out, axes=(2,), overwrite_x=True)
+        out = sfft.irfftn(out, s=(2 * self.grid.points_per_axis,), axes=(2,), overwrite_x=True)
         return out[:, :, keep]
 
     def _inverse_of_product(self, spec: np.ndarray, octant: np.ndarray) -> np.ndarray:
@@ -276,17 +271,7 @@ class ConvolutionPlan:
             np.multiply(spec[:, ys], octant[fold[:, None], fold[ys]], out=slab)
             kept[:, ys] = sfft.ifftn(slab, axes=(0,), overwrite_x=True)[:n]
         del slab  # before the y and z passes, which set this kernel's peak
-        return self._inverse_yz(kept, slice(0, n), real=True)
-
-    def _convolve_real_with_octants(self, real_values, octants) -> list[np.ndarray]:
-        """``real_values`` convolved with each kernel of ``octants`` after
-        one forward transform; the last kernel consumes the spectrum."""
-        h3 = self.grid.spacing**3
-        spec = self._forward(real_values, real=True)
-        outs = [self._inverse_of_product(spec, octant) * h3 for octant in octants[:-1]]
-        _multiply_even(spec, octants[-1])
-        outs.append(self._inverse(spec, 0, real=True) * h3)
-        return outs
+        return self._inverse_yz(kept, slice(0, n))
 
     def convolve_with_kernel(
         self, f: ScalarField, kernel: AnalyticFunction | tuple[AnalyticFunction, ...], *,
@@ -314,10 +299,13 @@ class ConvolutionPlan:
                     stacklevel=stacklevel,
                 )
         octants = [self.kernel_spectrum(k) for k in kernels]
-        outs = self._convolve_real_with_octants(f.values.real, octants)
-        if not f.is_real:
-            imag = self._convolve_real_with_octants(f.values.imag, octants)
-            outs = [re + 1j * im for re, im in zip(outs, imag)]
+        h3 = self.grid.spacing**3
+        # one forward transform; the last kernel consumes the spectrum
+        spec = self._forward(f.values)
+        outs = [self._inverse_of_product(spec, octant) * h3 for octant in octants[:-1]]
+        _multiply_even(spec, octants[-1])
+        outs.append(self._inverse(spec, 0) * h3)
+        del spec  # freed before the output fields are built
         fields = tuple(f.with_values(out) for out in outs)
         return fields if isinstance(kernel, tuple) else fields[0]
 
@@ -325,10 +313,9 @@ class ConvolutionPlan:
         if f.grid != self.grid or g.grid != self.grid:
             raise GridMismatchError("field grids do not match the plan grid")
         n, h = self.grid.points_per_axis, self.grid.spacing
-        real = f.is_real and g.is_real
-        spec = self._forward(f.values, real)
-        spec *= self._forward(g.values, real)
-        return f.with_values(self._inverse(spec, n // 2, real) * h**3)
+        spec = self._forward(f.values)
+        spec *= self._forward(g.values)
+        return f.with_values(self._inverse(spec, n // 2) * h**3)
 
 
 def convolve(f: ScalarField, g: ScalarField) -> ScalarField:

@@ -75,14 +75,14 @@ def project_orbitals(
     gram = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            gram[i, j] = gram[j, i] = inner(sampled[i], sampled[j]).real
+            gram[i, j] = gram[j, i] = inner(sampled[i], sampled[j])
     condition = float(np.linalg.cond(gram))
     if condition > GRAM_CONDITION_LIMIT:
         raise IllConditionedBasisError(
             f"basis Gram matrix condition number {condition:.3e} exceeds "
             f"{GRAM_CONDITION_LIMIT:.0e}"
         )
-    rhs = np.array([[inner(sampled[i], psi).real for psi in orbitals.orbitals] for i in range(m)])
+    rhs = np.array([[inner(sampled[i], psi) for psi in orbitals.orbitals] for i in range(m)])
 
     coefficients, truncations, r_fields, q_fields, fit_errors = {}, {}, {}, {}, {}
     for order in orders:

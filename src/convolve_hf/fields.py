@@ -3,9 +3,9 @@
 The grid covers the cube [-L, L]^3 with n nodes per axis at
 x_i = -L + i*h, h = 2L/n (the origin is a node for even n).  A field's
 values are stored as a C-ordered (n, n, n) array indexed ``values[i, j, k]``
-for the point (x_i, y_j, z_k): float64 for real data, complex128 only when
-the data carries a nonzero imaginary part.  Quadrature assigns every node
-the weight h^3.
+for the point (x_i, y_j, z_k).  Fields are real float64: the closed-shell
+Hamiltonian is real, so its orbitals and every field built from them can
+be taken real.  Quadrature assigns every node the weight h^3.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ class GridSpec:
 class ScalarField:
     """Function sampled on a :class:`GridSpec`.
 
-    Values are validated to be finite on construction and stored as
-    float64 unless their imaginary part is nonzero somewhere; all
-    operations below return new fields, so instances can be shared freely
-    across threads.
+    Values are validated to be real and finite on construction and
+    stored as float64 (a complex array whose imaginary part is all zero
+    is accepted); all operations below return new fields, so instances
+    can be shared freely across threads.
     """
 
     grid: GridSpec
@@ -91,9 +91,11 @@ class ScalarField:
 
     def __post_init__(self):
         vals = np.asarray(self.values)
-        if np.iscomplexobj(vals) and not vals.imag.any():
+        if np.iscomplexobj(vals):
+            if vals.imag.any():
+                raise ValueError("field values must be real")
             vals = vals.real
-        vals = np.ascontiguousarray(vals, np.complex128 if np.iscomplexobj(vals) else np.float64)
+        vals = np.ascontiguousarray(vals, np.float64)
         if vals.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape}"
@@ -109,10 +111,6 @@ class ScalarField:
 
     def with_values(self, values: np.ndarray) -> "ScalarField":
         return ScalarField(grid=self.grid, values=values)
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values)
 
     # -- field algebra ------------------------------------------------
 
@@ -135,18 +133,15 @@ class ScalarField:
     def __neg__(self) -> "ScalarField":
         return self.with_values(-self.values)
 
-    def conj(self) -> "ScalarField":
-        return self if self.is_real else self.with_values(np.conj(self.values))
-
 
 def _require_same_grid(f: ScalarField, g: ScalarField):
     if f.grid != g.grid:
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
 
 
-def integrate(f: ScalarField) -> complex:
+def integrate(f: ScalarField) -> float:
     """Quadrature of ``f`` over the box: sum of values times h^3."""
-    return complex(f.values.sum() * f.grid.spacing**3)
+    return float(f.values.sum() * f.grid.spacing**3)
 
 
 def norm(f: ScalarField, p: float = 2) -> float:
@@ -157,15 +152,14 @@ def norm(f: ScalarField, p: float = 2) -> float:
     if p == 1:
         return float(np.abs(f.values).sum() * h3)
     if p == 2:
-        v = f.values
-        return float(np.sqrt((v.real**2 + v.imag**2).sum() * h3))
+        return float(np.sqrt((f.values**2).sum() * h3))
     raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")
 
 
-def inner(f: ScalarField, g: ScalarField) -> complex:
-    """<f, g> = integral of conj(f) * g; conjugate-linear in ``f``."""
+def inner(f: ScalarField, g: ScalarField) -> float:
+    """<f, g> = integral of f * g."""
     _require_same_grid(f, g)
-    return complex(np.vdot(f.values, g.values) * f.grid.spacing**3)
+    return float(np.vdot(f.values, g.values) * f.grid.spacing**3)
 
 
 @lru_cache(maxsize=8)
@@ -211,10 +205,7 @@ def laplacian(f: ScalarField, method: str = "spectral") -> ScalarField:
                 SupportWarning,
                 stacklevel=2,
             )
-        out = spectral_laplacian(f.values.real, f.grid)
-        if not f.is_real:
-            out = out + 1j * spectral_laplacian(f.values.imag, f.grid)
-        return f.with_values(out)
+        return f.with_values(spectral_laplacian(f.values, f.grid))
     raise ValueError(f"unknown laplacian method {method!r}")
 
 
@@ -234,8 +225,7 @@ def _outer_shell_mask(grid: GridSpec) -> np.ndarray:
 
 def outer_shell_mass_fraction(f: ScalarField) -> float:
     """Fraction of the L2 mass in the outer 10% shell of the box."""
-    v = f.values
-    dens = v * v if f.is_real else v.real**2 + v.imag**2
+    dens = f.values * f.values
     total = dens.sum()
     if total == 0.0:
         return 0.0

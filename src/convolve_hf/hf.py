@@ -3,7 +3,7 @@
 For an orbital set {psi_a} and nuclei {(Z_c, xi_c)} the fields are
 
     p(x) = 2 sum_c Z_c / |x - xi_c|
-    s[a,c](x) = [(conj(psi_c) psi_a) * 1/|.|](x)
+    s[a,c](x) = [(psi_c psi_a) * 1/|.|](x)
     q(x) = 4 sum_c s[c,c](x)
 
 and the strong residual of the transformed eigenvalue equation is
@@ -15,7 +15,7 @@ singular.  ``equation_terms`` assembles the pointwise terms psi_a,
 (p - q + 2 eps_a) psi_a and sum_c s[a,c] psi_c once; the strong residual
 and both convolution-transformed residuals are built from them.  Nucleus
 count and orbital count are independent here even though the source
-equations index both by the same letter.
+equations index both by the same letter.  Orbitals and fields are real.
 """
 
 from __future__ import annotations
@@ -180,11 +180,11 @@ def build_p(system: MolecularSystem, grid: GridSpec) -> ScalarField:
 
 
 def build_s(a: int, c: int, orbitals: OrbitalSet) -> ScalarField:
-    """Overlap-Coulomb field s[a,c] = [(conj(psi_c) psi_a) * h]."""
+    """Overlap-Coulomb field s[a,c] = [(psi_c psi_a) * h]."""
     n = len(orbitals)
     if not (0 <= a < n and 0 <= c < n):
         raise IndexError(f"orbital indices ({a}, {c}) out of range for n={n}")
-    product = orbitals.orbitals[c].conj() * orbitals.orbitals[a]
+    product = orbitals.orbitals[c] * orbitals.orbitals[a]
     return coulomb_convolve(product)
 
 
@@ -192,14 +192,14 @@ def build_overlap_fields(
     orbitals: OrbitalSet,
 ) -> tuple[tuple[tuple[ScalarField, ...], ...], ScalarField]:
     """The n x n matrix of s fields and q = 4 sum_c s[c,c]; s[a,c] =
-    conj(s[c,a]) by construction (only the upper triangle is convolved)."""
+    s[c,a] by construction (only the upper triangle is convolved)."""
     n = len(orbitals)
     s = [[None] * n for _ in range(n)]
     for a in range(n):
         for c in range(a, n):
             s[a][c] = build_s(a, c, orbitals)
             if c != a:
-                s[c][a] = s[a][c].conj()
+                s[c][a] = s[a][c]
     q = ScalarField(grid=orbitals.grid, values=4.0 * sum(s[c][c].values for c in range(n)))
     return tuple(tuple(row) for row in s), q
 
@@ -290,13 +290,13 @@ def energies(
     v_hartree = 0.0
     v_exchange = 0.0
     for a, psi in enumerate(orbitals.orbitals):
-        dens = psi.values.real**2 + psi.values.imag**2
-        kinetic += -inner(psi, laplacian(psi, method="spectral")).real
-        v_nuc += -(dens * fields.p.values.real).sum() * h3
-        v_hartree += 0.5 * (dens * fields.q.values.real).sum() * h3
+        dens = psi.values**2
+        kinetic += -inner(psi, laplacian(psi, method="spectral"))
+        v_nuc += -(dens * fields.p.values).sum() * h3
+        v_hartree += 0.5 * (dens * fields.q.values).sum() * h3
         for c, psi_c in enumerate(orbitals.orbitals):
-            pair = np.conj(psi.values) * psi_c.values * fields.s[a][c].values
-            v_exchange += -pair.real.sum() * h3
+            pair = psi.values * psi_c.values * fields.s[a][c].values
+            v_exchange += -pair.sum() * h3
     potential = v_nuc + v_hartree + v_exchange
     total = kinetic + potential
     virial = abs(potential) / (2.0 * kinetic) if kinetic > 0 else np.nan
@@ -316,7 +316,7 @@ def coulomb_square_integral(psi: ScalarField, eta) -> float:
     """
     grid = psi.grid
     h = grid.spacing
-    dens = psi.values.real**2 + psi.values.imag**2
+    dens = psi.values**2
     r2 = grid.radius_squared(tuple(float(c) for c in eta))
     r = np.sqrt(r2)
     j0 = grid.nearest_node(eta)

@@ -128,7 +128,7 @@ def apply_fock(
 
         -1/2 lap psi - sum_c Z_c h_c psi + 2 sum_c s[c,c] psi - K psi,
 
-    where (K psi)(x) = sum_c [(conj(psi_c) psi) * h](x) psi_c(x).  The
+    where (K psi)(x) = sum_c [(psi_c psi) * h](x) psi_c(x).  The
     exchange recomputes the overlap convolution with the trial, which
     keeps the operator linear and Hermitian; on psi = psi_a it equals
     sum_c s[a,c] psi_c.
@@ -139,7 +139,7 @@ def apply_fock(
     vals = -0.5 * laplacian(psi, method="spectral").values
     vals = vals + 0.5 * (fields.q.values - fields.p.values) * psi.values
     for psi_c in orbitals.orbitals:
-        overlap = coulomb_convolve(psi_c.conj() * psi)
+        overlap = coulomb_convolve(psi_c * psi)
         vals = vals - overlap.values * psi_c.values
     return psi.with_values(vals)
 

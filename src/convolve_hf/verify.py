@@ -61,10 +61,10 @@ def run_verify(config: RunConfig) -> list[CheckResult]:
     with np.errstate(divide="ignore", invalid="ignore"):
         exact = np.where(r > 1e-12, erf(np.sqrt(alpha) * r) / np.where(r > 0, r, 1.0),
                          2.0 * np.sqrt(alpha / np.pi))
-    rel_inf = float(np.abs(potential.values.real - exact).max() / np.abs(exact).max())
+    rel_inf = float(np.abs(potential.values - exact).max() / np.abs(exact).max())
     results.append(CheckResult("coulomb_oracle", rel_inf, 0.01, rel_inf <= 0.01))
     center = grid.nearest_node((0, 0, 0))
-    center_rel = abs(potential.values.real[center] - 2 * np.sqrt(alpha / np.pi)) / (
+    center_rel = abs(potential.values[center] - 2 * np.sqrt(alpha / np.pi)) / (
         2 * np.sqrt(alpha / np.pi)
     )
     results.append(CheckResult("coulomb_center_limit", center_rel, 0.01, center_rel <= 0.01))

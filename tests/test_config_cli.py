@@ -11,10 +11,12 @@ import pytest
 
 from convolve_hf import cli, verify
 from convolve_hf.cli import main
-from convolve_hf.config import _KEYS, RunConfig, parse_config
+from convolve_hf.config import _KEYS, RunConfig, load_config, parse_config
 from convolve_hf.convolution import ConvolutionPlan
 from convolve_hf.errors import ConfigError
 from convolve_hf.extension import HarmonicExtension
+from convolve_hf.fields import ScalarField
+from convolve_hf.hf import OrbitalSet, build_fields
 from convolve_hf.scf import ScfConfig
 
 REPO = Path(__file__).resolve().parent.parent
@@ -76,6 +78,15 @@ class TestConfigParsing:
     def test_unknown_eigensolver_rejected(self):
         with pytest.raises(ConfigError, match="eigensolver"):
             parse_config("scf.eigensolver = lobpcg\n")
+
+    @pytest.mark.parametrize("pairs", [0, 2, 3])
+    def test_pair_count_other_than_one_named(self, pairs):
+        with pytest.raises(ConfigError, match=rf"^system\.pairs must be 1 .*got {pairs}$"):
+            parse_config(f"system.pairs = {pairs}\n")
+
+    def test_one_pair_accepted(self):
+        # the key stays: generated benchmark configs write it explicitly
+        assert parse_config("system.pairs = 1\n").pairs == 1
 
     def test_time_step_auto(self):
         assert parse_config("scf.time_step = auto\n").scf_time_step is None
@@ -178,6 +189,15 @@ class TestScfCommand:
             "error: imaginary-time propagation diverged; reduce time_step"
         ]
 
+    @pytest.mark.parametrize("command", ["scf", "residuals", "expand"])
+    def test_multi_pair_system_is_config_error(self, tmp_path, capsys, command):
+        # only the one-orbital SCF exists: exit 1 before any computation
+        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 8.0\nsystem.pairs = 2\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: system.pairs must be 1")
+        assert not (tmp_path / "o").exists()
+
     def test_quiet_leaves_warning_filters_unchanged(self, tmp_path):
         before = list(warnings.filters)
         cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 2.0\n")
@@ -241,6 +261,28 @@ class TestResidualsCommand:
         for line in (out / "residuals.csv").read_text().splitlines()[1:]:
             cells = line.split(",")
             assert all(float(c) == 0.0 for c in cells[1:10])
+
+    def test_zero_source_spends_no_convolution(self, monkeypatch):
+        # the zero source's fields are those of hydrogen_identity: p from
+        # build_p, zero q and s, with no Coulomb spectrum or convolution
+        config = load_config(REPO / "configs" / "zero_orbital.cfg")
+        reference = build_fields(
+            config.system(),
+            OrbitalSet(orbitals=(ScalarField.zeros(config.grid()),), energies=(0.0,),
+                       validate=False),
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the zero source convolved a field")
+
+        monkeypatch.setattr(ConvolutionPlan, "convolve_with_kernel", forbidden)
+        orbitals, fields, _, code = cli._residual_inputs(config)
+        assert code == 0
+        assert not orbitals.orbitals[0].values.any()
+        assert fields.p.values.tobytes() == reference.p.values.tobytes()
+        assert not fields.q.values.any() and not reference.q.values.any()
+        assert len(fields.s) == 1 and len(fields.s[0]) == 1
+        assert not fields.s[0][0].values.any()
 
     def test_poisson_residual_computed_once(self, tmp_path, monkeypatch):
         # d2t P_t enters only the height-transformed residual, so one Poisson
@@ -364,3 +406,15 @@ class TestOutputOverrides:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_sparse_unloaded(self):
+        # scipy.sparse is imported only by the inverse-iteration eigensolver
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, convolve_hf.cli; print('scipy.sparse' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -19,11 +19,8 @@ from convolve_hf.errors import GridMismatchError, ResolutionError, ResolutionWar
 from support import direct_convolution, radial_coulomb_potential
 
 
-def _random(grid, rng, complex_values=True):
-    vals = rng.standard_normal(grid.shape)
-    if complex_values:
-        vals = vals + 1j * rng.standard_normal(grid.shape)
-    return chf.ScalarField(grid=grid, values=vals)
+def _random(grid, rng):
+    return chf.ScalarField(grid=grid, values=rng.standard_normal(grid.shape))
 
 
 # every convolvable kind, as a function of the grid spacing h; heights below
@@ -96,7 +93,7 @@ class TestFieldConvolution:
         f = chf.ScalarField(grid=g, values=np.exp(-g.radius_squared()))
         out = chf.convolve(f, f)
         exact = (np.pi / 2.0) ** 1.5 * np.exp(-0.5 * g.radius_squared())
-        rel = np.abs(out.values.real - exact).max() / exact.max()
+        rel = np.abs(out.values - exact).max() / exact.max()
         assert rel <= 1e-4
 
     def test_commutativity(self, grid32, rng):
@@ -106,7 +103,7 @@ class TestFieldConvolution:
 
     def test_linearity(self, grid32, rng):
         f1, f2, g = (_random(grid32, rng) for _ in range(3))
-        a = 2.3 - 0.7j
+        a = -2.3
         lhs = chf.convolve(f1 * a + f2, g)
         rhs = a * chf.convolve(f1, g) + chf.convolve(f2, g)
         scale = chf.norm(lhs, np.inf)
@@ -142,7 +139,7 @@ class TestCoulombConvolve:
         g = chf.GridSpec(points_per_axis=64, extent=10.0)
         alpha = 1.0
         f = chf.sample(chf.Gaussian(alpha=alpha), g)
-        out = chf.coulomb_convolve(f).values.real
+        out = chf.coulomb_convolve(f).values
         r = np.sqrt(g.radius_squared())
         with np.errstate(invalid="ignore"):
             exact = np.where(r > 1e-12, erf(np.sqrt(alpha) * r) / np.where(r > 0, r, 1.0),
@@ -163,14 +160,14 @@ class TestCoulombConvolve:
     def test_far_field_monopole(self):
         g = chf.GridSpec(points_per_axis=48, extent=10.0)
         f = chf.sample(chf.Gaussian(alpha=2.0), g)  # unit mass
-        out = chf.coulomb_convolve(f).values.real
+        out = chf.coulomb_convolve(f).values
         i = g.nearest_node((5.0, 0.0, 0.0))
         assert out[i] == pytest.approx(1.0 / 5.0, rel=0.02)
 
     def test_nonnegative_output_for_nonnegative_input(self, grid32):
         f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
         out = chf.coulomb_convolve(f)
-        assert out.values.real.min() >= -1e-12
+        assert out.values.min() >= -1e-12
 
 
 class TestKernelConvolution:
@@ -197,7 +194,7 @@ class TestKernelConvolution:
         f = chf.sample(chf.Gaussian(alpha=1.0), g)  # unit mass, compact support
         with pytest.warns(ResolutionWarning):
             out = chf.convolve_with_kernel(f, chf.PoissonKernel(t=0.05))
-        assert chf.integrate(out).real == pytest.approx(1.0, abs=0.01)
+        assert chf.integrate(out) == pytest.approx(1.0, abs=0.01)
 
     def test_discrete_kernel_mass_bounded_by_one(self):
         g = chf.GridSpec(points_per_axis=64, extent=10.0)
@@ -246,18 +243,6 @@ class TestKernelConvolution:
         f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
         with pytest.raises(ResolutionError):
             chf.convolve_with_kernel(f, chf.PoissonKernel(t=0.1), strict=True)
-
-    def test_complex_field_decomposition(self, grid32, rng):
-        f = _random(grid32, rng, complex_values=True)
-        out = chf.convolve_with_kernel(f, chf.Gaussian(alpha=1.0, amplitude=1.0))
-        re = chf.convolve_with_kernel(
-            chf.ScalarField(grid=grid32, values=f.values.real), chf.Gaussian(alpha=1.0, amplitude=1.0)
-        )
-        im = chf.convolve_with_kernel(
-            chf.ScalarField(grid=grid32, values=f.values.imag), chf.Gaussian(alpha=1.0, amplitude=1.0)
-        )
-        recombined = re.values + 1j * im.values
-        assert np.abs(out.values - recombined).max() <= 1e-14
 
 
 @pytest.mark.usefixtures("empty_cache")
@@ -360,12 +345,11 @@ class TestSpectrumCache:
     @given(
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(sorted(KERNELS)),
-        complex_values=st.booleans(),
     )
-    def test_cold_warm_and_rerun_outputs_identical(self, seed, kind, complex_values):
+    def test_cold_warm_and_rerun_outputs_identical(self, seed, kind):
         g = chf.GridSpec(points_per_axis=16, extent=4.0)
         rng = np.random.default_rng(seed)
-        f, partner = _random(g, rng, complex_values), _random(g, rng, complex_values)
+        f, partner = _random(g, rng), _random(g, rng)
         kernel = KERNELS[kind](g.spacing)
         plan = ConvolutionPlan(g)
         with _empty_cache(), warnings.catch_warnings():
@@ -389,28 +373,25 @@ class TestPrunedEngine:
         assert _rel_err(spec, full.real) <= 1e-14
 
     @pytest.mark.parametrize("kind", sorted(KERNELS))
-    @pytest.mark.parametrize("complex_values", [False, True])
-    def test_kernel_convolution_matches_padded_reference(self, grid32, rng, kind,
-                                                          complex_values):
-        f = _random(grid32, rng, complex_values)
+    def test_kernel_convolution_matches_padded_reference(self, grid32, rng, kind):
+        f = _random(grid32, rng)
         kernel = KERNELS[kind](grid32.spacing)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
             out = ConvolutionPlan(grid32).convolve_with_kernel(f, kernel).values
             full_kernel = _mirrored(_sample_kernel_octant(kernel, grid32))
         ref = _padded_reference(f.values, full_kernel, 0, grid32.spacing)
-        assert out.dtype == f.values.dtype
+        assert out.dtype == np.float64
         assert _rel_err(out, ref) <= 1e-14
 
-    @pytest.mark.parametrize("complex_values", [False, True])
-    def test_field_convolution_matches_padded_reference(self, grid32, rng, complex_values):
-        f, g = _random(grid32, rng, complex_values), _random(grid32, rng, complex_values)
+    def test_field_convolution_matches_padded_reference(self, grid32, rng):
+        f, g = _random(grid32, rng), _random(grid32, rng)
         n = grid32.points_per_axis
         g_padded = np.zeros((2 * n,) * 3, dtype=complex)
         g_padded[:n, :n, :n] = g.values
         out = ConvolutionPlan(grid32).convolve_fields(f, g).values
         ref = _padded_reference(f.values, g_padded, n // 2, grid32.spacing)
-        assert out.dtype == f.values.dtype
+        assert out.dtype == np.float64
         assert _rel_err(out, ref) <= 1e-14
 
 
@@ -432,12 +413,10 @@ def _peak_bytes(fn):
 
 class TestGroupedKernels:
     @pytest.mark.parametrize("size", [1, 2, 3])
-    @pytest.mark.parametrize("complex_values", [False, True])
-    def test_group_outputs_are_the_single_kernel_outputs(self, grid32, rng, size,
-                                                         complex_values):
+    def test_group_outputs_are_the_single_kernel_outputs(self, grid32, rng, size):
         # rotating through all kinds puts every kind at every group position
         kernels = [KERNELS[kind](grid32.spacing) for kind in sorted(KERNELS)]
-        f = _random(grid32, rng, complex_values)
+        f = _random(grid32, rng)
         plan = ConvolutionPlan(grid32)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
@@ -447,12 +426,11 @@ class TestGroupedKernels:
                 outs = plan.convolve_with_kernel(f, group)
                 assert isinstance(outs, tuple) and len(outs) == size
                 for kernel, out in zip(group, outs):
-                    assert out.values.dtype == f.values.dtype
+                    assert out.values.dtype == np.float64
                     assert out.values.tobytes() == singles[kernel].tobytes()
 
-    @pytest.mark.parametrize("complex_values", [False, True])
-    def test_repeated_kernel_in_a_group(self, grid32, rng, complex_values):
-        f = _random(grid32, rng, complex_values)
+    def test_repeated_kernel_in_a_group(self, grid32, rng):
+        f = _random(grid32, rng)
         poisson = KERNELS["poisson"](grid32.spacing)
         gaussian = KERNELS["gaussian"](grid32.spacing)
         single = chf.convolve_with_kernel(f, poisson).values.tobytes()
@@ -460,7 +438,7 @@ class TestGroupedKernels:
         assert outs[0].values.tobytes() == outs[2].values.tobytes() == single
 
     def test_group_leaves_spectra_and_field_unchanged(self, grid32, rng, empty_cache):
-        f = _random(grid32, rng, complex_values=True)
+        f = _random(grid32, rng)
         field_before = f.values.tobytes()
         kernels = tuple(KERNELS[kind](grid32.spacing)
                         for kind in ("poisson", "gaussian", "coulomb"))

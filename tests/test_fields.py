@@ -10,11 +10,8 @@ from convolve_hf.fields import outer_shell_mass_fraction
 from support import unit_gaussian_orbital
 
 
-def random_field(grid, rng, complex_values=True):
-    vals = rng.standard_normal(grid.shape)
-    if complex_values:
-        vals = vals + 1j * rng.standard_normal(grid.shape)
-    return chf.ScalarField(grid=grid, values=vals)
+def random_field(grid, rng):
+    return chf.ScalarField(grid=grid, values=rng.standard_normal(grid.shape))
 
 
 class TestGridSpec:
@@ -49,17 +46,36 @@ class TestScalarField:
         with pytest.raises(ValueError, match="shape"):
             chf.ScalarField(grid=grid32, values=np.zeros((4, 4, 4)))
 
-    def test_dtype_follows_data(self, grid32, rng):
+    def test_values_must_be_real(self, grid32, rng):
         re = rng.standard_normal(grid32.shape)
-        for values, dtype in (
-            (re, np.float64),
-            (re.astype(np.complex128), np.float64),  # zero imaginary part
-            (re + 1j * rng.standard_normal(grid32.shape), np.complex128),
-        ):
-            f = chf.ScalarField(grid=grid32, values=values)
-            assert f.values.dtype == dtype
-            assert f.is_real == (dtype == np.float64)
-        assert np.array_equal(chf.ScalarField(grid=grid32, values=re + 0j).values, re)
+        with pytest.raises(ValueError, match="real"):
+            chf.ScalarField(grid=grid32, values=re + 1j * rng.standard_normal(grid32.shape))
+        # a zero imaginary part is dropped: float64, bit for bit the real part
+        f = chf.ScalarField(grid=grid32, values=re + 0j)
+        assert f.values.dtype == np.float64
+        assert f.values.tobytes() == re.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+    def test_real_inputs_stored_as_float64(self, grid32, rng, dtype):
+        raw = (8 * rng.standard_normal(grid32.shape)).astype(dtype)
+        f = chf.ScalarField(grid=grid32, values=raw)
+        assert f.values.dtype == np.float64
+        assert np.array_equal(f.values, raw.astype(np.float64))
+
+    def test_tiny_imaginary_part_rejected(self, grid32):
+        # any nonzero imaginary part counts, however small
+        vals = np.zeros(grid32.shape, dtype=np.complex128)
+        vals[3, 4, 5] = 1e-300j
+        with pytest.raises(ValueError, match="real"):
+            chf.ScalarField(grid=grid32, values=vals)
+
+    def test_complex_scalar_product(self, grid32, rng):
+        f = random_field(grid32, rng)
+        with pytest.raises(ValueError, match="real"):
+            f * 1j
+        g = f * (2.0 + 0j)
+        assert g.values.dtype == np.float64
+        assert g.values.tobytes() == (f * 2.0).values.tobytes()
 
     def test_grid_mismatch_on_algebra(self, grid32, grid64):
         with pytest.raises(GridMismatchError):
@@ -74,19 +90,22 @@ class TestIntegrate:
         # analytic oracle: the density (a/pi)^(3/2) e^{-a r^2} has unit mass
         g = chf.GridSpec(points_per_axis=64, extent=8.0)
         f = chf.sample(chf.Gaussian(alpha=1.0), g)
-        assert chf.integrate(f).real == pytest.approx(1.0, abs=1e-6)
+        assert chf.integrate(f) == pytest.approx(1.0, abs=1e-6)
 
     def test_constant_field_gives_box_volume(self):
         g = chf.GridSpec(points_per_axis=16, extent=1.0)
         ones = chf.ScalarField(grid=g, values=np.ones(g.shape))
-        assert chf.integrate(ones).real == pytest.approx(8.0, rel=1e-6)
+        assert chf.integrate(ones) == pytest.approx(8.0, rel=1e-6)
 
     def test_linearity(self, grid32, rng):
         f, g = random_field(grid32, rng), random_field(grid32, rng)
-        a, b = 1.7 - 0.3j, -2.5
+        a, b = 1.7, -2.5
         lhs = chf.integrate(f * a + g * b)
         rhs = a * chf.integrate(f) + b * chf.integrate(g)
         assert lhs == pytest.approx(rhs, rel=1e-13)
+
+    def test_returns_python_float(self, grid32, rng):
+        assert type(chf.integrate(random_field(grid32, rng))) is float
 
 
 class TestNorm:
@@ -100,7 +119,7 @@ class TestNorm:
         assert chf.norm(f, 1) == pytest.approx(1.0, abs=1e-6)
 
     def test_sup_norm_of_constant(self, grid32):
-        c = -3.25 + 1.5j
+        c = -3.25
         f = chf.ScalarField(grid=grid32, values=np.full(grid32.shape, c))
         assert chf.norm(f, np.inf) == pytest.approx(abs(c))
 
@@ -110,21 +129,25 @@ class TestNorm:
 
     def test_norm_squared_equals_inner(self, grid32, rng):
         f = random_field(grid32, rng)
-        assert chf.norm(f, 2) ** 2 == pytest.approx(chf.inner(f, f).real, rel=1e-12)
+        assert chf.norm(f, 2) ** 2 == pytest.approx(chf.inner(f, f), rel=1e-12)
 
 
 class TestInner:
     def test_normalized_orbital(self, grid64):
         psi = unit_gaussian_orbital(grid64)
-        assert chf.inner(psi, psi).real == pytest.approx(1.0, abs=1e-6)
+        assert chf.inner(psi, psi) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_partner(self, grid32, rng):
         f = random_field(grid32, rng)
         assert chf.inner(f, chf.ScalarField.zeros(grid32)) == 0
 
-    def test_hermitian_symmetry(self, grid32, rng):
+    def test_symmetry(self, grid32, rng):
         f, g = random_field(grid32, rng), random_field(grid32, rng)
-        assert chf.inner(f, g) == pytest.approx(np.conj(chf.inner(g, f)), rel=1e-13)
+        assert chf.inner(f, g) == pytest.approx(chf.inner(g, f), rel=1e-13)
+
+    def test_returns_python_float(self, grid32, rng):
+        f, g = random_field(grid32, rng), random_field(grid32, rng)
+        assert type(chf.inner(f, g)) is float
 
     def test_grid_mismatch(self, grid32, grid64):
         with pytest.raises(GridMismatchError):
@@ -135,8 +158,8 @@ class TestInner:
     def test_cauchy_schwarz(self, seed):
         g = chf.GridSpec(points_per_axis=8, extent=2.0)
         r = np.random.default_rng(seed)
-        f = chf.ScalarField(grid=g, values=r.standard_normal(g.shape) + 1j * r.standard_normal(g.shape))
-        h = chf.ScalarField(grid=g, values=r.standard_normal(g.shape) + 1j * r.standard_normal(g.shape))
+        f = chf.ScalarField(grid=g, values=r.standard_normal(g.shape))
+        h = chf.ScalarField(grid=g, values=r.standard_normal(g.shape))
         assert abs(chf.inner(f, h)) <= chf.norm(f, 2) * chf.norm(h, 2) * (1 + 1e-12)
 
 
@@ -148,7 +171,7 @@ class TestLaplacian:
         f = chf.ScalarField(grid=g, values=np.exp(-r2))
         exact = (4.0 * r2 - 6.0) * np.exp(-r2)
         spec = chf.laplacian(f, method="spectral")
-        err = np.sqrt(((spec.values.real - exact) ** 2).sum() / (exact**2).sum())
+        err = np.sqrt(((spec.values - exact) ** 2).sum() / (exact**2).sum())
         assert err <= 1e-3
 
     def test_stencil_second_order(self):
@@ -160,7 +183,7 @@ class TestLaplacian:
             f = chf.ScalarField(grid=g, values=np.exp(-r2))
             exact = (4.0 * r2 - 6.0) * np.exp(-r2)
             st_lap = chf.laplacian(f, method="finite_difference_2nd")
-            errs.append(np.sqrt(((st_lap.values.real - exact) ** 2).sum() * g.spacing**3))
+            errs.append(np.sqrt(((st_lap.values - exact) ** 2).sum() * g.spacing**3))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
     def test_constant_field_stencil(self, grid32):
@@ -175,7 +198,22 @@ class TestLaplacian:
         f = chf.ScalarField(grid=g, values=wave)
         out = chf.laplacian(f, method="spectral")
         expected = -((2 * np.pi / g.extent) ** 2) * wave
-        assert np.abs(out.values.real - expected).max() <= 1e-10
+        assert np.abs(out.values - expected).max() <= 1e-10
+
+    def test_spectral_is_one_real_transform_pair(self, grid32, monkeypatch):
+        import convolve_hf.fields as fields_mod
+
+        calls = []
+        spectral = fields_mod.spectral_laplacian
+
+        def counted(values, grid):
+            calls.append(values.dtype)
+            return spectral(values, grid)
+
+        monkeypatch.setattr(fields_mod, "spectral_laplacian", counted)
+        out = chf.laplacian(unit_gaussian_orbital(grid32), method="spectral")
+        assert calls == [np.float64]
+        assert out.values.dtype == np.float64
 
     def test_unknown_method(self, grid32):
         with pytest.raises(ValueError, match="method"):
@@ -197,15 +235,14 @@ class TestLaplacian:
             warnings.simplefilter("error", SupportWarning)
             chf.laplacian(f, method="spectral")
 
-    @pytest.mark.parametrize("complex_values", [False, True])
-    def test_shell_fraction_matches_uncached_formula(self, grid32, rng, complex_values):
-        f = random_field(grid32, rng, complex_values)
+    def test_shell_fraction_matches_uncached_formula(self, grid32, rng):
+        f = random_field(grid32, rng)
         x = np.abs(grid32.axis_coordinates())
         edge = 0.9 * grid32.extent
         shell = (
             (x[:, None, None] >= edge) | (x[None, :, None] >= edge) | (x[None, None, :] >= edge)
         )
-        dens = f.values.real**2 + f.values.imag**2
+        dens = f.values * f.values
         expected = float(dens[shell].sum() / dens.sum())
         for _ in range(2):  # cold and cached mask
             assert outer_shell_mass_fraction(f) == expected

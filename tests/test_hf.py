@@ -67,14 +67,14 @@ class TestNuclearField:
         s = chf.MolecularSystem(nuclei=((2.0, (0.0, 0.0, 0.0)),))
         p = chf.build_p(s, g)
         node = g.nearest_node((2.0, 0.0, 0.0))
-        assert p.values.real[node] == pytest.approx(2.0 * 2.0 * 0.5)
+        assert p.values[node] == pytest.approx(2.0 * 2.0 * 0.5)
 
     def test_mirror_symmetry_for_proton_pair(self):
         g = chf.GridSpec(points_per_axis=32, extent=8.0)
         s = chf.MolecularSystem(
             nuclei=((1.0, (0.75, 0.0, 0.0)), (1.0, (-0.75, 0.0, 0.0)))
         )
-        p = chf.build_p(s, g).values.real
+        p = chf.build_p(s, g).values
         # the node set is symmetric about x -> -x except the x = -L plane
         flipped = np.roll(p[::-1, :, :], 1, axis=0)
         assert np.abs((p - flipped)[1:, :, :]).max() <= 1e-9
@@ -84,13 +84,13 @@ class TestNuclearField:
         s = chf.MolecularSystem(
             nuclei=((1.0, (0.7, 0.0, 0.0)), (1.0, (-0.7, 0.0, 0.0)))
         )
-        p = chf.build_p(s, g).values.real
+        p = chf.build_p(s, g).values
         node = g.nearest_node((0.0, 5.0, 0.0))
         assert p[node] == pytest.approx(2.0 * 2.0 / 5.0, rel=0.02)
 
     def test_positive_everywhere(self, grid32):
         s = chf.MolecularSystem(nuclei=((1.5, (0.25, 0, 0)),))
-        assert chf.build_p(s, grid32).values.real.min() > 0
+        assert chf.build_p(s, grid32).values.min() > 0
 
 
 class TestOverlapFields:
@@ -101,7 +101,7 @@ class TestOverlapFields:
         alpha = 1.0
         psi = unit_gaussian_orbital(g, alpha)
         orb = chf.OrbitalSet(orbitals=(psi,), energies=(0.0,))
-        s00 = chf.build_s(0, 0, orb).values.real
+        s00 = chf.build_s(0, 0, orb).values
         # |psi|^2 is the unit-mass density with exponent 2 alpha
         r = np.sqrt(g.radius_squared())
         with np.errstate(invalid="ignore"):
@@ -144,9 +144,9 @@ class TestOverlapFields:
         fields = chf.build_fields(system, orb)
         expected_q = 4.0 * (fields.s[0][0].values + fields.s[1][1].values)
         assert np.array_equal(fields.q.values, expected_q)
-        assert fields.q.values.real.min() >= -1e-12
-        # Hermitian symmetry is structural
-        assert np.array_equal(fields.s[0][1].values, np.conj(fields.s[1][0].values))
+        assert fields.q.values.min() >= -1e-12
+        # the symmetry s[0,1] = s[1,0] is structural
+        assert np.array_equal(fields.s[0][1].values, fields.s[1][0].values)
 
 
 class TestStrongResidual:
@@ -199,12 +199,12 @@ class TestEnergies:
         rep = chf.energies(orb, system)
         assert rep.kinetic > 0
 
-    def test_global_phase_invariance(self, grid64):
+    def test_sign_invariance(self, grid64):
+        # psi -> -psi is the only global phase of a real orbital
         psi = unit_gaussian_orbital(grid64)
         system = chf.MolecularSystem(nuclei=((2.0, (0, 0, 0)),))
         rep1 = chf.energies(chf.OrbitalSet(orbitals=(psi,), energies=(0.0,)), system)
-        rotated = psi * np.exp(1j * 0.83)
-        rep2 = chf.energies(chf.OrbitalSet(orbitals=(rotated,), energies=(0.0,)), system)
+        rep2 = chf.energies(chf.OrbitalSet(orbitals=(-psi,), energies=(0.0,)), system)
         assert rep2.total == pytest.approx(rep1.total, abs=1e-10)
         assert rep2.kinetic == pytest.approx(rep1.kinetic, abs=1e-10)
 

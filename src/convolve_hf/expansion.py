@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import IllConditionedBasisError
 from .fields import ScalarField, inner, norm
@@ -84,6 +83,7 @@ def project_orbitals(
         )
     rhs = np.array([[inner(sampled[i], psi) for psi in orbitals.orbitals] for i in range(m)])
 
+    from scipy import linalg as sla  # only here, so importing the CLI skips scipy.linalg
     coefficients, truncations, r_fields, q_fields, fit_errors = {}, {}, {}, {}, {}
     for order in orders:
         cho = sla.cho_factor(gram[:order, :order])

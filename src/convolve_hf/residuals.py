@@ -176,13 +176,16 @@ def transformed_residuals(
     :func:`window_transformed_residual` with window w, byte-identical to
     the two calls, from one assembly of the equation terms: each term
     field is forward-transformed once for its P_t-family kernel and its
-    window kernel together.
+    window kernel together, and an all-zero exchange term not at all.
     """
     _require_gaussian_window(w)
     psi_a, local, exchange = equation_terms(a, orbitals, fields)
     dt2, lap = convolve_with_kernel(psi_a, (PoissonDt2Kernel(t=t), w.laplacian()), strict=True)
     local_t, local_w = convolve_with_kernel(local, (PoissonKernel(t=t), w), strict=True)
-    exchange_t, exchange_w = convolve_with_kernel(exchange, (PoissonKernel(t=t), w), strict=True)
+    if exchange.values.any():
+        exchange_t, exchange_w = convolve_with_kernel(exchange, (PoissonKernel(t=t), w), strict=True)
+    else:  # a zero term (the hydrogen_identity source) convolves to zero
+        exchange_t = exchange_w = ScalarField.zeros(exchange.grid)
     return (
         _poisson_report(a, t, dt2, local_t, exchange_t),
         _window_report(a, w, lap, local_w, exchange_w),

@@ -287,7 +287,8 @@ class TestResidualsCommand:
     def test_poisson_residual_computed_once(self, tmp_path, monkeypatch):
         # d2t P_t enters only the height-transformed residual, so one Poisson
         # evaluation per run convolves exactly one field with it; P_t itself
-        # takes its two terms and the crosscheck's convolved strong residual
+        # takes the local term and the crosscheck's convolved strong
+        # residual (the zero exchange term is not transformed)
         kernels = []
         convolve = ConvolutionPlan.convolve_with_kernel
 
@@ -312,7 +313,7 @@ class TestResidualsCommand:
         assert orbitals == [0]
         kinds = [type(k).__name__ for k in kernels]
         assert kinds.count("PoissonDt2Kernel") == 1
-        assert kinds.count("PoissonKernel") == 3
+        assert kinds.count("PoissonKernel") == 2
 
 
 class TestExpandCommand:
@@ -409,12 +410,20 @@ class TestOutputOverrides:
 
 
 class TestStartup:
-    def test_cli_import_leaves_scipy_sparse_unloaded(self):
-        # scipy.sparse is imported only by the inverse-iteration eigensolver
+    @staticmethod
+    def _loaded_by_cli_import(module):
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, convolve_hf.cli; print('scipy.sparse' in sys.modules)"],
+             f"import sys, convolve_hf.cli; print({module!r} in sys.modules)"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip()
+
+    def test_cli_import_leaves_scipy_sparse_unloaded(self):
+        # scipy.sparse is imported only by the inverse-iteration eigensolver
+        assert self._loaded_by_cli_import("scipy.sparse") == "False"
+
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        # scipy.linalg is imported only by the basis projection's Cholesky solve
+        assert self._loaded_by_cli_import("scipy.linalg") == "False"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import convolve_hf as chf
+from convolve_hf.convolution import ConvolutionPlan
 from convolve_hf.errors import ResolutionError
 
 from support import hydrogen_identity, random_smooth_orbital
@@ -144,6 +145,31 @@ class TestPairedEvaluation:
             assert paired.term_names == single.term_names
             assert paired.params == single.params
             assert paired.term_l2 == single.term_l2 and paired.term_sup == single.term_sup
+            assert paired.total_field.values.tobytes() == single.total_field.values.tobytes()
+
+    def test_zero_exchange_term_is_not_transformed(self, monkeypatch):
+        # the hydrogen identity has s = 0, so its exchange term is zero: the
+        # pair transforms only psi_a and the local term, and still matches
+        # the singles, which convolve the zero field
+        grid, system, orbitals, fields = hydrogen_identity(32, 6.0)
+        t, w = 3.0 * grid.spacing, chf.Gaussian(alpha=1.0, amplitude=1.0)
+        singles = (
+            chf.poisson_transformed_residual(0, orbitals, fields, t),
+            chf.window_transformed_residual(0, orbitals, fields, w),
+        )
+        transformed = []
+        convolve = ConvolutionPlan.convolve_with_kernel
+
+        def recorded(plan, f, kernel, **kwargs):
+            transformed.append(f)
+            return convolve(plan, f, kernel, **kwargs)
+
+        monkeypatch.setattr(ConvolutionPlan, "convolve_with_kernel", recorded)
+        pair = chf.transformed_residuals(0, orbitals, fields, t, w)
+        assert len(transformed) == 2 and all(f.values.any() for f in transformed)
+        for paired, single in zip(pair, singles):
+            assert paired.term_l2 == single.term_l2 and paired.term_sup == single.term_sup
+            assert paired.term_l2[2] == 0.0
             assert paired.total_field.values.tobytes() == single.total_field.values.tobytes()
 
     def test_pair_rejects_what_the_singles_reject(self, rng):

@@ -7,6 +7,7 @@ from .convolution import (
     convolve_with_kernel,
     coulomb_convolve,
     resolution_floor,
+    under_resolved,
 )
 from .expansion import (
     ExpansionState,

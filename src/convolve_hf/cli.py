@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .convolution import resolution_floor
+from .convolution import under_resolved
 from .errors import ConfigError, IllConditionedBasisError, ResolutionError, ScfDivergedError
 from .expansion import expansion_transformed_residuals, project_orbitals
 from .extension import extend, harmonicity_residual
@@ -121,7 +121,6 @@ def cmd_extend_sweep(config: RunConfig, out: Path, quiet: bool) -> int:
         raise ConfigError("poisson.t_values is empty")
     grid = config.grid()
     base = sample(Gaussian(alpha=config.window_alpha, amplitude=1.0), grid)
-    floor = resolution_floor(grid)
     base_l2 = norm(base, 2)
     rows = []
     for t in sorted(config.poisson_t_values, reverse=True):
@@ -129,7 +128,7 @@ def cmd_extend_sweep(config: RunConfig, out: Path, quiet: bool) -> int:
         ext = extend(base, (t - delta, t, t + delta))
         sl = ext.slice_at(t)
         defect = harmonicity_residual(ext, 1)
-        flag = "" if t >= floor * (1 - 1e-12) else "unresolved"
+        flag = "unresolved" if under_resolved(t, grid) else ""
         rows.append(
             (
                 t,
@@ -170,11 +169,7 @@ def _residual_inputs(config: RunConfig):
     else:
         psi = sample(Slater1s(center=system.nuclei[0][1]), grid)
         orbitals = OrbitalSet(orbitals=(psi * (1.0 / norm(psi, 2)),), energies=(-0.5,))
-    fields = HfFields(
-        p=build_p(system, grid),
-        q=ScalarField.zeros(grid),
-        s=((ScalarField.zeros(grid),),),
-    )
+    fields = HfFields(p=build_p(system, grid), s=((ScalarField.zeros(grid),),))
     return orbitals, fields, system, EXIT_OK
 
 

@@ -8,6 +8,7 @@ semicolon-separated ``Z,x,y,z`` quadruples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -108,6 +109,13 @@ class RunConfig:
         return tuple(range(2, self.basis_count + 1, 2))
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _nuclei(raw: str):
     out = []
     for chunk in raw.split(";"):
@@ -115,7 +123,7 @@ def _nuclei(raw: str):
             parts = chunk.split(",")
             if len(parts) != 4:
                 raise ValueError(f"expected 'Z,x,y,z', got {chunk.strip()!r}")
-            z, x, y, zz = (float(p) for p in parts)
+            z, x, y, zz = (_float(p) for p in parts)
             out.append((z, (x, y, zz)))
     if not out:
         raise ValueError("no nuclei given")
@@ -123,7 +131,7 @@ def _nuclei(raw: str):
 
 
 def _floats(raw: str):
-    return tuple(float(p) for p in raw.split(",") if p.strip())
+    return tuple(_float(p) for p in raw.split(",") if p.strip())
 
 
 def _ints(raw: str):
@@ -131,30 +139,30 @@ def _ints(raw: str):
 
 
 def _time_step(raw: str):
-    return None if raw.lower() == "auto" else float(raw)
+    return None if raw.lower() == "auto" else _float(raw)
 
 
 # config key -> (RunConfig field, converter); a converter raises ValueError
 _KEYS = {
     "grid.n": ("grid_n", int),
-    "grid.extent": ("grid_extent", float),
+    "grid.extent": ("grid_extent", _float),
     "system.nuclei": ("nuclei", _nuclei),
     "system.pairs": ("pairs", int),
     "scf.max_iter": ("scf_max_iter", int),
-    "scf.mixing": ("scf_mixing", float),
-    "scf.tol_energy": ("scf_tol_energy", float),
-    "scf.tol_orbital": ("scf_tol_orbital", float),
+    "scf.mixing": ("scf_mixing", _float),
+    "scf.tol_energy": ("scf_tol_energy", _float),
+    "scf.tol_orbital": ("scf_tol_orbital", _float),
     "scf.eigensolver": ("scf_eigensolver", str),
     "scf.time_step": ("scf_time_step", _time_step),
     "poisson.t_values": ("poisson_t_values", _floats),
-    "window.alpha": ("window_alpha", float),
-    "basis.alpha0": ("basis_alpha0", float),
-    "basis.beta": ("basis_beta", float),
+    "window.alpha": ("window_alpha", _float),
+    "basis.alpha0": ("basis_alpha0", _float),
+    "basis.beta": ("basis_beta", _float),
     "basis.count": ("basis_count", int),
-    "masking.radius_cells": ("masking_radius_cells", float),
+    "masking.radius_cells": ("masking_radius_cells", _float),
     "output.dir": ("output_dir", str),
     "residuals.source": ("residuals_source", str),
-    "residuals.t": ("residuals_t", float),
+    "residuals.t": ("residuals_t", _float),
     "expand.orders": ("expand_orders", _ints),
 }
 

@@ -5,7 +5,8 @@ size per axis (Hockney-style), multiplying DFTs and cropping.  Analytic
 kernels live on the padded offset grid, where index j encodes the offset
 j*h for j <= n and (j - 2n)*h beyond, so all offsets up to +-2L
 contribute; this is what makes the Coulomb far field exact for sources
-supported in the box.
+supported in the box.  ``convolve_with_kernel`` returns an all-zero field's
+convolutions as zero fields without a transform.
 
 Octant spectra
 --------------
@@ -65,7 +66,8 @@ Under-resolved Poisson kernels (t < 2h) degrade to per-cell averages
 (Gauss-Legendre near the origin, a (h^2/24)-Laplacian closed-form
 correction elsewhere), which keeps the discrete kernel mass bounded by
 the true mass and preserves the approximate-identity inequalities at the
-price of first-order smoothing; every convolution with one warns.  The
+price of first-order smoothing; every convolution of a nonzero field
+with one warns (``under_resolved`` is the one test of t < 2h).  The
 Coulomb kernel is pointwise with the analytic cell mean at the singular
 node; away from the singularity 1/r is harmonic, so pointwise values
 equal cell averages to O(h^4).
@@ -80,7 +82,7 @@ from collections import OrderedDict
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import GridMismatchError, ResolutionError, ResolutionWarning
+from .errors import GridMismatchError, ResolutionWarning
 from .fields import GridSpec, ScalarField
 from .kernels import (
     AnalyticFunction,
@@ -97,6 +99,7 @@ __all__ = [
     "coulomb_convolve",
     "convolve_with_kernel",
     "resolution_floor",
+    "under_resolved",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -109,11 +112,14 @@ def resolution_floor(grid: GridSpec) -> float:
     return 2.0 * grid.spacing
 
 
+def under_resolved(t: float, grid: GridSpec) -> bool:
+    """True for a Poisson height t below the resolution floor 2h of ``grid``."""
+    return t < resolution_floor(grid) * (1.0 - 1e-12)
+
+
 def _under_resolved(kernel: AnalyticFunction, grid: GridSpec) -> bool:
     """True for a Poisson kernel (or its height derivative) below 2h."""
-    return isinstance(kernel, (PoissonKernel, PoissonDt2Kernel)) and (
-        kernel.t < resolution_floor(grid) * (1.0 - 1e-12)
-    )
+    return isinstance(kernel, (PoissonKernel, PoissonDt2Kernel)) and under_resolved(kernel.t, grid)
 
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -149,11 +155,8 @@ def _cell_average_near_origin(kernel, vals, off, h, radius):
     gx, gy, gz = np.meshgrid(g, g, g, indexing="ij")
     sub = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     ww = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    out = np.empty(len(centers))
-    block = 16384
-    for i in range(0, len(centers), block):
-        d = centers[i : i + block, None, :] + sub[None, :, :]
-        out[i : i + block] = kernel.evaluate_r2((d**2).sum(axis=2)) @ ww
+    d = centers[:, None, :] + sub[None, :, :]
+    out = kernel.evaluate_r2((d**2).sum(axis=2)) @ ww
     vals[np.ix_(ii, ii, ii)] = out.reshape(len(ii), len(ii), len(ii))
 
 
@@ -177,10 +180,15 @@ def _sample_kernel_octant(kernel: AnalyticFunction, grid: GridSpec) -> np.ndarra
 
 
 def _as_group(kernel) -> tuple:
-    """A kernel argument as a nonempty tuple of kernels."""
+    """A kernel argument as a nonempty tuple of convolvable, centered kernels."""
     kernels = kernel if isinstance(kernel, tuple) else (kernel,)
     if not kernels:
         raise ValueError("need at least one kernel")
+    for k in kernels:
+        if not isinstance(k, _CONVOLVABLE):
+            raise ValueError(f"unsupported convolution kernel kind {type(k).__name__}")
+        if k.center != (0.0, 0.0, 0.0):
+            raise ValueError("convolution kernels must be centered at the origin")
     return kernels
 
 
@@ -286,11 +294,6 @@ class ConvolutionPlan:
         if f.grid != self.grid:
             raise GridMismatchError("field grid does not match the plan grid")
         for k in kernels:
-            if not isinstance(k, _CONVOLVABLE):
-                raise ValueError(f"unsupported convolution kernel kind {type(k).__name__}")
-            if k.center != (0.0, 0.0, 0.0):
-                raise ValueError("convolution kernels must be centered at the origin")
-        for k in kernels:
             if _under_resolved(k, self.grid):
                 warnings.warn(
                     f"Poisson height t={k.t:g} is below the resolution floor "
@@ -326,20 +329,16 @@ def convolve(f: ScalarField, g: ScalarField) -> ScalarField:
 def convolve_with_kernel(
     f: ScalarField,
     kernel: AnalyticFunction | tuple[AnalyticFunction, ...],
-    strict: bool = False,
 ) -> ScalarField | tuple[ScalarField, ...]:
     """Convolve a field with an origin-centered analytic kernel, or with
     each kernel of a tuple from one forward transform of ``f``.
 
-    With ``strict=True`` an under-resolved Poisson kernel raises
-    :class:`ResolutionError` instead of warning.
+    An all-zero field convolves to zero: the kernels are validated, but no
+    spectrum is sampled, no transform runs and no warning is issued.
     """
-    for k in _as_group(kernel):
-        if strict and _under_resolved(k, f.grid):
-            raise ResolutionError(
-                f"Poisson height t={k.t:g} below resolution floor "
-                f"2h={resolution_floor(f.grid):g}"
-            )
+    if not f.values.any():
+        zeros = tuple(ScalarField.zeros(f.grid) for _ in _as_group(kernel))
+        return zeros if isinstance(kernel, tuple) else zeros[0]
     # name our caller, not this line, in the ResolutionWarning
     return ConvolutionPlan(f.grid).convolve_with_kernel(f, kernel, stacklevel=3)
 

@@ -6,7 +6,7 @@ class GridMismatchError(ValueError):
 
 
 class ResolutionError(ValueError):
-    """A kernel width is below the grid's resolution floor in strict mode."""
+    """A transformed residual was asked for at a Poisson height below 2h."""
 
 
 class ResolutionWarning(UserWarning):

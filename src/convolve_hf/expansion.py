@@ -4,10 +4,12 @@ Orbitals are projected onto the leading members of an even-tempered
 Gaussian family by least squares on the grid (normal equations through
 the Gram matrix).  For each truncation order n the expansion carries the
 truncated orbitals T[n,a], the overlap-Coulomb fields r[n,a,c] built
-from them, their Hartree sum q_n, and a uniform L2 bound K on the
-truncations.  The residual ladders evaluate the two transformed residuals
-of :mod:`convolve_hf.residuals` with (T, r, q_n) in place of (psi, s, q):
-as the fit improves the residual norms must not grow.
+from them, and a uniform L2 bound K on the truncations.  The residual
+ladders evaluate the two transformed residuals of
+:mod:`convolve_hf.residuals` with (T, r) in place of (psi, s), one order
+at a time; :class:`~convolve_hf.hf.HfFields` derives the Hartree sum
+q_n = 4 sum_c r[n,c,c].  As the fit improves the residual norms must not
+grow.
 """
 
 from __future__ import annotations
@@ -35,20 +37,15 @@ GRAM_CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class ExpansionState:
-    """Least-squares truncations of an orbital set over a fixed basis."""
+    """Least-squares truncations of an orbital set over a fixed basis; each
+    order's Hartree field q_n is derived from r_fields by HfFields."""
 
-    basis: tuple[Gaussian, ...]
     orders: tuple[int, ...]
-    coefficients: dict  # order -> (order, n_orbitals) array
     truncations: dict   # order -> tuple of ScalarField per orbital
     r_fields: dict      # order -> n x n tuple of ScalarField
-    q_fields: dict      # order -> ScalarField
     fit_errors: dict    # order -> tuple of ||T - psi||_2 per orbital
     k_bound: float
     gram_condition: float
-
-    def truncation_l2(self, order: int, a: int) -> float:
-        return norm(self.truncations[order][a], 2)
 
 
 def project_orbitals(
@@ -84,20 +81,17 @@ def project_orbitals(
     rhs = np.array([[inner(sampled[i], psi) for psi in orbitals.orbitals] for i in range(m)])
 
     from scipy import linalg as sla  # only here, so importing the CLI skips scipy.linalg
-    coefficients, truncations, r_fields, q_fields, fit_errors = {}, {}, {}, {}, {}
+    truncations, r_fields, fit_errors = {}, {}, {}
     for order in orders:
         cho = sla.cho_factor(gram[:order, :order])
         coeff = sla.cho_solve(cho, rhs[:order, :])
-        coefficients[order] = coeff
         ts = tuple(
             ScalarField(grid=grid, values=sum(coeff[k, a] * sampled[k].values for k in range(order)))
             for a in range(len(orbitals))
         )
         truncations[order] = ts
         fit_errors[order] = tuple(norm(t - psi, 2) for t, psi in zip(ts, orbitals.orbitals))
-        r_fields[order], q_fields[order] = build_overlap_fields(
-            OrbitalSet(ts, orbitals.energies, validate=False)
-        )
+        r_fields[order] = build_overlap_fields(OrbitalSet(ts, orbitals.energies, validate=False))
 
     # uniform bound realized as the projection bound ||psi|| + max_n ||T_n - psi||
     k_bound = max(
@@ -105,12 +99,9 @@ def project_orbitals(
         for a, psi in enumerate(orbitals.orbitals)
     )
     return ExpansionState(
-        basis=basis,
         orders=orders,
-        coefficients=coefficients,
         truncations=truncations,
         r_fields=r_fields,
-        q_fields=q_fields,
         fit_errors=fit_errors,
         k_bound=k_bound,
         gram_condition=condition,
@@ -118,12 +109,11 @@ def project_orbitals(
 
 
 def _truncated_inputs(state: ExpansionState, orbitals: OrbitalSet, fields: HfFields):
-    """(order, truncated orbital set, truncated fields) per projected order."""
-    return [
-        (n, OrbitalSet(state.truncations[n], orbitals.energies, validate=False),
-         HfFields(p=fields.p, q=state.q_fields[n], s=state.r_fields[n]))
-        for n in state.orders
-    ]
+    """(order, truncated orbital set, truncated fields) per projected order,
+    one order at a time, so that one derived q_n is alive at once."""
+    for n in state.orders:
+        yield (n, OrbitalSet(state.truncations[n], orbitals.energies, validate=False),
+               HfFields(p=fields.p, s=state.r_fields[n]))
 
 
 def _with_order(report: ResidualReport, order: int) -> ResidualReport:

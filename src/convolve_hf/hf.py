@@ -156,11 +156,15 @@ class OrbitalSet:
 
 @dataclass(frozen=True)
 class HfFields:
-    """p, q and the n x n matrix of s fields built from one orbital set."""
+    """p and the n x n s fields of one orbital set; q = 4 sum_c s[c,c] is derived."""
 
     p: ScalarField
-    q: ScalarField
     s: tuple[tuple[ScalarField, ...], ...]
+    q: ScalarField = field(init=False)
+
+    def __post_init__(self):
+        q = 4.0 * sum(self.s[c][c].values for c in range(self.n))
+        object.__setattr__(self, "q", self.p.with_values(q))
 
     @property
     def n(self) -> int:
@@ -188,11 +192,9 @@ def build_s(a: int, c: int, orbitals: OrbitalSet) -> ScalarField:
     return coulomb_convolve(product)
 
 
-def build_overlap_fields(
-    orbitals: OrbitalSet,
-) -> tuple[tuple[tuple[ScalarField, ...], ...], ScalarField]:
-    """The n x n matrix of s fields and q = 4 sum_c s[c,c]; s[a,c] =
-    s[c,a] by construction (only the upper triangle is convolved)."""
+def build_overlap_fields(orbitals: OrbitalSet) -> tuple[tuple[ScalarField, ...], ...]:
+    """The n x n matrix of s fields; s[a,c] = s[c,a] by construction (only
+    the upper triangle is convolved)."""
     n = len(orbitals)
     s = [[None] * n for _ in range(n)]
     for a in range(n):
@@ -200,14 +202,12 @@ def build_overlap_fields(
             s[a][c] = build_s(a, c, orbitals)
             if c != a:
                 s[c][a] = s[a][c]
-    q = ScalarField(grid=orbitals.grid, values=4.0 * sum(s[c][c].values for c in range(n)))
-    return tuple(tuple(row) for row in s), q
+    return tuple(tuple(row) for row in s)
 
 
 def build_fields(system: MolecularSystem, orbitals: OrbitalSet) -> HfFields:
-    """Assemble p, q and all s fields (see :func:`build_overlap_fields`)."""
-    s, q = build_overlap_fields(orbitals)
-    return HfFields(p=build_p(system, orbitals.grid), q=q, s=s)
+    """Assemble p and all s fields (see :func:`build_overlap_fields`)."""
+    return HfFields(p=build_p(system, orbitals.grid), s=build_overlap_fields(orbitals))
 
 
 def nuclear_mask(grid: GridSpec, system: MolecularSystem, margin: float | None = None) -> np.ndarray:

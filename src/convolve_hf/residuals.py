@@ -3,11 +3,14 @@
 Two transforms eliminate the Laplacian: convolution with the Poisson
 kernel (the height derivative takes over the second derivatives) and
 convolution with a smooth window w (the Laplacian moves onto w).  Both
-are evaluated per-term (from ``hf.equation_terms``) so the reports expose
-which contribution dominates, and both are cross-validated against the
-convolved strong residual: the kernel-derivative route and the
-grid-Laplacian route must agree.  ``transformed_residuals`` evaluates
-the pair together, transforming each term field once for both kernels.
+are evaluated per-term so the reports expose which contribution
+dominates, and both are cross-validated against the convolved strong
+residual: the kernel-derivative route and the grid-Laplacian route must
+agree.  One helper assembles every transformed residual from one
+``hf.equation_terms`` call, convolving each term field once with all its
+kernels; an all-zero field is not transformed (``convolve_with_kernel``
+returns zero).  A height t below 2h raises :class:`ResolutionError` on
+entry, before any term is assembled.
 
 The printed window form that drops the exchange term and the psi_a
 factor in the Hartree term is kept as ``window_residual_literal``, a
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import convolve, convolve_with_kernel
+from .convolution import convolve, convolve_with_kernel, resolution_floor, under_resolved
+from .errors import ResolutionError
 from .fields import ScalarField, laplacian, norm
 from .hf import HfFields, MolecularSystem, OrbitalSet, equation_terms, strong_residual
 from .kernels import Gaussian, PoissonDt2Kernel, PoissonKernel
@@ -96,6 +100,30 @@ def laplacian_convolution_symmetry_defect(
     return norm(lhs - rhs, np.inf) / den
 
 
+def _require_resolved(t, grid):
+    if under_resolved(t, grid):
+        floor = resolution_floor(grid)
+        raise ResolutionError(f"Poisson height t={t:g} below resolution floor 2h={floor:g}")
+
+
+def _require_gaussian_window(w):
+    if not isinstance(w, Gaussian):
+        raise ValueError(f"unsupported window kind {type(w).__name__}; use a Gaussian")
+    if w.center != (0.0, 0.0, 0.0):
+        raise ValueError("window must be centered at the origin")
+
+
+def _transformed_terms(a, orbitals, fields, psi_kernels, term_kernels):
+    """Per kernel pair (k_psi, k): psi_a * k_psi, local * k and exchange * k,
+    one grouped convolution per term field of one equation-term assembly."""
+    psi_a, local, exchange = equation_terms(a, orbitals, fields)
+    return tuple(zip(
+        convolve_with_kernel(psi_a, psi_kernels),
+        convolve_with_kernel(local, term_kernels),
+        convolve_with_kernel(exchange, term_kernels),
+    ))
+
+
 def _poisson_report(a, t, dt2, local, exchange) -> ResidualReport:
     return ResidualReport.from_terms(
         ("kernel_dt2", "potential", "exchange"),
@@ -126,20 +154,10 @@ def poisson_transformed_residual(
     The first term goes through the analytic kernel derivative; vanishes
     for exact solutions.  Heights below 2h are rejected.
     """
-    psi_a, local, exchange = equation_terms(a, orbitals, fields)
-    return _poisson_report(
-        a, t,
-        convolve_with_kernel(psi_a, PoissonDt2Kernel(t=t), strict=True),
-        convolve_with_kernel(local, PoissonKernel(t=t), strict=True),
-        convolve_with_kernel(exchange, PoissonKernel(t=t), strict=True),
-    )
-
-
-def _require_gaussian_window(w):
-    if not isinstance(w, Gaussian):
-        raise ValueError(f"unsupported window kind {type(w).__name__}; use a Gaussian")
-    if w.center != (0.0, 0.0, 0.0):
-        raise ValueError("window must be centered at the origin")
+    _require_resolved(t, orbitals.grid)
+    (terms,) = _transformed_terms(a, orbitals, fields, (PoissonDt2Kernel(t=t),),
+                                  (PoissonKernel(t=t),))
+    return _poisson_report(a, t, *terms)
 
 
 def window_transformed_residual(
@@ -156,13 +174,8 @@ def window_transformed_residual(
     with lap w evaluated in closed form.  Scales linearly with w.
     """
     _require_gaussian_window(w)
-    psi_a, local, exchange = equation_terms(a, orbitals, fields)
-    return _window_report(
-        a, w,
-        convolve_with_kernel(psi_a, w.laplacian()),
-        convolve_with_kernel(local, w),
-        convolve_with_kernel(exchange, w),
-    )
+    (terms,) = _transformed_terms(a, orbitals, fields, (w.laplacian(),), (w,))
+    return _window_report(a, w, *terms)
 
 
 def transformed_residuals(
@@ -176,20 +189,14 @@ def transformed_residuals(
     :func:`window_transformed_residual` with window w, byte-identical to
     the two calls, from one assembly of the equation terms: each term
     field is forward-transformed once for its P_t-family kernel and its
-    window kernel together, and an all-zero exchange term not at all.
+    window kernel together.
     """
+    _require_resolved(t, orbitals.grid)
     _require_gaussian_window(w)
-    psi_a, local, exchange = equation_terms(a, orbitals, fields)
-    dt2, lap = convolve_with_kernel(psi_a, (PoissonDt2Kernel(t=t), w.laplacian()), strict=True)
-    local_t, local_w = convolve_with_kernel(local, (PoissonKernel(t=t), w), strict=True)
-    if exchange.values.any():
-        exchange_t, exchange_w = convolve_with_kernel(exchange, (PoissonKernel(t=t), w), strict=True)
-    else:  # a zero term (the hydrogen_identity source) convolves to zero
-        exchange_t = exchange_w = ScalarField.zeros(exchange.grid)
-    return (
-        _poisson_report(a, t, dt2, local_t, exchange_t),
-        _window_report(a, w, lap, local_w, exchange_w),
+    poisson_terms, window_terms = _transformed_terms(
+        a, orbitals, fields, (PoissonDt2Kernel(t=t), w.laplacian()), (PoissonKernel(t=t), w)
     )
+    return _poisson_report(a, t, *poisson_terms), _window_report(a, w, *window_terms)
 
 
 def window_residual_literal(
@@ -254,6 +261,7 @@ def poisson_crosscheck(
     ||convolved strong residual||): for exact solutions both routes are
     residual-sized and a ratio of the two alone would be noise over noise.
     """
+    _require_resolved(t, orbitals.grid)
     if transformed is None:
         transformed = poisson_transformed_residual(a, orbitals, fields, t)
     elif (transformed.params.get("t"), transformed.params.get("orbital")) != (t, a):
@@ -262,7 +270,7 @@ def poisson_crosscheck(
             f"and orbital {a}"
         )
     strong = strong_residual(a, orbitals, fields, system, method=method)
-    cross = -1.0 * convolve_with_kernel(strong, PoissonKernel(t=t), strict=True)
+    cross = -1.0 * convolve_with_kernel(strong, PoissonKernel(t=t))
     diff_field = transformed.total_field - cross
     cross_l2 = norm(cross, 2)
     diff = norm(diff_field, 2)

@@ -300,9 +300,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
     # the fields of the returned orbital from what the loop holds: -2 v_nuc
     # is p exactly, and s is the last convolution of this psi's density
     s_final = ScalarField(grid=grid, values=s_new if history else s_mix)
-    final_fields = HfFields(
-        p=ScalarField(grid=grid, values=-2.0 * v_nuc), q=s_final * 4.0, s=((s_final,),)
-    )
+    final_fields = HfFields(p=ScalarField(grid=grid, values=-2.0 * v_nuc), s=((s_final,),))
     return ScfResult(
         orbitals=OrbitalSet(orbitals=(psi_field,), energies=(float(eps),)),
         converged=converged,

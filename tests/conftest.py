@@ -34,7 +34,7 @@ def he_result_96(he_system):
     """Converged He ground state at the acceptance scale (N=96, L=12).
 
     Shared across the acceptance criteria that need a converged orbital;
-    this is the expensive fixture of the suite (about 10 s).
+    this is the expensive fixture of the suite (about 5 s on a 2-core host).
     """
     grid = chf.GridSpec(points_per_axis=96, extent=12.0)
     config = chf.ScfConfig(

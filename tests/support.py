@@ -95,7 +95,7 @@ def hydrogen_identity(n, extent, margin=0.75):
     psi = normalized_field(chf.sample(chf.Slater1s(), grid))
     orbitals = chf.OrbitalSet(orbitals=(psi,), energies=(-0.5,))
     zero = chf.ScalarField.zeros(grid)
-    fields = chf.HfFields(p=chf.build_p(system, grid), q=zero, s=((zero,),))
+    fields = chf.HfFields(p=chf.build_p(system, grid), s=((zero,),))
     return grid, system, orbitals, fields
 
 

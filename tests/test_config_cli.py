@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import os
 import random
@@ -27,6 +28,30 @@ def write_config(tmp_path: Path, body: str, name="run.cfg") -> Path:
     path.write_text(body)
     return path
 
+
+# every float-valued key, with the value slot of its config line
+FLOAT_KEYS = {
+    "grid.extent": "{}",
+    "system.nuclei": "1.0, {}, 0.0, 0.0",
+    "scf.mixing": "{}",
+    "scf.tol_energy": "{}",
+    "scf.tol_orbital": "{}",
+    "scf.time_step": "{}",
+    "poisson.t_values": "0.8, {}",
+    "window.alpha": "{}",
+    "basis.alpha0": "{}",
+    "basis.beta": "{}",
+    "masking.radius_cells": "{}",
+    "residuals.t": "{}",
+}
+
+HYDROGEN_32 = """
+grid.n = 32
+grid.extent = 8.0
+system.nuclei = 1.0, 0.0, 0.0, 0.0
+residuals.source = hydrogen_identity
+residuals.t = 1.5
+"""
 
 SCF_SMOKE = """
 grid.n = 32
@@ -87,6 +112,18 @@ class TestConfigParsing:
     def test_one_pair_accepted(self):
         # the key stays: generated benchmark configs write it explicitly
         assert parse_config("system.pairs = 1\n").pairs == 1
+
+    def test_float_key_list_is_complete(self):
+        types = {f.name: str(f.type) for f in dataclasses.fields(RunConfig)}
+        floats = {key for key, (attr, _) in _KEYS.items()
+                  if "float" in types[attr] or attr == "nuclei"}
+        assert floats == set(FLOAT_KEYS)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", sorted(FLOAT_KEYS))
+    def test_non_finite_float_named(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: cannot parse"):
+            parse_config(f"{key} = {FLOAT_KEYS[key].format(value)}\n")
 
     def test_time_step_auto(self):
         assert parse_config("scf.time_step = auto\n").scf_time_step is None
@@ -198,6 +235,13 @@ class TestScfCommand:
         assert len(err) == 1 and err[0].startswith("error: system.pairs must be 1")
         assert not (tmp_path / "o").exists()
 
+    def test_non_finite_value_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 8.0\nwindow.alpha = nan\n")
+        assert main(["residuals", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: window.alpha: cannot parse 'nan'")
+
     def test_quiet_leaves_warning_filters_unchanged(self, tmp_path):
         before = list(warnings.filters)
         cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 2.0\n")
@@ -284,11 +328,37 @@ class TestResidualsCommand:
         assert len(fields.s) == 1 and len(fields.s[0]) == 1
         assert not fields.s[0][0].values.any()
 
+    @pytest.mark.parametrize("command", ["residuals", "expand"])
+    def test_zero_source_makes_no_kernel_convolution(self, tmp_path, monkeypatch, command):
+        # every term, strong residual and truncated overlap field is zero
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the zero source convolved a field")
+
+        monkeypatch.setattr(ConvolutionPlan, "convolve_with_kernel", forbidden)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(REPO / "configs" / "zero_orbital.cfg"),
+                     "--out", str(out), "--quiet"]) == 0
+        csv = {"residuals": "residuals.csv", "expand": "expansion_ladder.csv"}[command]
+        rows = [line.split(",") for line in (out / csv).read_text().splitlines()[1:]]
+        assert rows and all(float(c) == 0.0 for row in rows for c in row[1:10])
+
+    @pytest.mark.parametrize("command", ["residuals", "expand"])
+    def test_zero_source_below_floor_is_resolution_error(self, tmp_path, capsys, command):
+        # zero terms are not transformed, yet the height is still checked
+        body = (REPO / "configs" / "zero_orbital.cfg").read_text()
+        cfg = write_config(tmp_path, body.replace("residuals.t = 1.0", "residuals.t = 0.5"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: Poisson height t=0.5 below resolution floor 2h=0.666667"
+        ]
+
     def test_poisson_residual_computed_once(self, tmp_path, monkeypatch):
         # d2t P_t enters only the height-transformed residual, so one Poisson
         # evaluation per run convolves exactly one field with it; P_t itself
         # takes the local term and the crosscheck's convolved strong
-        # residual (the zero exchange term is not transformed)
+        # residual (the zero exchange term of the hydrogen identity is not
+        # transformed)
         kernels = []
         convolve = ConvolutionPlan.convolve_with_kernel
 
@@ -305,10 +375,8 @@ class TestResidualsCommand:
 
         monkeypatch.setattr(ConvolutionPlan, "convolve_with_kernel", recorded)
         monkeypatch.setattr(cli, "transformed_residuals", counted)
-        code = main([
-            "residuals", "--config", str(REPO / "configs" / "zero_orbital.cfg"),
-            "--out", str(tmp_path / "out"), "--quiet",
-        ])
+        cfg = write_config(tmp_path, HYDROGEN_32)
+        code = main(["residuals", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 0
         assert orbitals == [0]
         kinds = [type(k).__name__ for k in kernels]

@@ -14,7 +14,7 @@ from scipy.special import erf
 import convolve_hf as chf
 from convolve_hf import convolution, extension, verify
 from convolve_hf.convolution import ConvolutionPlan, _sample_kernel_octant
-from convolve_hf.errors import GridMismatchError, ResolutionError, ResolutionWarning
+from convolve_hf.errors import GridMismatchError, ResolutionWarning
 
 from support import direct_convolution, radial_coulomb_potential
 
@@ -229,6 +229,24 @@ class TestKernelConvolution:
             assert [w.category for w in caught] == [ResolutionWarning]
             assert caught[0].filename == __file__
 
+    def test_zero_field_skips_the_engine(self, grid32, monkeypatch):
+        # no transform and no warning, even for an under-resolved kernel
+        monkeypatch.setattr(ConvolutionPlan, "convolve_with_kernel", None)
+        zero = chf.ScalarField.zeros(grid32)
+        under = chf.PoissonKernel(t=0.5 * grid32.spacing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = chf.convolve_with_kernel(zero, under)
+            group = chf.convolve_with_kernel(zero, (under, chf.Gaussian(alpha=1.0)))
+        assert not single.values.any() and single.grid == grid32
+        assert len(group) == 2 and not any(g.values.any() for g in group)
+
+    def test_under_resolved_is_t_below_two_h(self, grid32):
+        floor = chf.resolution_floor(grid32)
+        assert chf.under_resolved(0.99 * floor, grid32)
+        assert not chf.under_resolved(floor, grid32)
+        assert not chf.under_resolved(floor * (1.0 - 1e-13), grid32)  # roundoff of 2h
+
     def test_unsupported_kernel_kind(self, grid32):
         f = chf.ScalarField.zeros(grid32)
         with pytest.raises(ValueError, match="unsupported"):
@@ -238,11 +256,6 @@ class TestKernelConvolution:
         f = chf.ScalarField.zeros(grid32)
         with pytest.raises(ValueError, match="centered"):
             chf.convolve_with_kernel(f, chf.Gaussian(alpha=1.0, center=(1.0, 0, 0)))
-
-    def test_strict_resolution_guard(self, grid32):
-        f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
-        with pytest.raises(ResolutionError):
-            chf.convolve_with_kernel(f, chf.PoissonKernel(t=0.1), strict=True)
 
 
 @pytest.mark.usefixtures("empty_cache")
@@ -472,8 +485,6 @@ class TestGroupedKernels:
     def test_group_is_validated_before_any_transform(self, grid32, monkeypatch):
         f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
         monkeypatch.setattr(ConvolutionPlan, "_forward", None)  # any transform fails
-        with pytest.raises(ResolutionError):
-            chf.convolve_with_kernel(f, (chf.Gaussian(), chf.PoissonKernel(t=0.1)), strict=True)
         with pytest.raises(ValueError, match="unsupported"):
             chf.convolve_with_kernel(f, (chf.Gaussian(), chf.Slater1s()))
         with pytest.raises(ValueError, match="at least one kernel"):

@@ -135,6 +135,13 @@ class TestOverlapFields:
         with pytest.raises(IndexError):
             chf.build_s(0, 1, orb)
 
+    def test_q_is_derived_from_s(self, grid32, rng):
+        s = tuple(tuple(random_smooth_orbital(grid32, rng) for _ in range(2)) for _ in range(2))
+        fields = chf.HfFields(p=chf.ScalarField.zeros(grid32), s=s)
+        assert fields.q.values.tobytes() == (4.0 * sum(s[c][c].values for c in range(2))).tobytes()
+        with pytest.raises(TypeError):
+            chf.HfFields(p=fields.p, q=fields.q, s=s)
+
     def test_q_identity_and_positivity(self, grid64, rng):
         a = unit_gaussian_orbital(grid64, 1.0)
         b = random_smooth_orbital(grid64, rng)
@@ -172,7 +179,7 @@ class TestStrongResidual:
         psi = unit_gaussian_orbital(grid32)
         system = chf.MolecularSystem(nuclei=((1.0, (0, 0, 0)),))
         zero = chf.ScalarField.zeros(grid32)
-        fields = chf.HfFields(p=chf.build_p(system, grid32), q=zero, s=((zero,),))
+        fields = chf.HfFields(p=chf.build_p(system, grid32), s=((zero,),))
         orb1 = chf.OrbitalSet(orbitals=(psi,), energies=(-0.4,))
         orb2 = chf.OrbitalSet(orbitals=(2.0 * psi,), energies=(-0.4,), validate=False)
         r1 = chf.strong_residual(0, orb1, fields, system)
@@ -184,9 +191,7 @@ class TestStrongResidual:
         orb = chf.OrbitalSet(orbitals=(psi,), energies=(0.0,))
         zero = chf.ScalarField.zeros(grid32)
         system = chf.MolecularSystem(nuclei=((1.0, (0, 0, 0)),))
-        fields = chf.HfFields(
-            p=chf.build_p(system, grid32), q=zero, s=((zero, zero), (zero, zero))
-        )
+        fields = chf.HfFields(p=chf.build_p(system, grid32), s=((zero, zero), (zero, zero)))
         with pytest.raises(ValueError, match="orbital count"):
             chf.strong_residual(0, orb, fields, system)
 

@@ -150,7 +150,7 @@ class TestPairedEvaluation:
     def test_zero_exchange_term_is_not_transformed(self, monkeypatch):
         # the hydrogen identity has s = 0, so its exchange term is zero: the
         # pair transforms only psi_a and the local term, and still matches
-        # the singles, which convolve the zero field
+        # the singles, which do not transform the zero field either
         grid, system, orbitals, fields = hydrogen_identity(32, 6.0)
         t, w = 3.0 * grid.spacing, chf.Gaussian(alpha=1.0, amplitude=1.0)
         singles = (

@@ -17,7 +17,7 @@ def hydrogen_like_fock_setup(n, extent):
     system = chf.MolecularSystem(nuclei=((1.0, (0.0, 0.0, 0.0)),))
     zero = chf.ScalarField.zeros(grid)
     orbitals = chf.OrbitalSet(orbitals=(zero,), energies=(0.0,), validate=False)
-    fields = chf.HfFields(p=chf.build_p(system, grid), q=zero, s=((zero,),))
+    fields = chf.HfFields(p=chf.build_p(system, grid), s=((zero,),))
     return grid, system, orbitals, fields
 
 
@@ -90,7 +90,7 @@ class TestApplyFock:
     def test_mismatched_inputs(self):
         grid, system, orbitals, fields = hydrogen_like_fock_setup(32, 8.0)
         psi = unit_gaussian_orbital(grid)
-        bad = chf.HfFields(p=fields.p, q=fields.q, s=((fields.q, fields.q), (fields.q, fields.q)))
+        bad = chf.HfFields(p=fields.p, s=((fields.q, fields.q), (fields.q, fields.q)))
         with pytest.raises(ValueError, match="orbital count"):
             chf.apply_fock(psi, system, bad, orbitals)
 

@@ -37,7 +37,12 @@ from .hf import (
     strong_terms,
 )
 from .kernels import Gaussian, Slater1s, basis_function, sample
-from .residuals import ResidualReport, poisson_crosscheck, transformed_residuals
+from .residuals import (
+    ResidualReport,
+    poisson_crosscheck,
+    require_resolved,
+    transformed_residuals,
+)
 from .scf import solve
 from .verify import run_verify
 
@@ -68,6 +73,16 @@ def _write_csv(path: Path, header, rows):
 def _say(quiet: bool, *message):
     if not quiet:
         print(*message)
+
+
+def _scf_exit(result) -> int:
+    """EXIT_OK for a converged solve; otherwise one ``error:`` line and
+    EXIT_NOT_CONVERGED."""
+    if result.converged:
+        return EXIT_OK
+    print(f"error: SCF did not converge in {result.iteration_count} iterations",
+          file=sys.stderr)
+    return EXIT_NOT_CONVERGED
 
 
 # ----------------------------------------------------------------- scf
@@ -110,7 +125,7 @@ def cmd_scf(config: RunConfig, out: Path, quiet: bool) -> int:
     ]
     _write_atomic(out / "summary.txt", "\n".join(summary) + "\n")
     _say(quiet, "\n".join(summary))
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return _scf_exit(result)
 
 
 # -------------------------------------------------------- extend-sweep
@@ -155,13 +170,15 @@ def cmd_extend_sweep(config: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def _residual_inputs(config: RunConfig):
-    """(orbitals, fields, system, scf_exit) for the configured source."""
+    """(orbitals, fields, system, scf_exit) for the configured source.  An
+    under-resolved residuals.t exits 1 before the SCF, so a non-converged
+    solve's ``error:`` line is the only one."""
     grid = config.grid()
+    require_resolved(config.residuals_t, grid)
     system = config.system()
     if config.residuals_source == "scf":
         result = solve(system, grid, config.scf())
-        code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
-        return result.orbitals, result.fields, system, code
+        return result.orbitals, result.fields, system, _scf_exit(result)
     # zero and hydrogen_identity: the two-electron fields q and s are zero
     if config.residuals_source == "zero":
         zero = ScalarField.zeros(grid)

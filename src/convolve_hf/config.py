@@ -66,6 +66,10 @@ class RunConfig:
 
     def validated(self) -> "RunConfig":
         """Trigger every module-level precondition; raise ConfigError on any."""
+        for key, (attr, _) in _KEYS.items():
+            value = getattr(self, attr)
+            if not all(math.isfinite(x) for x in _floats_in(value)):
+                raise ConfigError(f"{key}: cannot parse {str(value)!r} (not a finite number)")
         if self.masking_radius_cells <= 0:
             raise ConfigError("masking.radius_cells must be positive")
         if self.pairs != 1:
@@ -82,6 +86,11 @@ class RunConfig:
             raise ConfigError(f"residuals.source must be one of {_RESIDUAL_SOURCES}")
         if not all(t > 0 for t in self.poisson_t_values):
             raise ConfigError("poisson.t_values must be positive")
+        for t in self.poisson_t_values:
+            # extend-sweep differentiates in t with the spacing t/8
+            if not _finite_positive_inverse_square(t / 8.0):
+                raise ConfigError(f"poisson.t_values: {t:g} is too small or too large "
+                                  f"(1/(t/8)^2 must be a finite positive number)")
         if self.window_alpha <= 0:
             raise ConfigError("window.alpha must be positive")
         if self.basis_alpha0 <= 0:
@@ -109,11 +118,19 @@ class RunConfig:
         return tuple(range(2, self.basis_count + 1, 2))
 
 
-def _float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
+def _floats_in(value) -> list[float]:
+    """The floats of a config value, nested tuples flattened."""
+    if isinstance(value, tuple):
+        return [x for v in value for x in _floats_in(v)]
+    return [value] if isinstance(value, float) else []
+
+
+def _finite_positive_inverse_square(d: float) -> bool:
+    """True when 1/d^2 is a finite positive float."""
+    try:
+        return 0.0 < d**-2 < math.inf
+    except OverflowError:
+        return False
 
 
 def _nuclei(raw: str):
@@ -123,7 +140,7 @@ def _nuclei(raw: str):
             parts = chunk.split(",")
             if len(parts) != 4:
                 raise ValueError(f"expected 'Z,x,y,z', got {chunk.strip()!r}")
-            z, x, y, zz = (_float(p) for p in parts)
+            z, x, y, zz = (float(p) for p in parts)
             out.append((z, (x, y, zz)))
     if not out:
         raise ValueError("no nuclei given")
@@ -131,7 +148,7 @@ def _nuclei(raw: str):
 
 
 def _floats(raw: str):
-    return tuple(_float(p) for p in raw.split(",") if p.strip())
+    return tuple(float(p) for p in raw.split(",") if p.strip())
 
 
 def _ints(raw: str):
@@ -139,30 +156,30 @@ def _ints(raw: str):
 
 
 def _time_step(raw: str):
-    return None if raw.lower() == "auto" else _float(raw)
+    return None if raw.lower() == "auto" else float(raw)
 
 
 # config key -> (RunConfig field, converter); a converter raises ValueError
 _KEYS = {
     "grid.n": ("grid_n", int),
-    "grid.extent": ("grid_extent", _float),
+    "grid.extent": ("grid_extent", float),
     "system.nuclei": ("nuclei", _nuclei),
     "system.pairs": ("pairs", int),
     "scf.max_iter": ("scf_max_iter", int),
-    "scf.mixing": ("scf_mixing", _float),
-    "scf.tol_energy": ("scf_tol_energy", _float),
-    "scf.tol_orbital": ("scf_tol_orbital", _float),
+    "scf.mixing": ("scf_mixing", float),
+    "scf.tol_energy": ("scf_tol_energy", float),
+    "scf.tol_orbital": ("scf_tol_orbital", float),
     "scf.eigensolver": ("scf_eigensolver", str),
     "scf.time_step": ("scf_time_step", _time_step),
     "poisson.t_values": ("poisson_t_values", _floats),
-    "window.alpha": ("window_alpha", _float),
-    "basis.alpha0": ("basis_alpha0", _float),
-    "basis.beta": ("basis_beta", _float),
+    "window.alpha": ("window_alpha", float),
+    "basis.alpha0": ("basis_alpha0", float),
+    "basis.beta": ("basis_beta", float),
     "basis.count": ("basis_count", int),
-    "masking.radius_cells": ("masking_radius_cells", _float),
+    "masking.radius_cells": ("masking_radius_cells", float),
     "output.dir": ("output_dir", str),
     "residuals.source": ("residuals_source", str),
-    "residuals.t": ("residuals_t", _float),
+    "residuals.t": ("residuals_t", float),
     "expand.orders": ("expand_orders", _ints),
 }
 

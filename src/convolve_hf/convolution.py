@@ -18,37 +18,42 @@ real; the frequencies beyond n are its mirror images.  A cached spectrum
 is therefore a real (n+1)^3 array of 8 (n+1)^3 bytes: 7.3 MB at n = 96,
 where the complex rFFT of the padded grid took 57 MB.
 
-Pruned transforms
------------------
-A field fills one octant of the padded box, so the forward transform runs
-one axis at a time and skips the all-zero lines: z on n^2 lines, then y
-on n(n+1) lines, then x on all lines.  The inverse crops each axis as
-soon as it has been transformed: kernel convolutions keep [:n], the
-nodes of the field itself; field-field convolutions keep the centre
-[n/2 : 3n/2], because the origin of both fields sits at node n/2.  Fields
-are real, so every transform is real along z: the spectrum keeps the
-n+1 nonnegative z frequencies.
+Plane-blocked transforms
+------------------------
+A field fills one octant of the padded box, and the padded spectrum is
+never held whole.  Fields are real, so the z pass is one real transform
+of the n^2 z lines, keeping the n+1 nonnegative kz frequencies in an
+(n, n, n+1) array.  The x and y passes run on blocks of ``_PLANES`` kz
+planes: y on the n nonzero x rows of a block zero-padded to (k, 2n, 2n),
+then x on all rows.  A kernel's product with the block goes through the
+inverse x and y passes, each cropped to n rows as soon as it has run,
+and the (k, n, n) result is stored in the same kz planes of an
+(n, n, n+1) array; one real inverse z pass of that array, cropped and
+scaled by h^3, is the output.  Kernel convolutions keep nodes [:n], the
+nodes of the field itself; field-field convolutions multiply the two
+fields' blocks and keep the centre [n/2 : 3n/2], because the origin of
+both fields sits at node n/2.  Spectra are cached kz-first, so a block's
+kernel planes are one contiguous slice.
 
 Grouped kernels
 ---------------
 ``convolve_with_kernel`` also takes a tuple of kernels for one field (the
 heights of an extension ladder, or a Poisson and a window kernel of the
-transformed residuals) and returns one field per kernel.  The field's
-forward transform, about half the cost of a convolution, runs once.  The
-last kernel consumes that spectrum in place exactly as a single
-convolution does.  Each earlier kernel reads the kept spectrum without
-copying it: the x inverse runs on four y-slabs of 2n/4 rows, each slab a
-fresh product of the spectrum and the mirrored kernel octant, and its
-[:n] rows go into an (n, 2n, n+1) buffer that then takes the y and z
-inverses.  Every output is byte-identical to a one-kernel call.
+transformed residuals) and returns one field per kernel.  The z pass and
+each block's forward x and y passes, about half the cost of a
+convolution, run once; every kernel then takes the same multiply and
+inverse passes on each block, so every output is byte-identical to a
+one-kernel call.  The first kernel's inverse planes overwrite the z pass
+block by block (a block is built before its planes are written); each
+further kernel has an (n, n, n+1) array of its own.
 
 Memory, in units of one padded half-spectrum S = 16 (2n)^2 (n+1) bytes
-(57 MB at n = 96): a single convolution peaks at 1.5 S, in the forward's
-last pass.  A group keeps S, and an earlier kernel adds the buffer
-(S/2), one slab (S/4) and the slab's real kernel values (S/8), so a
-group of three peaks near 2 S (tracemalloc at n = 96: 86 MB for one
-kernel, 115 MB for three); a copy of the spectrum per kernel would reach
-2.5 S.
+(57 MB at n = 96): the z pass and each kernel's planes take S/4, a block
+k/(n+1) S (0.08 S at n = 96).  A single convolution peaks at 0.5 S, in
+the z pass (the field zero-padded along z and its transform, S/4 each);
+each further kernel of a group adds S/4.  tracemalloc at n = 96 reads
+29 MB for one kernel, 57 MB for three and 43 MB for ``convolve_fields``,
+where building the padded spectrum took 86, 115 and 143 MB.
 
 Spectrum cache
 --------------
@@ -192,18 +197,29 @@ def _as_group(kernel) -> tuple:
     return kernels
 
 
-def _multiply_even(spec: np.ndarray, octant: np.ndarray) -> None:
-    """``spec *= S`` in place, where S is the (2n, 2n, n+1) spectrum of an
-    even kernel given by its octant; the mirrored quadrants are views."""
-    n = octant.shape[0] - 1
+def _multiply_even(block: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """``block`` times the same kz planes of an even kernel's padded
+    spectrum, given by their octant ``planes`` (k, n+1, n+1), as a new
+    block; both are indexed [kz, kx, ky], and the mirrored quadrants are
+    views."""
+    n = planes.shape[1] - 1
     lo, hi, mirror = slice(0, n + 1), slice(n + 1, None), slice(n - 1, 0, -1)
-    spec[lo, lo] *= octant
-    spec[lo, hi] *= octant[:, mirror]
-    spec[hi, lo] *= octant[mirror]
-    spec[hi, hi] *= octant[mirror, mirror]
+    out = np.empty_like(block)
+    np.multiply(block[:, lo, lo], planes, out=out[:, lo, lo])
+    np.multiply(block[:, lo, hi], planes[:, :, mirror], out=out[:, lo, hi])
+    np.multiply(block[:, hi, lo], planes[:, mirror], out=out[:, hi, lo])
+    np.multiply(block[:, hi, hi], planes[:, mirror, mirror], out=out[:, hi, hi])
+    return out
 
 
-_Y_SLABS = 4  # x-pass slabs per kernel that reads the kept spectrum
+_PLANES = 8  # kz frequency planes per block of the padded x and y passes
+
+
+def _plane_blocks(n: int) -> list[slice]:
+    """The n+1 kz frequency planes in blocks of at most ``_PLANES``."""
+    return [slice(k0, min(k0 + _PLANES, n + 1)) for k0 in range(0, n + 1, _PLANES)]
+
+
 _SPECTRUM_BUDGET_BYTES = 768_000_000
 _spectra: OrderedDict[tuple[GridSpec, AnalyticFunction], np.ndarray] = OrderedDict()
 _spectra_bytes = 0
@@ -223,7 +239,8 @@ class ConvolutionPlan:
 
     def kernel_spectrum(self, kernel: AnalyticFunction) -> np.ndarray:
         """Read-only (n+1)^3 octant of the padded kernel's DFT: the type-I
-        DCT of its octant samples."""
+        DCT of its octant samples, stored kz-first ([kz, kx, ky]) so that
+        a block of kz planes is contiguous."""
         global _spectra_bytes
         key = (self.grid, kernel)
         with _spectra_lock:
@@ -231,6 +248,7 @@ class ConvolutionPlan:
                 _spectra.move_to_end(key)
                 return _spectra[key]
         spec = sfft.dctn(_sample_kernel_octant(kernel, self.grid), type=1)
+        spec = np.ascontiguousarray(spec.transpose(2, 0, 1))
         spec.flags.writeable = False
         with _spectra_lock:
             if key in _spectra:  # another thread computed it meanwhile
@@ -243,43 +261,36 @@ class ConvolutionPlan:
                 _spectra_bytes -= old.nbytes
         return spec
 
-    # -- pruned zero-padded transforms ----------------------------------
+    # -- plane-blocked zero-padded transforms ---------------------------
 
     def _forward(self, values: np.ndarray) -> np.ndarray:
-        """DFT of real ``values`` zero-padded to (2n)^3, one axis at a
-        time; the n+1 nonnegative frequencies along z are kept."""
+        """z pass of the DFT of real ``values`` zero-padded to (2n)^3: the
+        n+1 nonnegative kz frequencies, shape (n, n, n+1)."""
+        return sfft.rfftn(values, s=(2 * self.grid.points_per_axis,), axes=(2,))
+
+    def _block(self, zspec: np.ndarray, kz: slice) -> np.ndarray:
+        """The kz planes ``kz`` of the padded DFT, from its z pass ``zspec``:
+        shape (k, 2n, 2n) indexed [kz, kx, ky].  y runs on the n nonzero x
+        rows, then x on all rows."""
         m = 2 * self.grid.points_per_axis
-        spec = sfft.rfftn(values, s=(m,), axes=(2,))
-        spec = sfft.fftn(spec, s=(m,), axes=(1,), overwrite_x=True)
-        return sfft.fftn(spec, s=(m,), axes=(0,), overwrite_x=True)
+        y_pass = sfft.fftn(zspec[:, :, kz].transpose(2, 0, 1), s=(m,), axes=(2,))
+        return sfft.fftn(y_pass, s=(m,), axes=(1,), overwrite_x=True)
 
-    def _inverse(self, spec: np.ndarray, start: int) -> np.ndarray:
-        """Inverse of :meth:`_forward`, keeping n nodes from ``start`` per axis."""
-        n = self.grid.points_per_axis
-        keep = slice(start, start + n)
-        return self._inverse_yz(sfft.ifftn(spec, axes=(0,), overwrite_x=True)[keep], keep)
+    @staticmethod
+    def _inverse_block(block: np.ndarray, keep: slice, out: np.ndarray, kz: slice) -> None:
+        """Inverse x then y pass of a plane block, each cropped to ``keep``,
+        stored as the kz planes ``kz`` of ``out`` (n, n, n+1)."""
+        block = sfft.ifftn(block, axes=(1,), overwrite_x=True)[:, keep]
+        block = sfft.ifftn(block, axes=(2,), overwrite_x=True)[:, :, keep]
+        out[:, :, kz] = block.transpose(1, 2, 0)
 
-    def _inverse_yz(self, out: np.ndarray, keep: slice) -> np.ndarray:
-        """The y and z passes of :meth:`_inverse` on its cropped x pass."""
-        out = sfft.ifftn(out, axes=(1,), overwrite_x=True)[:, keep]
-        out = sfft.irfftn(out, s=(2 * self.grid.points_per_axis,), axes=(2,), overwrite_x=True)
-        return out[:, :, keep]
-
-    def _inverse_of_product(self, spec: np.ndarray, octant: np.ndarray) -> np.ndarray:
-        """Real inverse of ``spec`` times the even kernel spectrum given by
-        ``octant``, keeping nodes [:n] and leaving ``spec`` unchanged: the
-        x pass runs on ``_Y_SLABS`` y-slabs of the product."""
-        n = self.grid.points_per_axis
-        fold = np.r_[0 : n + 1, n - 1 : 0 : -1]  # padded frequency -> octant index
-        width = 2 * n // _Y_SLABS
-        kept = np.empty((n, 2 * n, n + 1), dtype=spec.dtype)
-        slab = np.empty((2 * n, width, n + 1), dtype=spec.dtype)
-        for y0 in range(0, 2 * n, width):
-            ys = slice(y0, y0 + width)
-            np.multiply(spec[:, ys], octant[fold[:, None], fold[ys]], out=slab)
-            kept[:, ys] = sfft.ifftn(slab, axes=(0,), overwrite_x=True)[:n]
-        del slab  # before the y and z passes, which set this kernel's peak
-        return self._inverse_yz(kept, slice(0, n))
+    def _inverse_z(self, planes: list[np.ndarray], keep: slice) -> np.ndarray:
+        """Real inverse z pass of the first (n, n, n+1) kz-plane array of
+        ``planes``, cropped to ``keep`` and scaled by h^3.  The array is
+        popped, so it is freed before the output is allocated."""
+        m = 2 * self.grid.points_per_axis
+        out = sfft.irfftn(planes.pop(0), s=(m,), axes=(2,), overwrite_x=True)
+        return out[:, :, keep] * self.grid.spacing**3
 
     def convolve_with_kernel(
         self, f: ScalarField, kernel: AnalyticFunction | tuple[AnalyticFunction, ...], *,
@@ -302,23 +313,31 @@ class ConvolutionPlan:
                     stacklevel=stacklevel,
                 )
         octants = [self.kernel_spectrum(k) for k in kernels]
-        h3 = self.grid.spacing**3
-        # one forward transform; the last kernel consumes the spectrum
-        spec = self._forward(f.values)
-        outs = [self._inverse_of_product(spec, octant) * h3 for octant in octants[:-1]]
-        _multiply_even(spec, octants[-1])
-        outs.append(self._inverse(spec, 0) * h3)
-        del spec  # freed before the output fields are built
-        fields = tuple(f.with_values(out) for out in outs)
+        keep = slice(0, self.grid.points_per_axis)
+        planes = [self._forward(f.values)]  # the first kernel's overwrite the z pass
+        planes += [np.empty_like(planes[0]) for _ in octants[1:]]
+        for kz in _plane_blocks(self.grid.points_per_axis):
+            block = self._block(planes[0], kz)
+            for i, octant in enumerate(octants):
+                self._inverse_block(_multiply_even(block, octant[kz]), keep, planes[i], kz)
+            del block  # before the next block is built
+        fields = tuple(f.with_values(self._inverse_z(planes, keep)) for _ in octants)
         return fields if isinstance(kernel, tuple) else fields[0]
 
     def convolve_fields(self, f: ScalarField, g: ScalarField) -> ScalarField:
         if f.grid != self.grid or g.grid != self.grid:
             raise GridMismatchError("field grids do not match the plan grid")
-        n, h = self.grid.points_per_axis, self.grid.spacing
-        spec = self._forward(f.values)
-        spec *= self._forward(g.values)
-        return f.with_values(self._inverse(spec, n // 2) * h**3)
+        n = self.grid.points_per_axis
+        keep = slice(n // 2, n // 2 + n)  # both origins sit at node n/2
+        planes = [self._forward(f.values)]  # the product overwrites f's z pass
+        zg = self._forward(g.values)
+        for kz in _plane_blocks(n):
+            block = self._block(planes[0], kz)
+            block *= self._block(zg, kz)
+            self._inverse_block(block, keep, planes[0], kz)
+            del block  # before the next block is built
+        del zg
+        return f.with_values(self._inverse_z(planes, keep))
 
 
 def convolve(f: ScalarField, g: ScalarField) -> ScalarField:

@@ -100,7 +100,8 @@ def laplacian_convolution_symmetry_defect(
     return norm(lhs - rhs, np.inf) / den
 
 
-def _require_resolved(t, grid):
+def require_resolved(t, grid):
+    """Raise ResolutionError for a Poisson height t below 2h of ``grid``."""
     if under_resolved(t, grid):
         floor = resolution_floor(grid)
         raise ResolutionError(f"Poisson height t={t:g} below resolution floor 2h={floor:g}")
@@ -154,7 +155,7 @@ def poisson_transformed_residual(
     The first term goes through the analytic kernel derivative; vanishes
     for exact solutions.  Heights below 2h are rejected.
     """
-    _require_resolved(t, orbitals.grid)
+    require_resolved(t, orbitals.grid)
     (terms,) = _transformed_terms(a, orbitals, fields, (PoissonDt2Kernel(t=t),),
                                   (PoissonKernel(t=t),))
     return _poisson_report(a, t, *terms)
@@ -191,7 +192,7 @@ def transformed_residuals(
     field is forward-transformed once for its P_t-family kernel and its
     window kernel together.
     """
-    _require_resolved(t, orbitals.grid)
+    require_resolved(t, orbitals.grid)
     _require_gaussian_window(w)
     poisson_terms, window_terms = _transformed_terms(
         a, orbitals, fields, (PoissonDt2Kernel(t=t), w.laplacian()), (PoissonKernel(t=t), w)
@@ -261,7 +262,7 @@ def poisson_crosscheck(
     ||convolved strong residual||): for exact solutions both routes are
     residual-sized and a ratio of the two alone would be noise over noise.
     """
-    _require_resolved(t, orbitals.grid)
+    require_resolved(t, orbitals.grid)
     if transformed is None:
         transformed = poisson_transformed_residual(a, orbitals, fields, t)
     elif (transformed.params.get("t"), transformed.params.get("orbital")) != (t, a):

@@ -125,6 +125,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: cannot parse"):
             parse_config(f"{key} = {FLOAT_KEYS[key].format(value)}\n")
 
+    @pytest.mark.parametrize("field, value", [
+        ("window_alpha", float("nan")),
+        ("masking_radius_cells", float("nan")),
+        ("grid_extent", float("inf")),
+        ("poisson_t_values", (0.8, float("nan"))),
+        ("nuclei", ((2.0, (0.0, float("-inf"), 0.0)),)),
+    ])
+    def test_non_finite_field_rejected_by_validated(self, field, value):
+        # a RunConfig built in Python meets the same finiteness check
+        with pytest.raises(ConfigError, match="not a finite number"):
+            RunConfig(**{field: value}).validated()
+
+    @pytest.mark.parametrize("t", [1e-300, 1e300])
+    def test_height_without_finite_inverse_square_spacing(self, t):
+        with pytest.raises(ConfigError, match=r"^poisson\.t_values: "):
+            RunConfig(poisson_t_values=(0.8, t)).validated()
+
     def test_time_step_auto(self):
         assert parse_config("scf.time_step = auto\n").scf_time_step is None
         assert parse_config("scf.time_step = 0.004\n").scf_time_step == 0.004
@@ -205,6 +222,30 @@ class TestScfCommand:
         assert main(["scf", "--config", str(cfg), "--quiet"]) == 2
         assert (out / "scf_history.csv").exists()
 
+    @pytest.mark.parametrize("command", ["scf", "residuals", "expand"])
+    def test_non_convergence_is_one_error_line(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 2.0\nscf.max_iter = 0\n"
+                                     "residuals.source = scf\nresiduals.t = 0.6\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: SCF did not converge in 0 iterations"]
+
+    @pytest.mark.parametrize("command", ["residuals", "expand"])
+    def test_under_resolved_height_exits_before_the_scf(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the SCF ran")
+
+        monkeypatch.setattr(cli, "solve", forbidden)
+        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 2.0\nscf.max_iter = 0\n"
+                                     "residuals.t = 0.25\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: Poisson height t=0.25 below resolution floor 2h=0.5"
+        ]
+
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "system.nuclei = banana\n")
         assert main(["scf", "--config", str(cfg), "--quiet"]) == 1
@@ -251,6 +292,18 @@ class TestScfCommand:
 
 
 class TestExtendSweepCommand:
+    @pytest.mark.parametrize("t", ["1e-300", "1e300"])
+    def test_extreme_height_is_one_error_line(self, tmp_path, capsys, t):
+        # the sweep's t-derivative divides by (t/8)^2
+        cfg = write_config(tmp_path, f"grid.n = 16\ngrid.extent = 4.0\npoisson.t_values = {t}\n")
+        assert main(["extend-sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: poisson.t_values: ")
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_monotone_and_flagged(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(

@@ -11,6 +11,7 @@ from .convolution import (
 )
 from .expansion import (
     ExpansionState,
+    LadderTotals,
     expansion_poisson_residuals,
     expansion_transformed_residuals,
     expansion_window_residuals,

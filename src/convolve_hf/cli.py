@@ -3,8 +3,10 @@
     convolve-hf <scf|extend-sweep|residuals|expand|verify>
                 --config <path> [--out <dir>] [--grid-n <int>] [--quiet]
 
-Exit codes: 0 success, 1 configuration/validation error, 2 SCF did not
-converge or diverged, 3 an invariant check failed.  All CSV files are
+Exit codes: 0 success, 1 configuration/validation error (a config value
+whose computation leaves the floating-point range included) or an output
+path that cannot be written, 2 SCF did not converge or diverged, 3 an
+invariant check failed.  All CSV files are
 written atomically (temp file + rename) with a header row; floats are printed
 with 17 significant digits, so identical configurations produce
 byte-identical outputs.  When ``--out`` is absent the CONVOLVE_HF_OUT
@@ -253,13 +255,13 @@ def cmd_expand(config: RunConfig, out: Path, quiet: bool) -> int:
     ladder = expansion_transformed_residuals(state, 0, orbitals, fields, t, w)
     rows = [
         (
-            str(n),
-            state.fit_errors[n][0],
-            r6.total_sup, r6.total_l2,
-            r7.total_sup, r7.total_l2,
+            str(row.order),
+            state.fit_errors[row.order][0],
+            row.thm6_sup, row.thm6_l2,
+            row.thm7_sup, row.thm7_l2,
             state.k_bound,
         )
-        for n, (r6, r7) in zip(state.orders, ladder)
+        for row in ladder
     ]
     _write_csv(
         out / "expansion_ladder.csv",
@@ -339,6 +341,13 @@ def main(argv=None) -> int:
     except ScfDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    except ArithmeticError as exc:  # overflow, division by zero, a NaN or inf field
+        print(f"error: a computed value left the floating-point range: {exc!r}; "
+              f"a config value is too large or too small", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

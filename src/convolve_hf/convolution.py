@@ -47,13 +47,36 @@ one-kernel call.  The first kernel's inverse planes overwrite the z pass
 block by block (a block is built before its planes are written); each
 further kernel has an (n, n, n+1) array of its own.
 
+Combined convolutions
+---------------------
+By linearity a signed sum of kernel convolutions of several fields can
+be added up in the spectrum before one inverse transform.  ``plus`` gives
+further (field, kernels, coefficients) terms, one kernel and one
+coefficient per output: output i is f * K_i + sum_j a_ij (g_j * K_ij).
+Each field's z pass and block are built once; on every block, each
+output adds a K^ (.) B over its terms into one product, which takes one
+inverse x/y pass, and each output one inverse z pass at the end.  The
+transformed-residual totals T * d2t P_t - c * P_t and T * lap w + c * w
+are one such call: two forward and two inverse transforms instead of
+three and six for the grouped per-term convolutions.  A single field
+stays on the same path (no multiply by 1, no accumulation), so its
+outputs are the grouped call's bytes; a combined output differs from the
+sum of separate convolutions by roundoff.  All-zero fields of a combined
+call are dropped before any transform.  With several fields a block
+holds ``_PLANES`` // (number of fields) kz planes, so the blocks of all
+fields together take about the memory of one 8-plane block.
+
 Memory, in units of one padded half-spectrum S = 16 (2n)^2 (n+1) bytes
 (57 MB at n = 96): the z pass and each kernel's planes take S/4, a block
 k/(n+1) S (0.08 S at n = 96).  A single convolution peaks at 0.5 S, in
 the z pass (the field zero-padded along z and its transform, S/4 each);
-each further kernel of a group adds S/4.  tracemalloc at n = 96 reads
-29 MB for one kernel, 57 MB for three and 43 MB for ``convolve_fields``,
-where building the padded spectrum took 86, 115 and 143 MB.
+each further kernel of a group adds S/4.  In a combined call the outputs
+overwrite the fields' z passes block by block, so two fields with two
+outputs peak at 0.75 S, in the second field's z pass.  tracemalloc at
+n = 96 reads 29 MB for one kernel, 43 MB for two, 57 MB for three, 43 MB
+for two fields with two outputs (two grouped calls: 57 MB) and 43 MB for
+``convolve_fields``, where building the padded spectrum took 86, 115 and
+143 MB for one kernel, three and ``convolve_fields``.
 
 Spectrum cache
 --------------
@@ -197,27 +220,59 @@ def _as_group(kernel) -> tuple:
     return kernels
 
 
-def _multiply_even(block: np.ndarray, planes: np.ndarray) -> np.ndarray:
+def _terms(f, kernel, plus) -> list[tuple]:
+    """(field, kernels, coefficients) per field of a kernel convolution:
+    ``f`` with coefficient 1 for each kernel, then each (g, kernel(s),
+    coefficient(s)) of ``plus``, validated to one kernel and one
+    coefficient per output."""
+    kernels = _as_group(kernel)
+    terms = [(f, kernels, (1.0,) * len(kernels))]
+    for g, g_kernel, coefficient in plus:
+        g_kernels = _as_group(g_kernel)
+        coefficients = coefficient if isinstance(coefficient, tuple) else (coefficient,)
+        if not len(g_kernels) == len(coefficients) == len(kernels):
+            raise ValueError("each term of plus needs one kernel and one coefficient per output")
+        terms.append((g, g_kernels, tuple(float(a) for a in coefficients)))
+    return terms
+
+
+def _multiply_even(block: np.ndarray, planes: np.ndarray, add_to=None) -> np.ndarray:
     """``block`` times the same kz planes of an even kernel's padded
     spectrum, given by their octant ``planes`` (k, n+1, n+1), as a new
-    block; both are indexed [kz, kx, ky], and the mirrored quadrants are
-    views."""
+    block, or added to the block ``add_to`` and returned; both are indexed
+    [kz, kx, ky], and the mirrored quadrants are views."""
     n = planes.shape[1] - 1
     lo, hi, mirror = slice(0, n + 1), slice(n + 1, None), slice(n - 1, 0, -1)
-    out = np.empty_like(block)
-    np.multiply(block[:, lo, lo], planes, out=out[:, lo, lo])
-    np.multiply(block[:, lo, hi], planes[:, :, mirror], out=out[:, lo, hi])
-    np.multiply(block[:, hi, lo], planes[:, mirror], out=out[:, hi, lo])
-    np.multiply(block[:, hi, hi], planes[:, mirror, mirror], out=out[:, hi, hi])
-    return out
+    quadrants = ((lo, lo, planes), (lo, hi, planes[:, :, mirror]),
+                 (hi, lo, planes[:, mirror]), (hi, hi, planes[:, mirror, mirror]))
+    if add_to is None:
+        out = np.empty_like(block)
+        for x, y, p in quadrants:
+            np.multiply(block[:, x, y], p, out=out[:, x, y])
+        return out
+    for x, y, p in quadrants:  # a quadrant-sized temporary at a time
+        add_to[:, x, y] += block[:, x, y] * p
+    return add_to
 
 
-_PLANES = 8  # kz frequency planes per block of the padded x and y passes
+def _sum_of_products(blocks, spectra, coefficients, kz: slice) -> np.ndarray:
+    """Sum over fields of coefficient times the field's ``blocks`` entry
+    times the kz planes ``kz`` of its kernel octant in ``spectra``; a
+    coefficient of 1 multiplies nothing and a single term adds nothing."""
+    product = None
+    for block, octant, a in zip(blocks, spectra, coefficients):
+        product = _multiply_even(block, octant[kz] if a == 1.0 else a * octant[kz], product)
+    return product
 
 
-def _plane_blocks(n: int) -> list[slice]:
-    """The n+1 kz frequency planes in blocks of at most ``_PLANES``."""
-    return [slice(k0, min(k0 + _PLANES, n + 1)) for k0 in range(0, n + 1, _PLANES)]
+_PLANES = 8  # kz frequency planes per block of the padded x and y passes, for one field
+
+
+def _plane_blocks(n: int, fields: int = 1) -> list[slice]:
+    """The n+1 kz frequency planes in blocks of at most ``_PLANES`` // ``fields``,
+    so that the blocks of all fields of one call take about one block's memory."""
+    k = max(1, _PLANES // fields)
+    return [slice(k0, min(k0 + k, n + 1)) for k0 in range(0, n + 1, k)]
 
 
 _SPECTRUM_BUDGET_BYTES = 768_000_000
@@ -294,35 +349,57 @@ class ConvolutionPlan:
 
     def convolve_with_kernel(
         self, f: ScalarField, kernel: AnalyticFunction | tuple[AnalyticFunction, ...], *,
-        stacklevel: int = 2,
+        plus: tuple = (), stacklevel: int = 2,
     ) -> ScalarField | tuple[ScalarField, ...]:
         """``f`` convolved with an origin-centered kernel, or with each
         kernel of a tuple (a tuple of fields then, in the same order; see
-        "Grouped kernels" above).  ``stacklevel`` places each
+        "Grouped kernels" above).  Each (g, kernel(s), coefficient(s)) of
+        ``plus`` adds coefficient times g convolved with its kernel to the
+        output of the same position (see "Combined convolutions" above); a
+        field of ``plus``, or ``f`` when ``plus`` is given, that is all zero
+        is not transformed.  ``stacklevel`` places each
         :class:`ResolutionWarning` as in ``warnings.warn``, by default at
         the caller of this method."""
-        kernels = _as_group(kernel)
-        if f.grid != self.grid:
+        terms = _terms(f, kernel, plus)
+        outputs = len(terms[0][1])
+        if any(g.grid != self.grid for g, _, _ in terms):
             raise GridMismatchError("field grid does not match the plan grid")
-        for k in kernels:
-            if _under_resolved(k, self.grid):
-                warnings.warn(
-                    f"Poisson height t={k.t:g} is below the resolution floor "
-                    f"2h={resolution_floor(self.grid):g}; using cell-averaged sampling",
-                    ResolutionWarning,
-                    stacklevel=stacklevel,
-                )
-        octants = [self.kernel_spectrum(k) for k in kernels]
-        keep = slice(0, self.grid.points_per_axis)
-        planes = [self._forward(f.values)]  # the first kernel's overwrite the z pass
-        planes += [np.empty_like(planes[0]) for _ in octants[1:]]
-        for kz in _plane_blocks(self.grid.points_per_axis):
-            block = self._block(planes[0], kz)
-            for i, octant in enumerate(octants):
-                self._inverse_block(_multiply_even(block, octant[kz]), keep, planes[i], kz)
-            del block  # before the next block is built
-        fields = tuple(f.with_values(self._inverse_z(planes, keep)) for _ in octants)
+        if plus:
+            terms = [term for term in terms if term[0].values.any()]
+        for _, kernels, _ in terms:
+            for k in kernels:
+                if _under_resolved(k, self.grid):
+                    warnings.warn(
+                        f"Poisson height t={k.t:g} is below the resolution floor "
+                        f"2h={resolution_floor(self.grid):g}; using cell-averaged sampling",
+                        ResolutionWarning,
+                        stacklevel=stacklevel,
+                    )
+        fields = self._convolve_terms(terms, outputs) if terms else tuple(
+            ScalarField.zeros(self.grid) for _ in range(outputs))
         return fields if isinstance(kernel, tuple) else fields[0]
+
+    def _convolve_terms(self, terms: list[tuple], outputs: int) -> tuple[ScalarField, ...]:
+        """The plane-block loop of :meth:`convolve_with_kernel`: output i is
+        the sum over (field, kernels, coefficients) terms of coefficient i
+        times the field convolved with kernel i."""
+        n = self.grid.points_per_axis
+        keep = slice(0, n)
+        octants = [[self.kernel_spectrum(k) for k in kernels] for _, kernels, _ in terms]
+        # per output: each field's kernel octant and coefficient
+        sums = [([o[i] for o in octants], [c[i] for _, _, c in terms]) for i in range(outputs)]
+        zspecs = [self._forward(g.values) for g, _, _ in terms]
+        # the outputs overwrite the fields' z passes; each further output has its own array
+        planes = zspecs[:outputs] + [np.empty_like(zspecs[0]) for _ in range(outputs - len(zspecs))]
+        for kz in _plane_blocks(n, len(terms)):
+            blocks = [self._block(z, kz) for z in zspecs]  # every field's, before any output
+            for i, (spectra, coefficients) in enumerate(sums):
+                self._inverse_block(_sum_of_products(blocks, spectra, coefficients, kz),
+                                    keep, planes[i], kz)
+            del blocks  # before the next blocks are built
+        del zspecs  # the z passes no output took are freed here
+        return tuple(terms[0][0].with_values(self._inverse_z(planes, keep))
+                     for _ in range(outputs))
 
     def convolve_fields(self, f: ScalarField, g: ScalarField) -> ScalarField:
         if f.grid != self.grid or g.grid != self.grid:
@@ -348,18 +425,22 @@ def convolve(f: ScalarField, g: ScalarField) -> ScalarField:
 def convolve_with_kernel(
     f: ScalarField,
     kernel: AnalyticFunction | tuple[AnalyticFunction, ...],
+    *,
+    plus: tuple = (),
 ) -> ScalarField | tuple[ScalarField, ...]:
     """Convolve a field with an origin-centered analytic kernel, or with
-    each kernel of a tuple from one forward transform of ``f``.
+    each kernel of a tuple from one forward transform of ``f``; ``plus``
+    adds further fields' convolutions to the outputs, as in
+    :meth:`ConvolutionPlan.convolve_with_kernel`.
 
-    An all-zero field convolves to zero: the kernels are validated, but no
+    All-zero fields convolve to zero: the kernels are validated, but no
     spectrum is sampled, no transform runs and no warning is issued.
     """
-    if not f.values.any():
+    if not any(g.values.any() for g, _, _ in _terms(f, kernel, plus)):
         zeros = tuple(ScalarField.zeros(f.grid) for _ in _as_group(kernel))
         return zeros if isinstance(kernel, tuple) else zeros[0]
     # name our caller, not this line, in the ResolutionWarning
-    return ConvolutionPlan(f.grid).convolve_with_kernel(f, kernel, stacklevel=3)
+    return ConvolutionPlan(f.grid).convolve_with_kernel(f, kernel, plus=plus, stacklevel=3)
 
 
 def coulomb_convolve(f: ScalarField) -> ScalarField:

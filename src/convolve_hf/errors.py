@@ -27,3 +27,8 @@ class ScfDivergedError(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration file is malformed or violates a precondition."""
+
+
+class NonFiniteError(ValueError, ArithmeticError):
+    """A field value is NaN or infinite: a computation left the
+    floating-point range."""

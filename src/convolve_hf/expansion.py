@@ -9,7 +9,8 @@ ladders evaluate the two transformed residuals of
 :mod:`convolve_hf.residuals` with (T, r) in place of (psi, s), one order
 at a time; :class:`~convolve_hf.hf.HfFields` derives the Hartree sum
 q_n = 4 sum_c r[n,c,c].  As the fit improves the residual norms must not
-grow.
+grow.  The two per-term ladders report every term; the combined ladder
+of the ``expand`` command keeps only the norms of the two totals.
 """
 
 from __future__ import annotations
@@ -18,18 +19,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .convolution import convolve_with_kernel
 from .errors import IllConditionedBasisError
 from .fields import ScalarField, inner, norm
-from .hf import HfFields, OrbitalSet, build_overlap_fields
-from .kernels import Gaussian, sample
+from .hf import HfFields, OrbitalSet, build_overlap_fields, equation_terms
+from .kernels import Gaussian, PoissonDt2Kernel, PoissonKernel, sample
 from .residuals import (
     ResidualReport,
     poisson_transformed_residual,
-    transformed_residuals,
+    require_gaussian_window,
+    require_resolved,
     window_transformed_residual,
 )
 
-__all__ = ["ExpansionState", "project_orbitals", "expansion_poisson_residuals",
+__all__ = ["ExpansionState", "LadderTotals", "project_orbitals", "expansion_poisson_residuals",
            "expansion_window_residuals", "expansion_transformed_residuals"]
 
 GRAM_CONDITION_LIMIT = 1e12
@@ -163,6 +166,18 @@ def expansion_window_residuals(
     ]
 
 
+@dataclass(frozen=True)
+class LadderTotals:
+    """L2 and sup norms of the two transformed-residual totals at one
+    truncation order; no field is kept."""
+
+    order: int
+    thm6_l2: float
+    thm6_sup: float
+    thm7_l2: float
+    thm7_sup: float
+
+
 def expansion_transformed_residuals(
     state: ExpansionState,
     a: int,
@@ -170,13 +185,26 @@ def expansion_transformed_residuals(
     fields: HfFields,
     t: float,
     w: Gaussian,
-) -> list[tuple[ResidualReport, ResidualReport]]:
-    """Both ladders at once: per order, the pair of
+) -> list[LadderTotals]:
+    """The totals of both ladders, per order: with c = (p - q_n + 2 eps_a)
+    T[n,a] + 2 sum_c r[n,a,c] T[n,c],
+
+        thm6 = T[n,a] * d2t P_t - c * P_t,    thm7 = T[n,a] * (lap w) + c * w,
+
+    from one combined convolution of T[n,a] and c (two forward and two
+    inverse padded transforms).  They equal the totals of
     :func:`expansion_poisson_residuals` and :func:`expansion_window_residuals`
-    rows, each term field transformed once for both kernels
-    (:func:`convolve_hf.residuals.transformed_residuals`).
+    up to roundoff; those keep the per-term reports.
     """
-    return [
-        tuple(_with_order(r, n) for r in transformed_residuals(a, trunc, trunc_fields, t, w))
-        for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields)
-    ]
+    require_resolved(t, orbitals.grid)
+    require_gaussian_window(w)
+    rows = []
+    for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields):
+        psi_a, local, exchange = equation_terms(a, trunc, trunc_fields)
+        thm6, thm7 = convolve_with_kernel(
+            psi_a, (PoissonDt2Kernel(t=t), w.laplacian()),
+            plus=((local + 2.0 * exchange, (PoissonKernel(t=t), w), (-1.0, 1.0)),),
+        )
+        rows.append(LadderTotals(n, norm(thm6, 2), norm(thm6, np.inf),
+                                 norm(thm7, 2), norm(thm7, np.inf)))
+    return rows

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import GridMismatchError, SupportWarning
+from .errors import GridMismatchError, NonFiniteError, SupportWarning
 
 __all__ = [
     "GridSpec",
@@ -44,6 +44,9 @@ class GridSpec:
             raise ValueError(f"points_per_axis must be even and >= 8, got {n}")
         if not (L > 0 and np.isfinite(L)):
             raise ValueError(f"extent must be a positive finite real, got {L}")
+        h = 2.0 * L / n
+        if not 0.0 < h * h * h < np.inf:
+            raise ValueError(f"extent {L:g} gives a cell volume h^3 outside the float range")
 
     @property
     def spacing(self) -> float:
@@ -101,7 +104,7 @@ class ScalarField:
                 f"values shape {vals.shape} does not match grid {self.grid.shape}"
             )
         if not np.isfinite(vals).all():
-            raise ValueError("field values must be finite (no NaN/Inf)")
+            raise NonFiniteError("field values must be finite (no NaN/Inf)")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -107,7 +107,8 @@ def require_resolved(t, grid):
         raise ResolutionError(f"Poisson height t={t:g} below resolution floor 2h={floor:g}")
 
 
-def _require_gaussian_window(w):
+def require_gaussian_window(w):
+    """Raise ValueError unless ``w`` is an origin-centered Gaussian."""
     if not isinstance(w, Gaussian):
         raise ValueError(f"unsupported window kind {type(w).__name__}; use a Gaussian")
     if w.center != (0.0, 0.0, 0.0):
@@ -174,7 +175,7 @@ def window_transformed_residual(
 
     with lap w evaluated in closed form.  Scales linearly with w.
     """
-    _require_gaussian_window(w)
+    require_gaussian_window(w)
     (terms,) = _transformed_terms(a, orbitals, fields, (w.laplacian(),), (w,))
     return _window_report(a, w, *terms)
 
@@ -193,7 +194,7 @@ def transformed_residuals(
     window kernel together.
     """
     require_resolved(t, orbitals.grid)
-    _require_gaussian_window(w)
+    require_gaussian_window(w)
     poisson_terms, window_terms = _transformed_terms(
         a, orbitals, fields, (PoissonDt2Kernel(t=t), w.laplacian()), (PoissonKernel(t=t), w)
     )
@@ -214,7 +215,7 @@ def window_residual_literal(
     factor on the Hartree term, and the absent exchange term; it is never
     asserted against zero.
     """
-    _require_gaussian_window(w)
+    require_gaussian_window(w)
     psi_a = orbitals.orbitals[a]
     eps_a = orbitals.energies[a]
     terms = (

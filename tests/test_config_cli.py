@@ -459,6 +459,16 @@ output.dir = {out}
         cells = lines[1].split(",")
         assert all(float(c) == 0.0 for c in cells[1:6])
 
+    def test_overflowing_height_is_one_error_line(self, tmp_path, capsys):
+        # validated() accepts t = 1e300; the P_t kernel's t**3 overflows
+        cfg = write_config(tmp_path, "grid.n = 8\ngrid.extent = 4.0\nresiduals.t = 1e300\n"
+                                     "residuals.source = hydrogen_identity\nbasis.count = 1\n")
+        assert main(["expand", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: a computed value left the floating-point range: ")
+
     def test_unit_beta_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "basis.beta = 1.0\n")
         assert main(["expand", "--config", str(cfg), "--quiet"]) == 1
@@ -519,6 +529,32 @@ class TestOutputOverrides:
         assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
         assert (out / "verify_results.csv").exists()
         assert not (tmp_path / "from_env").exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_through_an_existing_file_is_one_error_line(self, tmp_path, capsys, sub):
+        # --out naming a file (FileExistsError), or a path below one (NotADirectoryError)
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 2.0\n")
+        out = blocker / sub if sub else blocker
+        assert main(["extend-sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+        assert str(blocker) in err[0] and blocker.read_text() == "keep\n"
+
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a directory without write permission; running as root ignores
+        # the mode bits, so the refusal is simulated
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 2.0\n")
+        monkeypatch.setattr(Path, "write_text", refuse)
+        assert main(["extend-sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+        assert "Permission denied" in err[0]
 
     def test_console_script_entry_point(self, tmp_path):
         cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 2.0\n")

@@ -545,3 +545,115 @@ class TestGroupedKernels:
         group = _peak_bytes(lambda: plan.convolve_with_kernel(f, kernels))
         assert single <= 0.9 * spectrum_bytes
         assert group <= 1.6 * spectrum_bytes
+
+
+class TestCombinedConvolutions:
+    @pytest.mark.parametrize("coefficients", [(-1.0, 1.0), (2.0, -1.0), (1.0, 2.0)])
+    def test_combined_outputs_are_the_sums_of_single_convolutions(self, grid32, rng,
+                                                                  coefficients):
+        # every kind meets every other kind in some output, on either field
+        kinds = sorted(KERNELS)
+        f, g = _random(grid32, rng), _random(grid32, rng)
+        h = grid32.spacing
+        plan = ConvolutionPlan(grid32)
+        for shift in (1, 3):
+            f_kernels = tuple(KERNELS[kind](h) for kind in kinds)
+            g_kernels = tuple(KERNELS[kinds[(i + shift) % len(kinds)]](h)
+                              for i in range(len(kinds)))
+            weights = tuple(coefficients[i % 2] for i in range(len(kinds)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ResolutionWarning)
+                outs = plan.convolve_with_kernel(f, f_kernels, plus=((g, g_kernels, weights),))
+                singles_f = plan.convolve_with_kernel(f, f_kernels)
+                singles_g = plan.convolve_with_kernel(g, g_kernels)
+            for out, a, b, weight in zip(outs, singles_f, singles_g, weights):
+                ref = a.values + weight * b.values
+                assert out.values.dtype == np.float64
+                assert _rel_err(out.values, ref) <= 1e-13
+
+    def test_three_fields_into_one_output(self, grid32, rng):
+        f, g, k = (_random(grid32, rng) for _ in range(3))
+        poisson, gaussian, coulomb = (KERNELS[kind](grid32.spacing)
+                                      for kind in ("poisson", "gaussian", "coulomb"))
+        out = chf.convolve_with_kernel(f, poisson, plus=((g, gaussian, -1.0),
+                                                         (k, coulomb, 2.0)))
+        ref = (chf.convolve_with_kernel(f, poisson).values
+               - chf.convolve_with_kernel(g, gaussian).values
+               + 2.0 * chf.convolve_with_kernel(k, coulomb).values)
+        assert _rel_err(out.values, ref) <= 1e-13
+
+    def test_more_outputs_than_fields_and_fields_than_outputs(self, grid32, rng):
+        f, g = _random(grid32, rng), _random(grid32, rng)
+        kernels = tuple(KERNELS[kind](grid32.spacing) for kind in ("poisson", "gaussian"))
+        outs = chf.convolve_with_kernel(f, kernels, plus=((g, kernels[::-1], (1.0, -1.0)),))
+        for out, a, b, weight in zip(outs, chf.convolve_with_kernel(f, kernels),
+                                     chf.convolve_with_kernel(g, kernels[::-1]), (1.0, -1.0)):
+            assert _rel_err(out.values, a.values + weight * b.values) <= 1e-13
+
+    def test_all_zero_field_is_dropped_without_a_transform(self, grid32, rng, monkeypatch):
+        f = _random(grid32, rng)
+        zero = chf.ScalarField.zeros(grid32)
+        kernels = tuple(KERNELS[kind](grid32.spacing) for kind in ("poisson", "gaussian"))
+        singles = ConvolutionPlan(grid32).convolve_with_kernel(f, kernels)
+        forwards = []
+        forward = ConvolutionPlan._forward
+        monkeypatch.setattr(ConvolutionPlan, "_forward",
+                            lambda self, values: forwards.append(1) or forward(self, values))
+        plan = ConvolutionPlan(grid32)
+        # a zero plus field: the single-field bytes, from one forward transform
+        outs = plan.convolve_with_kernel(f, kernels, plus=((zero, kernels, (-1.0, 2.0)),))
+        assert len(forwards) == 1
+        assert [o.values.tobytes() for o in outs] == [o.values.tobytes() for o in singles]
+        # a zero first field: the plus field alone, times its coefficients
+        outs = plan.convolve_with_kernel(zero, kernels, plus=((f, kernels, (-1.0, 2.0)),))
+        assert len(forwards) == 2
+        for out, single, weight in zip(outs, singles, (-1.0, 2.0)):
+            assert np.array_equal(out.values, weight * single.values)
+        # every field zero: zeros, and the module function skips the engine
+        outs = plan.convolve_with_kernel(zero, kernels, plus=((zero, kernels, (1.0, 1.0)),))
+        assert len(forwards) == 2 and not any(o.values.any() for o in outs)
+        monkeypatch.setattr(ConvolutionPlan, "convolve_with_kernel", None)
+        out = chf.convolve_with_kernel(zero, kernels[0], plus=((zero, kernels[1], 2.0),))
+        assert out.grid == grid32 and not out.values.any()
+
+    def test_plus_is_validated(self, grid32, grid64, rng):
+        f = _random(grid32, rng)
+        poisson, gaussian = (KERNELS[kind](grid32.spacing) for kind in ("poisson", "gaussian"))
+        plan = ConvolutionPlan(grid32)
+        with pytest.raises(ValueError, match="one kernel and one coefficient per output"):
+            plan.convolve_with_kernel(f, (poisson, gaussian), plus=((f, (poisson,), (1.0,)),))
+        with pytest.raises(ValueError, match="one kernel and one coefficient per output"):
+            plan.convolve_with_kernel(f, (poisson, gaussian),
+                                      plus=((f, (poisson, gaussian), 1.0),))
+        with pytest.raises(ValueError, match="unsupported"):
+            plan.convolve_with_kernel(f, poisson, plus=((f, chf.Slater1s(), 1.0),))
+        with pytest.raises(GridMismatchError):
+            plan.convolve_with_kernel(f, poisson,
+                                      plus=((chf.ScalarField.zeros(grid64), gaussian, 1.0),))
+
+    def test_under_resolved_plus_kernel_warns_at_the_caller(self, grid32):
+        f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
+        under = chf.PoissonKernel(t=0.5 * grid32.spacing)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chf.convolve_with_kernel(f, chf.Gaussian(alpha=1.0), plus=((f, under, -1.0),))
+        assert [w.category for w in caught] == [ResolutionWarning]
+        assert caught[0].filename == __file__
+
+    def test_two_fields_two_outputs_peak_memory(self, empty_cache):
+        # S = 16 (2n)^2 (n+1) bytes; the two z passes take S/4 each and hold
+        # the outputs, and the blocks of both fields together take one
+        # block's memory
+        grid = chf.GridSpec(points_per_axis=48, extent=10.0)
+        n = grid.points_per_axis
+        spectrum_bytes = 16 * (2 * n) ** 2 * (n + 1)
+        f = chf.sample(chf.Gaussian(alpha=0.05, amplitude=1.0), grid)
+        g = chf.sample(chf.Gaussian(alpha=0.1, amplitude=1.0), grid)
+        kernels = (chf.PoissonDt2Kernel(t=1.0), chf.GaussianLaplacian(alpha=1.0))
+        partners = (chf.PoissonKernel(t=1.0), chf.Gaussian(alpha=1.0))
+        plan = ConvolutionPlan(grid)
+        for kernel in kernels + partners:  # warm: measure the transforms, not sampling
+            plan.kernel_spectrum(kernel)
+        combined = _peak_bytes(lambda: plan.convolve_with_kernel(
+            f, kernels, plus=((g, partners, (-1.0, 1.0)),)))
+        assert combined <= 0.9 * spectrum_bytes

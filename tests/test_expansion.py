@@ -1,7 +1,7 @@
 import pytest
 
 import convolve_hf as chf
-from convolve_hf.errors import IllConditionedBasisError
+from convolve_hf.errors import IllConditionedBasisError, ResolutionError
 
 from support import normalized_field
 
@@ -100,18 +100,31 @@ class TestResidualLadders:
             assert r7.total_l2 == chf.window_transformed_residual(0, trunc, trunc_fields, w).total_l2
             assert r6.params["order"] == r7.params["order"] == n
 
-    def test_paired_ladder_is_the_two_ladders(self):
+    def test_combined_ladder_totals_agree_with_the_per_term_ladders(self):
+        # the combined ladder sums in the spectrum, the per-term ladders on
+        # the grid: the totals agree to roundoff, not bit for bit
         grid, system, orbitals, fields, basis = gaussian_orbital_setup(n=32)
         state = chf.project_orbitals(orbitals, basis, orders=(1, 3))
         t, w = 1.2, chf.Gaussian(alpha=1.0, amplitude=1.0)
-        pairs = chf.expansion_transformed_residuals(state, 0, orbitals, fields, t, w)
+        rows = chf.expansion_transformed_residuals(state, 0, orbitals, fields, t, w)
         ladder6 = chf.expansion_poisson_residuals(state, 0, orbitals, fields, t)
         ladder7 = chf.expansion_window_residuals(state, 0, orbitals, fields, w)
-        assert len(pairs) == len(state.orders)
-        for (r6, r7), s6, s7 in zip(pairs, ladder6, ladder7):
-            assert r6.params == s6.params and r7.params == s7.params
-            assert r6.total_field.values.tobytes() == s6.total_field.values.tobytes()
-            assert r7.total_field.values.tobytes() == s7.total_field.values.tobytes()
+        assert [row.order for row in rows] == list(state.orders)
+        for row, s6, s7 in zip(rows, ladder6, ladder7):
+            assert not any(isinstance(v, chf.ScalarField) for v in vars(row).values())
+            pairs = ((row.thm6_l2, s6.total_l2), (row.thm6_sup, s6.total_sup),
+                     (row.thm7_l2, s7.total_l2), (row.thm7_sup, s7.total_sup))
+            for combined, per_term in pairs:
+                assert combined == pytest.approx(per_term, rel=1e-12, abs=0.0)
+
+    def test_combined_ladder_rejects_what_the_per_term_ladders_reject(self):
+        grid, system, orbitals, fields, basis = gaussian_orbital_setup(n=32)
+        state = chf.project_orbitals(orbitals, basis, orders=(1,))
+        w = chf.Gaussian(alpha=1.0, amplitude=1.0)
+        with pytest.raises(ResolutionError):
+            chf.expansion_transformed_residuals(state, 0, orbitals, fields, 0.5, w)
+        with pytest.raises(ValueError, match="window"):
+            chf.expansion_transformed_residuals(state, 0, orbitals, fields, 1.2, chf.Slater1s())
 
     def test_zero_orbital_gives_zero_ladder(self):
         grid = chf.GridSpec(points_per_axis=32, extent=8.0)
@@ -126,6 +139,8 @@ class TestResidualLadders:
         w = chf.Gaussian(alpha=1.0, amplitude=1.0)
         for rep in chf.expansion_window_residuals(state, 0, orbitals, fields, w):
             assert rep.total_l2 == 0.0
+        for row in chf.expansion_transformed_residuals(state, 0, orbitals, fields, 1.2, w):
+            assert (row.thm6_l2, row.thm6_sup, row.thm7_l2, row.thm7_sup) == (0.0,) * 4
 
     def test_window_reports_carry_l2_and_sup(self):
         grid, system, orbitals, fields, basis = gaussian_orbital_setup(n=32)

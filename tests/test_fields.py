@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convolve_hf as chf
-from convolve_hf.errors import GridMismatchError, SupportWarning
+from convolve_hf.errors import GridMismatchError, NonFiniteError, SupportWarning
 from convolve_hf.fields import outer_shell_mass_fraction
 
 from support import unit_gaussian_orbital
@@ -29,6 +29,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             chf.GridSpec(points_per_axis=16, extent=-1.0)
 
+    @pytest.mark.parametrize("extent", [1e-300, 1e300])
+    def test_rejects_cell_volume_outside_the_float_range(self, extent):
+        with pytest.raises(ValueError, match="cell volume"):
+            chf.GridSpec(points_per_axis=16, extent=extent)
+
     def test_nearest_node_roundtrip(self):
         g = chf.GridSpec(points_per_axis=16, extent=4.0)
         x = g.axis_coordinates()
@@ -40,6 +45,9 @@ class TestScalarField:
         vals = np.zeros(grid32.shape)
         vals[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
+            chf.ScalarField(grid=grid32, values=vals)
+        # also an ArithmeticError, which the CLI maps to exit 1
+        with pytest.raises(NonFiniteError):
             chf.ScalarField(grid=grid32, values=vals)
 
     def test_rejects_shape_mismatch(self, grid32):

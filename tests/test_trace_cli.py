@@ -12,9 +12,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from convolve_hf import cli
 from convolve_hf.convolution import ConvolutionPlan
 
 REPO = Path(__file__).resolve().parent.parent
@@ -76,9 +78,31 @@ def test_traced_transforms_keep_every_padded_pass_inside_a_convolution(tmp_path,
     for span in padded:
         assert any(a["name"] in layers.CONVOLUTION for a in trace.ancestors(span)), span
     # one forward transform (its z pass is the only padded rfftn) per field
+    # convolved in each span
     convolutions = [s for s in trace.spans if s["name"] == "convolution.kernel"]
     forwards = [s for s in padded if s["attrs"]["fn"] == "rfftn"]
-    assert len(forwards) == len(convolutions)
+    per_span = [sum(any(a is span for a in trace.ancestors(fwd)) for fwd in forwards)
+                for span in convolutions]
+    assert per_span == _fields_per_convolution(command, config, tmp_path / "in_process")
+    if command == "expand":  # each ladder order convolves T and c in one span
+        assert 2 in per_span
+
+
+def _fields_per_convolution(command, config, out):
+    """Fields transformed by each ``ConvolutionPlan.convolve_with_kernel``
+    call of an in-process run of ``command``, in call order: the one field
+    of a call without ``plus``, else every field that is not all zero."""
+    counts = []
+    original = ConvolutionPlan.convolve_with_kernel
+
+    def counting(self, f, kernel, *, plus=(), **kwargs):
+        fields = [f, *(g for g, _, _ in plus)]
+        counts.append(sum(bool(g.values.any()) for g in fields) if plus else 1)
+        return original(self, f, kernel, plus=plus, **kwargs)
+
+    with mock.patch.object(ConvolutionPlan, "convolve_with_kernel", counting):
+        assert cli.main([command, "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    return counts
 
 
 def test_traced_extend_sweep_records_convolution_spans(tmp_path):

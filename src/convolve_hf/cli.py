@@ -31,6 +31,8 @@ from .expansion import expansion_transformed_residuals, project_orbitals
 from .extension import extend, harmonicity_residual
 from .fields import ScalarField, norm
 from .hf import (
+    L2_SQUARE_BOUND,
+    S_SUP_BOUND,
     HfFields,
     OrbitalSet,
     build_p,
@@ -119,8 +121,8 @@ def cmd_scf(config: RunConfig, out: Path, quiet: bool) -> int:
         f"total_energy = {_fmt(report.total)}",
         f"virial_ratio = {_fmt(report.virial_ratio)}",
         f"final_residual = {_fmt(result.final_residual)}",
-        f"max_s_sup = {_fmt(bounds.max_s_sup)} (bound {_fmt(bounds.s_bound)})",
-        f"max_l2_square = {_fmt(bounds.max_l2_square)} (bound {_fmt(bounds.l2_bound)})",
+        f"max_s_sup = {_fmt(bounds.max_s_sup)} (bound {_fmt(S_SUP_BOUND)})",
+        f"max_l2_square = {_fmt(bounds.max_l2_square)} (bound {_fmt(L2_SQUARE_BOUND)})",
         f"bound_checks_pass = {bounds.all_ok}",
         f"orbital_sup_bounded = {result.orbitals.sup_bounded}",
         f"wall_seconds = {result.wall_seconds:.1f}",

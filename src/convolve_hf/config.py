@@ -43,7 +43,6 @@ class RunConfig:
     output_dir: str = "out"
     residuals_source: str = "scf"
     residuals_t: float = 0.25
-    expand_orders: tuple[int, ...] | None = None
 
     def grid(self) -> GridSpec:
         return GridSpec(points_per_axis=self.grid_n, extent=self.grid_extent)
@@ -101,18 +100,10 @@ class RunConfig:
             raise ConfigError("basis.count must be >= 1")
         if self.residuals_t <= 0:
             raise ConfigError("residuals.t must be positive")
-        if self.expand_orders is not None:
-            if not self.expand_orders:
-                raise ConfigError("expand.orders must not be empty")
-            if any(n < 1 for n in self.expand_orders):
-                raise ConfigError("expand.orders must be positive integers")
-            if max(self.expand_orders) > self.basis_count:
-                raise ConfigError("expand.orders exceed basis.count")
         return self
 
     def orders(self) -> tuple[int, ...]:
-        if self.expand_orders is not None:
-            return self.expand_orders
+        """Truncation orders of ``expand``: the even ladder up to basis.count."""
         if self.basis_count == 1:
             return (1,)
         return tuple(range(2, self.basis_count + 1, 2))
@@ -151,10 +142,6 @@ def _floats(raw: str):
     return tuple(float(p) for p in raw.split(",") if p.strip())
 
 
-def _ints(raw: str):
-    return tuple(int(p) for p in raw.split(",") if p.strip())
-
-
 def _time_step(raw: str):
     return None if raw.lower() == "auto" else float(raw)
 
@@ -180,7 +167,6 @@ _KEYS = {
     "output.dir": ("output_dir", str),
     "residuals.source": ("residuals_source", str),
     "residuals.t": ("residuals_t", float),
-    "expand.orders": ("expand_orders", _ints),
 }
 
 

@@ -5,8 +5,9 @@ size per axis (Hockney-style), multiplying DFTs and cropping.  Analytic
 kernels live on the padded offset grid, where index j encodes the offset
 j*h for j <= n and (j - 2n)*h beyond, so all offsets up to +-2L
 contribute; this is what makes the Coulomb far field exact for sources
-supported in the box.  ``convolve_with_kernel`` returns an all-zero field's
-convolutions as zero fields without a transform.
+supported in the box.  ``convolve_with_kernel`` drops every all-zero field
+before any transform; with no field left it returns zero fields, sampling
+no spectrum and issuing no warning.
 
 Octant spectra
 --------------
@@ -61,8 +62,7 @@ are one such call: two forward and two inverse transforms instead of
 three and six for the grouped per-term convolutions.  A single field
 stays on the same path (no multiply by 1, no accumulation), so its
 outputs are the grouped call's bytes; a combined output differs from the
-sum of separate convolutions by roundoff.  All-zero fields of a combined
-call are dropped before any transform.  With several fields a block
+sum of separate convolutions by roundoff.  With several fields a block
 holds ``_PLANES`` // (number of fields) kz planes, so the blocks of all
 fields together take about the memory of one 8-plane block.
 
@@ -96,6 +96,8 @@ correction elsewhere), which keeps the discrete kernel mass bounded by
 the true mass and preserves the approximate-identity inequalities at the
 price of first-order smoothing; every convolution of a nonzero field
 with one warns (``under_resolved`` is the one test of t < 2h).  The
+height derivative d2t P_t has no under-resolved flavour: a convolution
+with it below 2h raises :class:`ResolutionError`.  The
 Coulomb kernel is pointwise with the analytic cell mean at the singular
 node; away from the singularity 1/r is harmonic, so pointwise values
 equal cell averages to O(h^4).
@@ -110,7 +112,7 @@ from collections import OrderedDict
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import GridMismatchError, ResolutionWarning
+from .errors import GridMismatchError, ResolutionError, ResolutionWarning
 from .fields import GridSpec, ScalarField
 from .kernels import (
     AnalyticFunction,
@@ -146,8 +148,8 @@ def under_resolved(t: float, grid: GridSpec) -> bool:
 
 
 def _under_resolved(kernel: AnalyticFunction, grid: GridSpec) -> bool:
-    """True for a Poisson kernel (or its height derivative) below 2h."""
-    return isinstance(kernel, (PoissonKernel, PoissonDt2Kernel)) and under_resolved(kernel.t, grid)
+    """True for a Poisson kernel below 2h."""
+    return isinstance(kernel, PoissonKernel) and under_resolved(kernel.t, grid)
 
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -200,8 +202,7 @@ def _sample_kernel_octant(kernel: AnalyticFunction, grid: GridSpec) -> np.ndarra
     if _under_resolved(kernel, grid):
         vals = kernel.evaluate_r2(r2) + (h * h / 24.0) * kernel.laplacian_r2(r2)
         _cell_average_near_origin(kernel, vals, off, h, 4.0 * max(kernel.t, h))
-        if isinstance(kernel, PoissonKernel):
-            vals[0, 0, 0] = _poisson_central_cell_mean(kernel.t, h)
+        vals[0, 0, 0] = _poisson_central_cell_mean(kernel.t, h)
         return vals
     # resolved Poisson kinds and smooth non-singular kinds: pointwise
     return np.asarray(kernel.evaluate_r2(r2), dtype=np.float64)
@@ -355,17 +356,23 @@ class ConvolutionPlan:
         kernel of a tuple (a tuple of fields then, in the same order; see
         "Grouped kernels" above).  Each (g, kernel(s), coefficient(s)) of
         ``plus`` adds coefficient times g convolved with its kernel to the
-        output of the same position (see "Combined convolutions" above); a
-        field of ``plus``, or ``f`` when ``plus`` is given, that is all zero
-        is not transformed.  ``stacklevel`` places each
+        output of the same position (see "Combined convolutions" above).
+        An all-zero field is not transformed, and its kernels warn for
+        nothing.  A d2t P_t kernel below 2h raises
+        :class:`ResolutionError`.  ``stacklevel`` places each
         :class:`ResolutionWarning` as in ``warnings.warn``, by default at
         the caller of this method."""
         terms = _terms(f, kernel, plus)
         outputs = len(terms[0][1])
         if any(g.grid != self.grid for g, _, _ in terms):
             raise GridMismatchError("field grid does not match the plan grid")
-        if plus:
-            terms = [term for term in terms if term[0].values.any()]
+        for _, kernels, _ in terms:
+            for k in kernels:
+                if isinstance(k, PoissonDt2Kernel) and under_resolved(k.t, self.grid):
+                    raise ResolutionError(
+                        f"d2t P_t height t={k.t:g} is below the resolution floor "
+                        f"2h={resolution_floor(self.grid):g}")
+        terms = [term for term in terms if term[0].values.any()]
         for _, kernels, _ in terms:
             for k in kernels:
                 if _under_resolved(k, self.grid):
@@ -432,13 +439,7 @@ def convolve_with_kernel(
     each kernel of a tuple from one forward transform of ``f``; ``plus``
     adds further fields' convolutions to the outputs, as in
     :meth:`ConvolutionPlan.convolve_with_kernel`.
-
-    All-zero fields convolve to zero: the kernels are validated, but no
-    spectrum is sampled, no transform runs and no warning is issued.
     """
-    if not any(g.values.any() for g, _, _ in _terms(f, kernel, plus)):
-        zeros = tuple(ScalarField.zeros(f.grid) for _ in _as_group(kernel))
-        return zeros if isinstance(kernel, tuple) else zeros[0]
     # name our caller, not this line, in the ResolutionWarning
     return ConvolutionPlan(f.grid).convolve_with_kernel(f, kernel, plus=plus, stacklevel=3)
 

@@ -2,12 +2,14 @@
 
 Orbitals are projected onto the leading members of an even-tempered
 Gaussian family by least squares on the grid (normal equations through
-the Gram matrix).  For each truncation order n the expansion carries the
-truncated orbitals T[n,a], the overlap-Coulomb fields r[n,a,c] built
-from them, and a uniform L2 bound K on the truncations.  The residual
-ladders evaluate the two transformed residuals of
-:mod:`convolve_hf.residuals` with (T, r) in place of (psi, s), one order
-at a time; :class:`~convolve_hf.hf.HfFields` derives the Hartree sum
+the Gram matrix).  For each truncation order n the projection keeps the
+truncated orbitals T[n,a], their fit errors and a uniform L2 bound K on
+the truncations; it runs no convolution.  The residual ladders evaluate
+the two transformed residuals of :mod:`convolve_hf.residuals` with
+(T, r) in place of (psi, s), one order at a time: the overlap-Coulomb
+fields r[n,a,c] of each truncation are built when its order is reached
+(zero when every s of the source is zero), and
+:class:`~convolve_hf.hf.HfFields` derives the Hartree sum
 q_n = 4 sum_c r[n,c,c].  As the fit improves the residual norms must not
 grow.  The two per-term ladders report every term; the combined ladder
 of the ``expand`` command keeps only the norms of the two totals.
@@ -40,12 +42,10 @@ GRAM_CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class ExpansionState:
-    """Least-squares truncations of an orbital set over a fixed basis; each
-    order's Hartree field q_n is derived from r_fields by HfFields."""
+    """Least-squares truncations of an orbital set over a fixed basis."""
 
     orders: tuple[int, ...]
     truncations: dict   # order -> tuple of ScalarField per orbital
-    r_fields: dict      # order -> n x n tuple of ScalarField
     fit_errors: dict    # order -> tuple of ||T - psi||_2 per orbital
     k_bound: float
     gram_condition: float
@@ -84,7 +84,7 @@ def project_orbitals(
     rhs = np.array([[inner(sampled[i], psi) for psi in orbitals.orbitals] for i in range(m)])
 
     from scipy import linalg as sla  # only here, so importing the CLI skips scipy.linalg
-    truncations, r_fields, fit_errors = {}, {}, {}
+    truncations, fit_errors = {}, {}
     for order in orders:
         cho = sla.cho_factor(gram[:order, :order])
         coeff = sla.cho_solve(cho, rhs[:order, :])
@@ -94,7 +94,6 @@ def project_orbitals(
         )
         truncations[order] = ts
         fit_errors[order] = tuple(norm(t - psi, 2) for t, psi in zip(ts, orbitals.orbitals))
-        r_fields[order] = build_overlap_fields(OrbitalSet(ts, orbitals.energies, validate=False))
 
     # uniform bound realized as the projection bound ||psi|| + max_n ||T_n - psi||
     k_bound = max(
@@ -104,7 +103,6 @@ def project_orbitals(
     return ExpansionState(
         orders=orders,
         truncations=truncations,
-        r_fields=r_fields,
         fit_errors=fit_errors,
         k_bound=k_bound,
         gram_condition=condition,
@@ -113,10 +111,14 @@ def project_orbitals(
 
 def _truncated_inputs(state: ExpansionState, orbitals: OrbitalSet, fields: HfFields):
     """(order, truncated orbital set, truncated fields) per projected order,
-    one order at a time, so that one derived q_n is alive at once."""
+    one order at a time, so that one order's r_n and q_n are alive at once.
+    r_n is built from the truncations, unless every s of ``fields`` is zero
+    (a source without two-electron terms): then r_n is that zero s."""
+    two_electron = any(s_ac.values.any() for row in fields.s for s_ac in row)
     for n in state.orders:
-        yield (n, OrbitalSet(state.truncations[n], orbitals.energies, validate=False),
-               HfFields(p=fields.p, s=state.r_fields[n]))
+        trunc = OrbitalSet(state.truncations[n], orbitals.energies, validate=False)
+        r = build_overlap_fields(trunc) if two_electron else fields.s
+        yield n, trunc, HfFields(p=fields.p, s=r)
 
 
 def _with_order(report: ResidualReport, order: int) -> ResidualReport:

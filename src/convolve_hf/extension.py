@@ -50,9 +50,6 @@ class HarmonicExtension:
                 return s
         raise KeyError(f"no slice stored at t={t}")
 
-    def l2_distances(self) -> tuple[float, ...]:
-        return tuple(norm(s - self.base, 2) for s in self.slices)
-
 
 def extend(f: ScalarField, heights) -> HarmonicExtension:
     """Poisson extension of ``f`` at the given heights, all from one
@@ -99,8 +96,9 @@ def harmonicity_residual(ext: HarmonicExtension, t_index: int) -> float:
 
 
 def boundary_convergence(ext: HarmonicExtension, norm_kind: str = "L2"):
-    """Distances ||slice_t - base|| per height, largest t first."""
-    p = {"L2": 2, "l2": 2, "sup": np.inf, "Linf": np.inf}.get(norm_kind)
+    """Distances ||slice_t - base|| per height, largest t first; ``norm_kind``
+    is "L2" or "sup"."""
+    p = {"L2": 2, "sup": np.inf}.get(norm_kind)
     if p is None:
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     pairs = [(t, norm(s - ext.base, p)) for t, s in zip(ext.heights, ext.slices)]

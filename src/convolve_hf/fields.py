@@ -74,9 +74,8 @@ class GridSpec:
         idx = np.rint((np.asarray(point, dtype=float) + self.extent) / self.spacing)
         return tuple(int(np.clip(i, 0, n - 1)) for i in idx)
 
-    def contains(self, point, margin: float = 0.0) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(np.abs(p) <= self.extent - margin))
+    def contains(self, point) -> bool:
+        return bool(np.all(np.abs(np.asarray(point, dtype=float)) <= self.extent))
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ def integrate(f: ScalarField) -> float:
 
 def norm(f: ScalarField, p: float = 2) -> float:
     """Discrete L_p norm for p in {1, 2, inf}."""
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(np.abs(f.values).max(initial=0.0))
     h3 = f.grid.spacing**3
     if p == 1:

@@ -210,9 +210,10 @@ def build_fields(system: MolecularSystem, orbitals: OrbitalSet) -> HfFields:
     return HfFields(p=build_p(system, orbitals.grid), s=build_overlap_fields(orbitals))
 
 
-def nuclear_mask(grid: GridSpec, system: MolecularSystem, margin: float | None = None) -> np.ndarray:
-    """Boolean array, True outside the excluded nuclear neighborhoods."""
-    margin = margin if margin is not None else system.margin_for(grid)
+def nuclear_mask(grid: GridSpec, system: MolecularSystem) -> np.ndarray:
+    """Boolean array, True outside the excluded nuclear neighborhoods
+    (radius ``system.margin_for(grid)``)."""
+    margin = system.margin_for(grid)
     keep = np.ones(grid.shape, dtype=bool)
     for _, pos in system.nuclei:
         keep &= grid.radius_squared(pos) > margin**2
@@ -353,22 +354,21 @@ def coulomb_square_integral(psi: ScalarField, eta) -> float:
 
 @dataclass(frozen=True)
 class BoundCheckReport:
-    """Observed extrema versus the two hard bounds."""
+    """Observed extrema versus the two hard bounds L2_SQUARE_BOUND and
+    S_SUP_BOUND."""
 
     max_l2_square: float
     max_s_sup: float
     l2_square_values: tuple[tuple[int, tuple[float, float, float], float], ...]
     preconditions_met: bool
-    l2_bound: float = L2_SQUARE_BOUND
-    s_bound: float = S_SUP_BOUND
 
     @property
     def l2_ok(self) -> bool:
-        return self.max_l2_square <= self.l2_bound
+        return self.max_l2_square <= L2_SQUARE_BOUND
 
     @property
     def s_ok(self) -> bool:
-        return self.max_s_sup <= self.s_bound
+        return self.max_s_sup <= S_SUP_BOUND
 
     @property
     def all_ok(self) -> bool:

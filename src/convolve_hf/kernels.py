@@ -45,11 +45,6 @@ def _poisson_dt2(r2, t):
     return (-12.0 * t * q + 24.0 * t**3) / (np.pi**2 * q**4)
 
 
-def _poisson_dt4(r2, t):
-    q = t * t + r2
-    return (360.0 * t * q * q - 1920.0 * t**3 * q + 1920.0 * t**5) / (np.pi**2 * q**6)
-
-
 def _require_positive(name, value):
     if not (value > 0 and np.isfinite(value)):
         raise ValueError(f"{name} must be a positive finite real, got {value}")
@@ -126,9 +121,6 @@ class PoissonDt2Kernel(AnalyticFunction):
 
     def evaluate_r2(self, r2):
         return _poisson_dt2(r2, self.t)
-
-    def laplacian_r2(self, r2):
-        return -_poisson_dt4(r2, self.t)
 
 
 @dataclass(frozen=True)

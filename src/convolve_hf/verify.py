@@ -15,7 +15,7 @@ from scipy.special import erf
 
 from .config import RunConfig
 from .convolution import convolve, coulomb_convolve
-from .extension import extend, harmonicity_residual, sup_bound_check
+from .extension import boundary_convergence, extend, harmonicity_residual, sup_bound_check
 from .fields import GridSpec, ScalarField, norm
 from .hf import (
     L2_SQUARE_BOUND,
@@ -110,7 +110,7 @@ def run_verify(config: RunConfig) -> list[CheckResult]:
     wide = _gaussian_field(grid, 0.05, amplitude=1.0)
     heights = tuple(sorted(set(config.poisson_t_values) | {2.0}))
     ext = extend(wide, heights)
-    distances = [d for _, d in sorted(zip(ext.heights, ext.l2_distances()))]
+    distances = [d for _, d in sorted(boundary_convergence(ext, "L2"))]  # increasing t
     strictly_decreasing = all(d2 < d1 for d1, d2 in zip(distances[1:], distances[:-1]))
     final_rel = distances[0] / norm(wide, 2)
     ladder_ok = strictly_decreasing and final_rel <= 0.05

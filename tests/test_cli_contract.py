@@ -70,7 +70,6 @@ VALUES = {
     "masking.radius_cells": _float(0.5, 4.0),
     "residuals.source": st.sampled_from(("scf", "hydrogen_identity", "zero", "slater")),
     "residuals.t": _float(0.5, 4.0),
-    "expand.orders": st.sampled_from(("1", "1, 2", "2", "4", "0", "-1", "9", "")),
 }
 
 

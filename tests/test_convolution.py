@@ -15,7 +15,7 @@ from scipy.special import erf
 import convolve_hf as chf
 from convolve_hf import convolution, extension, verify
 from convolve_hf.convolution import ConvolutionPlan, _sample_kernel_octant
-from convolve_hf.errors import GridMismatchError, ResolutionWarning
+from convolve_hf.errors import GridMismatchError, ResolutionError, ResolutionWarning
 
 from support import direct_convolution, radial_coulomb_potential
 
@@ -24,14 +24,14 @@ def _random(grid, rng):
     return chf.ScalarField(grid=grid, values=rng.standard_normal(grid.shape))
 
 
-# every convolvable kind, as a function of the grid spacing h; heights below
-# 2h take the cell-averaged sampling path
+# every convolvable kind, as a function of the grid spacing h; Poisson
+# heights below 2h take the cell-averaged sampling path (d2t P_t below 2h is
+# rejected)
 KERNELS = {
     "coulomb": lambda h: chf.CoulombKernel(),
     "poisson": lambda h: chf.PoissonKernel(t=3.0 * h),
     "poisson_under_resolved": lambda h: chf.PoissonKernel(t=0.5 * h),
     "poisson_dt2": lambda h: chf.PoissonDt2Kernel(t=3.0 * h),
-    "poisson_dt2_under_resolved": lambda h: chf.PoissonDt2Kernel(t=h),
     "gaussian": lambda h: chf.Gaussian(alpha=1.0, amplitude=1.0),
     "gaussian_laplacian": lambda h: chf.GaussianLaplacian(alpha=1.0),
 }
@@ -251,16 +251,33 @@ class TestKernelConvolution:
             assert caught[0].filename == __file__
 
     def test_zero_field_skips_the_engine(self, grid32, monkeypatch):
-        # no transform and no warning, even for an under-resolved kernel
-        monkeypatch.setattr(ConvolutionPlan, "convolve_with_kernel", None)
+        # no sampling, no transform and no warning, even for an under-resolved
+        # kernel, from the module function and the plan method alike
+        monkeypatch.setattr(ConvolutionPlan, "kernel_spectrum", None)
+        monkeypatch.setattr(ConvolutionPlan, "_forward", None)
         zero = chf.ScalarField.zeros(grid32)
         under = chf.PoissonKernel(t=0.5 * grid32.spacing)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            single = chf.convolve_with_kernel(zero, under)
-            group = chf.convolve_with_kernel(zero, (under, chf.Gaussian(alpha=1.0)))
-        assert not single.values.any() and single.grid == grid32
-        assert len(group) == 2 and not any(g.values.any() for g in group)
+        for convolve in (chf.convolve_with_kernel, ConvolutionPlan(grid32).convolve_with_kernel):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                single = convolve(zero, under)
+                group = convolve(zero, (under, chf.Gaussian(alpha=1.0)))
+            assert not single.values.any() and single.grid == grid32
+            assert len(group) == 2 and not any(g.values.any() for g in group)
+
+    def test_under_resolved_dt2_kernel_is_rejected(self, grid32):
+        # every caller rejects t < 2h before it builds d2t P_t, so the engine
+        # has no under-resolved flavour of it; zero fields are rejected too
+        f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
+        under = chf.PoissonDt2Kernel(t=grid32.spacing)
+        for field in (f, chf.ScalarField.zeros(grid32)):
+            with pytest.raises(ResolutionError, match="below the resolution floor"):
+                chf.convolve_with_kernel(field, under)
+            with pytest.raises(ResolutionError):
+                chf.convolve_with_kernel(field, chf.Gaussian(alpha=1.0),
+                                         plus=((f, under, 1.0),))
+        at_floor = chf.PoissonDt2Kernel(t=chf.resolution_floor(grid32))
+        assert chf.convolve_with_kernel(f, at_floor).values.any()
 
     def test_under_resolved_is_t_below_two_h(self, grid32):
         floor = chf.resolution_floor(grid32)
@@ -609,12 +626,11 @@ class TestCombinedConvolutions:
         assert len(forwards) == 2
         for out, single, weight in zip(outs, singles, (-1.0, 2.0)):
             assert np.array_equal(out.values, weight * single.values)
-        # every field zero: zeros, and the module function skips the engine
+        # every field zero: zeros without a transform, from either entry point
         outs = plan.convolve_with_kernel(zero, kernels, plus=((zero, kernels, (1.0, 1.0)),))
         assert len(forwards) == 2 and not any(o.values.any() for o in outs)
-        monkeypatch.setattr(ConvolutionPlan, "convolve_with_kernel", None)
         out = chf.convolve_with_kernel(zero, kernels[0], plus=((zero, kernels[1], 2.0),))
-        assert out.grid == grid32 and not out.values.any()
+        assert len(forwards) == 2 and out.grid == grid32 and not out.values.any()
 
     def test_plus_is_validated(self, grid32, grid64, rng):
         f = _random(grid32, rng)

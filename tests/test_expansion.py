@@ -1,7 +1,11 @@
+from unittest import mock
+
 import pytest
 
 import convolve_hf as chf
+from convolve_hf.convolution import ConvolutionPlan
 from convolve_hf.errors import IllConditionedBasisError, ResolutionError
+from convolve_hf.hf import build_overlap_fields
 
 from support import normalized_field
 
@@ -70,6 +74,16 @@ class TestProjection:
         with pytest.raises(ValueError, match="order"):
             chf.project_orbitals(orbitals, basis, orders=(7,))
 
+    def test_projection_runs_no_convolution(self):
+        grid, system, orbitals, fields, basis = gaussian_orbital_setup(n=32)
+        original = ConvolutionPlan.convolve_with_kernel
+        with mock.patch.object(ConvolutionPlan, "convolve_with_kernel", autospec=True,
+                               side_effect=original) as convolve:
+            state = chf.project_orbitals(orbitals, basis, orders=(1, 2, 3))
+        assert convolve.call_count == 0
+        assert set(vars(state)) == {"orders", "truncations", "fit_errors", "k_bound",
+                                    "gram_condition"}
+
 
 class TestResidualLadders:
     def test_reproduction_matches_direct_pipelines(self):
@@ -95,10 +109,29 @@ class TestResidualLadders:
         ladder7 = chf.expansion_window_residuals(state, 0, orbitals, fields, w)
         for n, r6, r7 in zip(state.orders, ladder6, ladder7):
             trunc = chf.OrbitalSet(state.truncations[n], orbitals.energies, validate=False)
-            trunc_fields = chf.HfFields(fields.p, state.r_fields[n])
+            trunc_fields = chf.HfFields(fields.p, build_overlap_fields(trunc))
             assert r6.total_l2 == chf.poisson_transformed_residual(0, trunc, trunc_fields, t).total_l2
             assert r7.total_l2 == chf.window_transformed_residual(0, trunc, trunc_fields, w).total_l2
             assert r6.params["order"] == r7.params["order"] == n
+
+    def test_source_without_two_electron_terms_is_reproduced(self):
+        # the fields of such a source (hydrogen_identity, zero) set s to zero:
+        # the truncations' fields must keep it zero, not rebuild it from T
+        grid, system, orbitals, _, basis = gaussian_orbital_setup()
+        zero = chf.ScalarField.zeros(grid)
+        fields = chf.HfFields(p=chf.build_p(system, grid), s=((zero,),))
+        state = chf.project_orbitals(orbitals, basis, orders=(1,))
+        t, w = 0.8, chf.Gaussian(alpha=1.0, amplitude=1.0)
+        (ladder6,) = chf.expansion_poisson_residuals(state, 0, orbitals, fields, t)
+        (ladder7,) = chf.expansion_window_residuals(state, 0, orbitals, fields, w)
+        direct4 = chf.poisson_transformed_residual(0, orbitals, fields, t)
+        direct5 = chf.window_transformed_residual(0, orbitals, fields, w)
+        assert ladder6.term_l2[2] == ladder7.term_l2[2] == 0.0
+        assert abs(ladder6.total_l2 - direct4.total_l2) <= 1e-10
+        assert abs(ladder7.total_l2 - direct5.total_l2) <= 1e-10
+        (row,) = chf.expansion_transformed_residuals(state, 0, orbitals, fields, t, w)
+        assert row.thm6_l2 == pytest.approx(direct4.total_l2, rel=1e-12)
+        assert row.thm7_l2 == pytest.approx(direct5.total_l2, rel=1e-12)
 
     def test_combined_ladder_totals_agree_with_the_per_term_ladders(self):
         # the combined ladder sums in the spectrum, the per-term ladders on

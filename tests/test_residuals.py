@@ -158,15 +158,15 @@ class TestPairedEvaluation:
             chf.window_transformed_residual(0, orbitals, fields, w),
         )
         transformed = []
-        convolve = ConvolutionPlan.convolve_with_kernel
+        forward = ConvolutionPlan._forward
 
-        def recorded(plan, f, kernel, **kwargs):
-            transformed.append(f)
-            return convolve(plan, f, kernel, **kwargs)
+        def recorded(plan, values):
+            transformed.append(values)
+            return forward(plan, values)
 
-        monkeypatch.setattr(ConvolutionPlan, "convolve_with_kernel", recorded)
+        monkeypatch.setattr(ConvolutionPlan, "_forward", recorded)
         pair = chf.transformed_residuals(0, orbitals, fields, t, w)
-        assert len(transformed) == 2 and all(f.values.any() for f in transformed)
+        assert len(transformed) == 2 and all(v.any() for v in transformed)
         for paired, single in zip(pair, singles):
             assert paired.term_l2 == single.term_l2 and paired.term_sup == single.term_sup
             assert paired.term_l2[2] == 0.0

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ class TestApplyFock:
         psi = normalized_field(chf.sample(chf.Slater1s(), grid))
         out = chf.apply_fock(psi, system, fields, orbitals)
         resid = out.values + 0.5 * psi.values
-        keep = chf.nuclear_mask(grid, system, margin=0.75)
+        keep = chf.nuclear_mask(grid, replace(system, regular_set_margin=0.75))
         resid[~keep] = 0.0
         rel = np.sqrt((np.abs(resid) ** 2).sum()) / np.sqrt(
             (np.abs(0.5 * psi.values[keep]) ** 2).sum()

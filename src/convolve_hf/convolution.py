@@ -17,7 +17,10 @@ offsets j*h, j = 0..n, is sampled.  Its type-I DCT is exactly the DFT of
 the full (2n)^3 offset grid at frequencies 0..n per axis, and that DFT is
 real; the frequencies beyond n are its mirror images.  A cached spectrum
 is therefore a real (n+1)^3 array of 8 (n+1)^3 bytes: 7.3 MB at n = 96,
-where the complex rFFT of the padded grid took 57 MB.
+where the complex rFFT of the padded grid took 57 MB.  Along one axis,
+the DCT-I of x_0..x_n is the real part of the rFFT of its even extension
+x_0..x_n, x_{n-1}..x_1 of length 2n; taken along x, y and z in turn, as
+``scipy.fft.dctn(type=1)`` does, it gives that function's bits.
 
 Plane-blocked transforms
 ------------------------
@@ -35,6 +38,17 @@ nodes of the field itself; field-field convolutions multiply the two
 fields' blocks and keep the centre [n/2 : 3n/2], because the origin of
 both fields sits at node n/2.  Spectra are cached kz-first, so a block's
 kernel planes are one contiguous slice.
+
+Every pass is a one-axis ``numpy.fft`` transform of the last, contiguous
+axis, because numpy transforms a strided axis one line at a time.  The z
+pass runs on the field as stored.  A block's planes are copied into a
+zero-padded [kz, x, y] array for the y pass and its result into a
+zero-padded [kz, ky, x] array for the x pass, each transformed in place,
+so a block is indexed [kz, ky, kx] and meets its kernel planes through a
+transposed copy.  The inverse x pass runs on the block as it is, the
+inverse y pass on a transposed copy.  The lines and the order of the
+axes (z, y, x forward; x, y, z inverse) are those of ``scipy.fft`` on the
+whole padded spectrum, and so are the output bits.
 
 Grouped kernels
 ---------------
@@ -110,7 +124,6 @@ import warnings
 from collections import OrderedDict
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import GridMismatchError, ResolutionError, ResolutionWarning
 from .fields import GridSpec, ScalarField
@@ -240,8 +253,8 @@ def _terms(f, kernel, plus) -> list[tuple]:
 def _multiply_even(block: np.ndarray, planes: np.ndarray, add_to=None) -> np.ndarray:
     """``block`` times the same kz planes of an even kernel's padded
     spectrum, given by their octant ``planes`` (k, n+1, n+1), as a new
-    block, or added to the block ``add_to`` and returned; both are indexed
-    [kz, kx, ky], and the mirrored quadrants are views."""
+    block, or added to the block ``add_to`` and returned; all are indexed
+    alike ([kz, ky, kx]), and the mirrored quadrants are views."""
     n = planes.shape[1] - 1
     lo, hi, mirror = slice(0, n + 1), slice(n + 1, None), slice(n - 1, 0, -1)
     quadrants = ((lo, lo, planes), (lo, hi, planes[:, :, mirror]),
@@ -262,8 +275,44 @@ def _sum_of_products(blocks, spectra, coefficients, kz: slice) -> np.ndarray:
     coefficient of 1 multiplies nothing and a single term adds nothing."""
     product = None
     for block, octant, a in zip(blocks, spectra, coefficients):
-        product = _multiply_even(block, octant[kz] if a == 1.0 else a * octant[kz], product)
+        planes = _last(octant[kz], (0, 2, 1))  # [kz, ky, kx], as the blocks
+        product = _multiply_even(block, planes if a == 1.0 else a * planes, product)
     return product
+
+
+def _last(a: np.ndarray, axes: tuple) -> np.ndarray:
+    """``a`` transposed to ``axes`` as a contiguous copy, so that the axis
+    the next FFT runs on is the last one: numpy transforms a strided axis
+    one line at a time."""
+    return np.ascontiguousarray(a.transpose(axes))
+
+
+def _padded_last(a: np.ndarray, axes: tuple, m: int) -> np.ndarray:
+    """``a`` transposed to ``axes`` and zero-padded to length ``m`` along
+    the last axis, as a new contiguous complex array, so that the FFT of
+    its lines can run in place."""
+    b = a.transpose(axes)
+    out = np.zeros(b.shape[:-1] + (m,), dtype=complex)
+    out[..., : b.shape[-1]] = b
+    return out
+
+
+def _dct1_kz_first(octant: np.ndarray) -> np.ndarray:
+    """Type-I DCT of a cubic (n+1)^3 array along x, then y, then z, stored
+    [kz, kx, ky].  Along an axis, the DCT-I of x_0..x_n is the real part of
+    the rFFT of its even extension x_0..x_n, x_{n-1}..x_1 (length 2n).
+    The three passes share one extension and one output buffer, and each
+    runs on the last axis."""
+    n1 = octant.shape[0]
+    ext = np.empty((n1, n1, 2 * n1 - 2))
+    spec = np.empty((n1, n1, n1), dtype=complex)
+    values = octant
+    for _ in range(3):  # x, y and z in turn become the last axis
+        lines = values.transpose(1, 2, 0)
+        ext[..., :n1] = lines
+        ext[..., n1:] = lines[..., n1 - 2 : 0 : -1]  # not from ext: an overlap is copied first
+        values = np.fft.rfft(ext, out=spec).real
+    return np.ascontiguousarray(values.transpose(2, 0, 1))  # [kx, ky, kz] -> [kz, kx, ky]
 
 
 _PLANES = 8  # kz frequency planes per block of the padded x and y passes, for one field
@@ -303,8 +352,7 @@ class ConvolutionPlan:
             if key in _spectra:
                 _spectra.move_to_end(key)
                 return _spectra[key]
-        spec = sfft.dctn(_sample_kernel_octant(kernel, self.grid), type=1)
-        spec = np.ascontiguousarray(spec.transpose(2, 0, 1))
+        spec = _dct1_kz_first(_sample_kernel_octant(kernel, self.grid))
         spec.flags.writeable = False
         with _spectra_lock:
             if key in _spectra:  # another thread computed it meanwhile
@@ -322,30 +370,32 @@ class ConvolutionPlan:
     def _forward(self, values: np.ndarray) -> np.ndarray:
         """z pass of the DFT of real ``values`` zero-padded to (2n)^3: the
         n+1 nonnegative kz frequencies, shape (n, n, n+1)."""
-        return sfft.rfftn(values, s=(2 * self.grid.points_per_axis,), axes=(2,))
+        return np.fft.rfft(values, n=2 * self.grid.points_per_axis, axis=2)
 
     def _block(self, zspec: np.ndarray, kz: slice) -> np.ndarray:
         """The kz planes ``kz`` of the padded DFT, from its z pass ``zspec``:
-        shape (k, 2n, 2n) indexed [kz, kx, ky].  y runs on the n nonzero x
-        rows, then x on all rows."""
+        shape (k, 2n, 2n) indexed [kz, ky, kx].  y runs on the n nonzero x
+        rows, then x on all rows, each on the last axis."""
         m = 2 * self.grid.points_per_axis
-        y_pass = sfft.fftn(zspec[:, :, kz].transpose(2, 0, 1), s=(m,), axes=(2,))
-        return sfft.fftn(y_pass, s=(m,), axes=(1,), overwrite_x=True)
+        rows = _padded_last(zspec[:, :, kz], (2, 0, 1), m)
+        np.fft.fft(rows, out=rows)  # y pass: [kz, x, ky]
+        block = _padded_last(rows, (0, 2, 1), m)
+        return np.fft.fft(block, out=block)
 
     @staticmethod
     def _inverse_block(block: np.ndarray, keep: slice, out: np.ndarray, kz: slice) -> None:
-        """Inverse x then y pass of a plane block, each cropped to ``keep``,
-        stored as the kz planes ``kz`` of ``out`` (n, n, n+1)."""
-        block = sfft.ifftn(block, axes=(1,), overwrite_x=True)[:, keep]
-        block = sfft.ifftn(block, axes=(2,), overwrite_x=True)[:, :, keep]
-        out[:, :, kz] = block.transpose(1, 2, 0)
+        """Inverse x then y pass of a plane block [kz, ky, kx], each cropped
+        to ``keep``, stored as the kz planes ``kz`` of ``out`` (n, n, n+1)."""
+        x_pass = np.fft.ifft(block, out=block)[:, :, keep]  # [kz, ky, x]
+        y_pass = _last(x_pass, (0, 2, 1))
+        out[:, :, kz] = np.fft.ifft(y_pass, out=y_pass)[:, :, keep].transpose(1, 2, 0)
 
     def _inverse_z(self, planes: list[np.ndarray], keep: slice) -> np.ndarray:
         """Real inverse z pass of the first (n, n, n+1) kz-plane array of
         ``planes``, cropped to ``keep`` and scaled by h^3.  The array is
         popped, so it is freed before the output is allocated."""
         m = 2 * self.grid.points_per_axis
-        out = sfft.irfftn(planes.pop(0), s=(m,), axes=(2,), overwrite_x=True)
+        out = np.fft.irfft(planes.pop(0), n=m)
         return out[:, :, keep] * self.grid.spacing**3
 
     def convolve_with_kernel(

@@ -83,11 +83,10 @@ def project_orbitals(
         )
     rhs = np.array([[inner(sampled[i], psi) for psi in orbitals.orbitals] for i in range(m)])
 
-    from scipy import linalg as sla  # only here, so importing the CLI skips scipy.linalg
     truncations, fit_errors = {}, {}
     for order in orders:
-        cho = sla.cho_factor(gram[:order, :order])
-        coeff = sla.cho_solve(cho, rhs[:order, :])
+        lower = np.linalg.cholesky(gram[:order, :order])
+        coeff = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs[:order, :]))
         ts = tuple(
             ScalarField(grid=grid, values=sum(coeff[k, a] * sampled[k].values for k in range(order)))
             for a in range(len(orbitals))

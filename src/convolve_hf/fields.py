@@ -5,7 +5,9 @@ x_i = -L + i*h, h = 2L/n (the origin is a node for even n).  A field's
 values are stored as a C-ordered (n, n, n) array indexed ``values[i, j, k]``
 for the point (x_i, y_j, z_k).  Fields are real float64: the closed-shell
 Hamiltonian is real, so its orbitals and every field built from them can
-be taken real.  Quadrature assigns every node the weight h^3.
+be taken real.  Quadrature assigns every node the weight h^3.  The grid
+transforms of the spectral Laplacian and the SCF are one ``rfftn`` /
+``irfftn`` pair of one-axis ``numpy.fft`` passes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import GridMismatchError, NonFiniteError, SupportWarning
 
@@ -26,6 +27,8 @@ __all__ = [
     "norm",
     "inner",
     "laplacian",
+    "rfftn",
+    "irfftn",
     "spectral_laplacian",
     "outer_shell_mass_fraction",
 ]
@@ -161,15 +164,16 @@ def norm(f: ScalarField, p: float = 2) -> float:
 def inner(f: ScalarField, g: ScalarField) -> float:
     """<f, g> = integral of f * g."""
     _require_same_grid(f, g)
-    return float(np.vdot(f.values, g.values) * f.grid.spacing**3)
+    # not a BLAS dot, whose sum depends on the thread count
+    return float(np.einsum("ijk,ijk->", f.values, g.values) * f.grid.spacing**3)
 
 
 @lru_cache(maxsize=8)
 def _spectral_multiplier(grid: GridSpec) -> np.ndarray:
     """-4 pi^2 |omega|^2 on the rFFT frequency grid, shared read-only."""
     h = grid.spacing
-    kx = sfft.fftfreq(grid.points_per_axis, d=h)
-    kz = sfft.rfftfreq(grid.points_per_axis, d=h)
+    kx = np.fft.fftfreq(grid.points_per_axis, d=h)
+    kz = np.fft.rfftfreq(grid.points_per_axis, d=h)
     mult = -4.0 * np.pi**2 * (
         kx[:, None, None] ** 2 + kx[None, :, None] ** 2 + kz[None, None, :] ** 2
     )
@@ -177,11 +181,31 @@ def _spectral_multiplier(grid: GridSpec) -> np.ndarray:
     return mult
 
 
+def rfftn(values: np.ndarray) -> np.ndarray:
+    """3-D DFT of a real (n, n, n) array, (n, n, n//2 + 1): a real
+    transform along z, then complex ones along x and y, the passes of
+    ``scipy.fft.rfftn``, so the result is its bits (``numpy.fft.rfftn``
+    takes y before x and differs in the last bits)."""
+    spec = np.fft.rfft(values)
+    spec = np.fft.fft(spec, axis=0, out=spec)
+    return np.fft.fft(spec, axis=1, out=spec)
+
+
+def irfftn(spec: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`rfftn` for a real (n, n, n) array: unscaled
+    inverse transforms along x and y, then the real one along z, then one
+    scaling by 1/n^3.  The passes and the single scaling are those of
+    ``scipy.fft.irfftn``, so the result is its bits."""
+    spec = np.fft.ifft(spec, axis=0, norm="forward")
+    spec = np.fft.ifft(spec, axis=1, norm="forward", out=spec)
+    return np.fft.irfft(spec, n=n, norm="forward") * (1.0 / n**3)
+
+
 def spectral_laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Spectral (periodic) Laplacian of a real (n, n, n) array on ``grid``."""
-    spec = sfft.rfftn(values)
+    spec = rfftn(values)
     spec *= _spectral_multiplier(grid)
-    return sfft.irfftn(spec, s=grid.shape)
+    return irfftn(spec, grid.points_per_axis)
 
 
 def laplacian(f: ScalarField, method: str = "spectral") -> ScalarField:

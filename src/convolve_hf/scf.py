@@ -39,11 +39,18 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .convolution import coulomb_convolve
 from .errors import ScfDivergedError
-from .fields import GridSpec, ScalarField, _spectral_multiplier, laplacian, spectral_laplacian
+from .fields import (
+    GridSpec,
+    ScalarField,
+    _spectral_multiplier,
+    irfftn,
+    laplacian,
+    rfftn,
+    spectral_laplacian,
+)
 from .hf import (
     HfFields,
     MolecularSystem,
@@ -209,7 +216,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
         for _ in range(_INNER_STEPS):
             eps = kinetic + (psi * v_eff * psi).sum() * h3
             with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                spec = sfft.rfftn(psi - dt * (v_eff - (eps + sigma)) * psi)
+                spec = rfftn(psi - dt * (v_eff - (eps + sigma)) * psi)
                 spec *= gain
                 # norm and kinetic energy by Parseval on the rFFT half
                 # spectrum, whose interior columns count twice
@@ -220,7 +227,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
                 kinetic = -0.5 * (mult * power).sum() / mass
             if not np.isfinite(mass) or mass == 0.0:
                 raise ScfDivergedError("imaginary-time propagation diverged; reduce time_step")
-            psi = sfft.irfftn(spec, s=shape)
+            psi = irfftn(spec, shape[0])
             psi /= np.sqrt(mass * h3 / psi.size)
         return psi, kinetic
 
@@ -249,9 +256,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
             precond_mul = 1.0 / (-0.5 * mult + max(1.0, -shift))
             precond = spla.LinearOperator(
                 (psi.size, psi.size),
-                matvec=lambda v: sfft.irfftn(
-                    sfft.rfftn(v.reshape(shape)) * precond_mul, s=shape
-                ).ravel(),
+                matvec=lambda v: irfftn(rfftn(v.reshape(shape)) * precond_mul, shape[0]).ravel(),
             )
             sol, info = spla.cg(op, psi.ravel(), rtol=_CG_TOL, maxiter=400, M=precond)
             if info != 0:

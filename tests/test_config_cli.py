@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import os
 import random
 import re
@@ -569,20 +570,41 @@ class TestOutputOverrides:
 
 
 class TestStartup:
-    @staticmethod
-    def _loaded_by_cli_import(module):
+    def test_no_scipy_module_on_the_default_paths(self, tmp_path):
+        # FFTs, the Cholesky solve and erf come from numpy and math; only
+        # scf.eigensolver = inverse_iteration imports scipy (scipy.sparse)
+        hydrogen = write_config(tmp_path, (
+            "grid.n = 16\ngrid.extent = 8.0\nsystem.nuclei = 1.0, 0.0, 0.0, 0.0\n"
+            "residuals.source = hydrogen_identity\nresiduals.t = 2.5\nbasis.count = 4\n"),
+            name="h16.cfg")
+        helium = write_config(tmp_path, (
+            "grid.n = 16\ngrid.extent = 8.0\nsystem.nuclei = 2.0, 0.0, 0.0, 0.0\n"
+            "scf.eigensolver = imaginary_time\n"), name="he16.cfg")
+        runs = [
+            ["residuals", "--config", str(hydrogen)],
+            ["expand", "--config", str(hydrogen)],
+            ["extend-sweep", "--config", str(REPO / "configs" / "extend_sweep.cfg"),
+             "--grid-n", "16"],
+            # every check runs; on this coarse grid some fail (exit 3)
+            ["verify", "--config", str(REPO / "configs" / "verify.cfg"), "--grid-n", "16"],
+            ["scf", "--config", str(helium)],
+        ]
+        script = (
+            "import json, sys\n"
+            "import convolve_hf.cli as cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "seen = {'import': [0, scipy_modules()]}\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    code = cli.main(argv + ['--out', sys.argv[2] + str(i), '--quiet'])\n"
+            "    seen[argv[0]] = [code, scipy_modules()]\n"
+            "print(json.dumps(seen))\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys, convolve_hf.cli; print({module!r} in sys.modules)"],
-            capture_output=True, text=True,
+            [sys.executable, "-c", script, json.dumps(runs), str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip()
-
-    def test_cli_import_leaves_scipy_sparse_unloaded(self):
-        # scipy.sparse is imported only by the inverse-iteration eigensolver
-        assert self._loaded_by_cli_import("scipy.sparse") == "False"
-
-    def test_cli_import_leaves_scipy_linalg_unloaded(self):
-        # scipy.linalg is imported only by the basis projection's Cholesky solve
-        assert self._loaded_by_cli_import("scipy.linalg") == "False"
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {"import": [0, []], "residuals": [0, []], "expand": [0, []],
+                        "extend-sweep": [0, []], "verify": [3, []], "scf": [0, []]}

@@ -423,6 +423,16 @@ class TestPrunedEngine:
         spec = ConvolutionPlan(grid32).kernel_spectrum(kernel)
         assert _rel_err(spec, full.real.transpose(2, 0, 1)) <= 1e-14  # kz-first
 
+    @pytest.mark.parametrize("n", [16, 48])
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_spectrum_is_scipy_dctn_bit_for_bit(self, n, kind):
+        grid = chf.GridSpec(points_per_axis=n, extent=8.0)
+        kernel = KERNELS[kind](grid.spacing)
+        ref = sfft.dctn(_sample_kernel_octant(kernel, grid), type=1).transpose(2, 0, 1)
+        with _empty_cache():  # a cold computation, not an earlier test's spectrum
+            spec = ConvolutionPlan(grid).kernel_spectrum(kernel)
+        assert spec.tobytes() == np.ascontiguousarray(ref).tobytes()
+
     @pytest.mark.parametrize("kind", sorted(KERNELS))
     def test_kernel_convolution_matches_padded_reference(self, grid32, rng, kind):
         f = _random(grid32, rng)

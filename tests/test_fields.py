@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 
 import convolve_hf as chf
 from convolve_hf.errors import GridMismatchError, NonFiniteError, SupportWarning
-from convolve_hf.fields import outer_shell_mass_fraction
+from convolve_hf.fields import irfftn, outer_shell_mass_fraction, rfftn
 
 from support import unit_gaussian_orbital
 
@@ -161,6 +166,25 @@ class TestInner:
         with pytest.raises(GridMismatchError):
             chf.inner(chf.ScalarField.zeros(grid32), chf.ScalarField.zeros(grid64))
 
+    def test_same_bits_for_every_blas_thread_count(self):
+        # a BLAS dot splits its sum by thread, so its last bits follow the
+        # thread count; the quadrature of the SCF and the Gram matrix must not
+        script = (
+            "import numpy as np, convolve_hf as chf; "
+            "g = chf.GridSpec(points_per_axis=96, extent=8.0); "
+            "r = np.random.default_rng(7); "
+            "f, h = (chf.ScalarField(grid=g, values=r.standard_normal(g.shape)) for _ in 'fh'); "
+            "print(repr(chf.inner(f, h)))"
+        )
+        printed = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            printed.add(proc.stdout.strip())
+        assert len(printed) == 1, printed
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31))
     def test_cauchy_schwarz(self, seed):
@@ -169,6 +193,22 @@ class TestInner:
         f = chf.ScalarField(grid=g, values=r.standard_normal(g.shape))
         h = chf.ScalarField(grid=g, values=r.standard_normal(g.shape))
         assert abs(chf.inner(f, h)) <= chf.norm(f, 2) * chf.norm(h, 2) * (1 + 1e-12)
+
+
+class TestGridTransforms:
+    @pytest.mark.parametrize("n", [8, 48, 64, 96])
+    def test_pair_is_scipy_fft_bit_for_bit(self, n):
+        values = np.random.default_rng(n).standard_normal((n, n, n))
+        spec = rfftn(values)
+        assert spec.tobytes() == sfft.rfftn(values).tobytes()
+        spec *= np.random.default_rng(n + 1).standard_normal(spec.shape)
+        assert irfftn(spec, n).tobytes() == sfft.irfftn(spec, s=(n, n, n)).tobytes()
+
+    def test_inverse_leaves_its_input(self, grid32, rng):
+        spec = rfftn(random_field(grid32, rng).values)
+        kept = spec.copy()
+        irfftn(spec, grid32.points_per_axis)
+        assert spec.tobytes() == kept.tobytes()
 
 
 class TestLaplacian:

@@ -2,21 +2,27 @@
 
 The tracer wraps the ``ConvolutionPlan`` methods and ``scf.solve`` by name
 and reads the plan's ``grid`` and the result's ``iteration_count``, so
-renaming or moving them would silently empty its spans.
+renaming or moving them would silently empty its spans.  It wraps the
+``scipy.fft`` transforms, which the package no longer calls, so the FFT
+properties are checked in-process on ``numpy.fft`` instead.
 """
 
+import contextlib
 import importlib.util
 import json
 import os
 import subprocess
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from convolve_hf import cli
+import convolve_hf as chf
+from convolve_hf import cli, scf
 from convolve_hf.convolution import ConvolutionPlan
 
 REPO = Path(__file__).resolve().parent.parent
@@ -73,36 +79,70 @@ def test_traced_transforms_keep_every_padded_pass_inside_a_convolution(tmp_path,
     assert proc.returncode == 0, proc.stderr
     trace = layers.CommandTrace(command, spawned, reaped, json.loads(spans.read_text()))
     assert trace.errors() == []
-    padded = [s for s in trace.spans if s["name"] == "fft" and max(s["attrs"]["shape"]) > 32]
-    assert padded
-    for span in padded:
-        assert any(a["name"] in layers.CONVOLUTION for a in trace.ancestors(span)), span
-    # one forward transform (its z pass is the only padded rfftn) per field
-    # convolved in each span
     convolutions = [s for s in trace.spans if s["name"] == "convolution.kernel"]
-    forwards = [s for s in padded if s["attrs"]["fn"] == "rfftn"]
-    per_span = [sum(any(a is span for a in trace.ancestors(fwd)) for fwd in forwards)
-                for span in convolutions]
-    assert per_span == _fields_per_convolution(command, config, tmp_path / "in_process")
-    if command == "expand":  # each ladder order convolves T and c in one span
-        assert 2 in per_span
 
-
-def _fields_per_convolution(command, config, out):
-    """Fields transformed by each ``ConvolutionPlan.convolve_with_kernel``
-    call of an in-process run of ``command``, in call order: every field of
-    the call that is not all zero."""
-    counts = []
-    original = ConvolutionPlan.convolve_with_kernel
-
-    def counting(self, f, kernel, *, plus=(), **kwargs):
-        fields = [f, *(g for g, _, _ in plus)]
-        counts.append(sum(bool(g.values.any()) for g in fields))
-        return original(self, f, kernel, plus=plus, **kwargs)
-
-    with mock.patch.object(ConvolutionPlan, "convolve_with_kernel", counting):
+    def run():
+        out = tmp_path / "in_process"
         assert cli.main([command, "--config", str(config), "--out", str(out), "--quiet"]) == 0
-    return counts
+
+    calls, ffts = _record_transforms(run)
+    kernel_calls = [i for i, (method, _) in enumerate(calls) if method == "convolve_with_kernel"]
+    assert len(convolutions) == len(kernel_calls)
+    padded = [f for f in ffts if max(*f.shape_in, *f.shape_out) > 32]
+    assert padded
+    assert all(f.call is not None for f in padded)
+    # one forward transform (its z pass, the only rfft of a grid-shaped
+    # array inside a convolution) per field convolved in each call
+    forwards = [f.call for f in padded if f.name == "rfft" and f.shape_in == (32, 32, 32)]
+    per_call = [forwards.count(i) for i in kernel_calls]
+    assert per_call == [calls[i][1] for i in kernel_calls]
+    if command == "expand":  # each ladder order convolves T and c in one call
+        assert 2 in per_call
+
+
+# one numpy.fft call: its name, input and output shapes, and the index of
+# the innermost ConvolutionPlan call it ran in (None outside any)
+_Transform = namedtuple("_Transform", "name shape_in shape_out call")
+
+
+def _record_transforms(run):
+    """Call ``run()`` with the one-axis ``numpy.fft`` transforms and the
+    ``ConvolutionPlan`` methods wrapped.  Returns the plan calls in call
+    order, each (method, fields it transforms: for ``convolve_with_kernel``
+    every field of the call that is not all zero), and the transforms as
+    ``_Transform`` records."""
+    calls, ffts, open_calls = [], [], []
+
+    def fft(name, original):
+        def recorded(a, *args, **kwargs):
+            out = original(a, *args, **kwargs)
+            ffts.append(_Transform(name, np.shape(a), out.shape,
+                                   open_calls[-1] if open_calls else None))
+            return out
+        return recorded
+
+    def method(name, original):
+        def recorded(self, *args, **kwargs):
+            if name == "convolve_with_kernel":
+                fields = [args[0], *(g for g, _, _ in kwargs.get("plus", ()))]
+                calls.append((name, sum(bool(g.values.any()) for g in fields)))
+            else:
+                calls.append((name, None))
+            open_calls.append(len(calls) - 1)
+            try:
+                return original(self, *args, **kwargs)
+            finally:
+                open_calls.pop()
+        return recorded
+
+    with contextlib.ExitStack() as patches:
+        for name in ("rfft", "fft", "ifft", "irfft"):
+            patches.enter_context(mock.patch.object(np.fft, name, fft(name, getattr(np.fft, name))))
+        for name in ("kernel_spectrum", "convolve_with_kernel", "convolve_fields"):
+            original = getattr(ConvolutionPlan, name)
+            patches.enter_context(mock.patch.object(ConvolutionPlan, name, method(name, original)))
+        run()
+    return calls, ffts
 
 
 def test_traced_extend_sweep_records_convolution_spans(tmp_path):
@@ -150,4 +190,14 @@ def test_traced_scf_records_its_iterations(tmp_path):
         line.split(" = ", 1) for line in (tmp_path / "out" / "summary.txt").read_text().splitlines()
     )
     assert solves[0][4]["iterations"] == int(summary["iterations"])
-    assert any(span[0] == "fft" for span in recorded)
+
+
+def test_solve_runs_grid_transforms():
+    # the benchmark's fft.grid layer: transforms of grid-shaped arrays
+    # outside any convolution, here the imaginary-time steps
+    grid = chf.GridSpec(points_per_axis=32, extent=12.0)
+    system = chf.MolecularSystem(nuclei=((2.0, (0.0, 0.0, 0.0)),), pair_count=1)
+    config = chf.ScfConfig(max_iterations=2)
+    _, ffts = _record_transforms(lambda: scf.solve(system, grid, config))
+    steps = [f.name for f in ffts if f.call is None and f.shape_in in ((32, 32, 32), (32, 32, 17))]
+    assert steps.count("rfft") >= 2 * 4 and steps.count("irfft") >= 2 * 4  # 4 steps per iteration

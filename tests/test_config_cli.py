@@ -570,6 +570,24 @@ class TestOutputOverrides:
 
 
 class TestStartup:
+    @staticmethod
+    def _loaded_by_cli_import(module):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, convolve_hf.cli; print({module!r} in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_cli_import_leaves_scipy_sparse_unloaded(self):
+        # scipy.sparse is imported only by the inverse-iteration eigensolver
+        assert self._loaded_by_cli_import("scipy.sparse") == "False"
+
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        # the basis projection's Cholesky solve is numpy.linalg's
+        assert self._loaded_by_cli_import("scipy.linalg") == "False"
+
     def test_no_scipy_module_on_the_default_paths(self, tmp_path):
         # FFTs, the Cholesky solve and erf come from numpy and math; only
         # scf.eigensolver = inverse_iteration imports scipy (scipy.sparse)

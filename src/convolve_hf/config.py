@@ -71,6 +71,9 @@ class RunConfig:
                 raise ConfigError(f"{key}: cannot parse {str(value)!r} (not a finite number)")
         if self.masking_radius_cells <= 0:
             raise ConfigError("masking.radius_cells must be positive")
+        if self.masking_radius_cells > self.grid_n:
+            raise ConfigError(f"masking.radius_cells must be at most grid.n = {self.grid_n}, "
+                              f"got {self.masking_radius_cells:g}")
         if self.pairs != 1:
             raise ConfigError(f"system.pairs must be 1 (the SCF solves one orbital), "
                               f"got {self.pairs}")
@@ -92,6 +95,9 @@ class RunConfig:
                                   f"(1/(t/8)^2 must be a finite positive number)")
         if self.window_alpha <= 0:
             raise ConfigError("window.alpha must be positive")
+        if self.window_alpha * grid.spacing**2 > 100.0:
+            raise ConfigError(f"window.alpha * h^2 must be at most 100 (h = {grid.spacing:g}), "
+                              f"got window.alpha = {self.window_alpha:g}")
         if self.basis_alpha0 <= 0:
             raise ConfigError("basis.alpha0 must be positive")
         if self.basis_beta <= 1.0:
@@ -100,6 +106,10 @@ class RunConfig:
             raise ConfigError("basis.count must be >= 1")
         if self.residuals_t <= 0:
             raise ConfigError("residuals.t must be positive")
+        if self.residuals_t > 4.0 * self.grid_extent:
+            raise ConfigError(f"residuals.t must be at most 4 * grid.extent = "
+                              f"{4.0 * self.grid_extent:g} (the padded box width), "
+                              f"got {self.residuals_t:g}")
         return self
 
     def orders(self) -> tuple[int, ...]:

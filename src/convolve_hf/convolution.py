@@ -27,28 +27,58 @@ Plane-blocked transforms
 A field fills one octant of the padded box, and the padded spectrum is
 never held whole.  Fields are real, so the z pass is one real transform
 of the n^2 z lines, keeping the n+1 nonnegative kz frequencies in an
-(n, n, n+1) array.  The x and y passes run on blocks of ``_PLANES`` kz
-planes: y on the n nonzero x rows of a block zero-padded to (k, 2n, 2n),
-then x on all rows.  A kernel's product with the block goes through the
-inverse x and y passes, each cropped to n rows as soon as it has run,
-and the (k, n, n) result is stored in the same kz planes of an
-(n, n, n+1) array; one real inverse z pass of that array, cropped and
-scaled by h^3, is the output.  Kernel convolutions keep nodes [:n], the
-nodes of the field itself; field-field convolutions multiply the two
-fields' blocks and keep the centre [n/2 : 3n/2], because the origin of
-both fields sits at node n/2.  Spectra are cached kz-first, so a block's
-kernel planes are one contiguous slice.
+(n, n, n+1) array.  The x and y passes run on blocks of k kz planes: y on
+the n nonzero x rows of a block zero-padded to (k, 2n, 2n), then x on all
+rows.  A kernel's product with the block goes through the inverse x and
+y passes, each cropped to n rows as soon as it has run, and the (k, n, n)
+result is stored in the same kz planes of an (n, n, n+1) array; one real
+inverse z pass of that array, cropped and scaled by h^3, is the output.
+Kernel convolutions keep nodes [:n], the nodes of the field itself;
+field-field convolutions multiply the two fields' blocks and keep the
+centre [n/2 : 3n/2], because the origin of both fields sits at node n/2.
 
 Every pass is a one-axis ``numpy.fft`` transform of the last, contiguous
 axis, because numpy transforms a strided axis one line at a time.  The z
 pass runs on the field as stored.  A block's planes are copied into a
-zero-padded [kz, x, y] array for the y pass and its result into a
-zero-padded [kz, ky, x] array for the x pass, each transformed in place,
-so a block is indexed [kz, ky, kx] and meets its kernel planes through a
-transposed copy.  The inverse x pass runs on the block as it is, the
-inverse y pass on a transposed copy.  The lines and the order of the
-axes (z, y, x forward; x, y, z inverse) are those of ``scipy.fft`` on the
-whole padded spectrum, and so are the output bits.
+rows buffer [kz, x, y], zero-padded along y, for the y pass, and its
+result into a block buffer [kz, ky, x], zero-padded along x, for the x
+pass, each transformed in place.  So a block is indexed [kz, ky, kx], and
+spectra are cached in that order: a block's kernel planes are one
+contiguous slice.  The inverse x pass runs on the product in place, the
+inverse y pass on a transposed copy in the rows buffer.  The lines and
+the order of the axes (z, y, x forward; x, y, z inverse) are those of
+``scipy.fft`` on the whole padded spectrum, and so are the output bits.
+
+Workers
+-------
+Every pass transforms independent lines, so each is shared among worker
+threads: the forward and inverse z passes by x rows, the plane blocks by
+contiguous shares of the kz blocks, and each pass of a spectrum's DCT-I
+by lines.  The calling thread runs the first share and a module-level
+pool, created on first use, the others; numpy's transforms and copies of
+large arrays release the GIL.  There is one worker per CPU the process
+may run on (``os.sched_getaffinity``), the calling thread counting as
+one, at most 8 // (arrays per worker), so that every block keeps a kz
+plane.  On one CPU, and on grids below ``_THREADED_N`` = 48 nodes, whose
+numpy calls are too short to gain over the handoffs between threads,
+every pass runs inline and no pool is made.  A worker writes only its own
+lines or kz planes, and every line is transformed alone, so the output
+bytes do not depend on the number of workers.  A DCT-I pass reads the
+previous pass's output from the buffer it writes, so all of its lines
+are gathered before any of them is transformed.
+
+A worker allocates nothing larger than pocketfft's line scratch.  The
+calling thread allocates each worker's buffers once per call: rows
+(k, n, 2n), one block (k, 2n, 2n) per field and, when there are several
+outputs, a spare block for the products of all outputs but the last,
+whose product overwrites the first field's block.  The rows also hold a
+product's quadrant scratch and the inverse y pass, and the inverse z
+pass runs one x row at a time in an (n, 2n) line buffer per worker.
+A block holds k = 8 // (workers x arrays) planes, so the blocks of all
+workers together take about the memory of one 8-plane block.  Arrays a
+worker thread allocates come from its own glibc arena, which raised the
+peak RSS where workers allocated their blocks; arrays the calling thread
+allocates do not.
 
 Grouped kernels
 ---------------
@@ -76,21 +106,22 @@ are one such call: two forward and two inverse transforms instead of
 three and six for the grouped per-term convolutions.  A single field
 stays on the same path (no multiply by 1, no accumulation), so its
 outputs are the grouped call's bytes; a combined output differs from the
-sum of separate convolutions by roundoff.  With several fields a block
-holds ``_PLANES`` // (number of fields) kz planes, so the blocks of all
-fields together take about the memory of one 8-plane block.
+sum of separate convolutions by roundoff.
 
 Memory, in units of one padded half-spectrum S = 16 (2n)^2 (n+1) bytes
-(57 MB at n = 96): the z pass and each kernel's planes take S/4, a block
-k/(n+1) S (0.08 S at n = 96).  A single convolution peaks at 0.5 S, in
-the z pass (the field zero-padded along z and its transform, S/4 each);
-each further kernel of a group adds S/4.  In a combined call the outputs
-overwrite the fields' z passes block by block, so two fields with two
-outputs peak at 0.75 S, in the second field's z pass.  tracemalloc at
-n = 96 reads 29 MB for one kernel, 43 MB for two, 57 MB for three, 43 MB
-for two fields with two outputs (two grouped calls: 57 MB) and 43 MB for
-``convolve_fields``, where building the padded spectrum took 86, 115 and
-143 MB for one kernel, three and ``convolve_fields``.
+(57 MB at n = 96): each field's z pass and each further output's planes
+take S/4, an output S/8, and the worker buffers of a call about S/8.  A
+single convolution peaks at 3S/8, both in its block loop (the z pass and
+the buffers) and in its inverse z pass (the z pass and the output).
+Every further output adds S/4: a call with several outputs peaks in the
+first output's inverse z pass, while the planes of all outputs are held.
+In a combined call the outputs overwrite the fields' z passes block by
+block, so two fields with two outputs also peak at 5S/8.  tracemalloc at
+n = 96 reads 22 MB for one kernel, 36 MB for two, 50 MB for three, 36 MB
+for two fields with two outputs and 35 MB for ``convolve_fields``; with
+per-block arrays and a whole (n, n, 2n) inverse z pass they took 29, 43,
+57, 43 and 40 MB, and building the padded spectrum 86, 115 and 143 MB
+for one kernel, three and ``convolve_fields``.
 
 Spectrum cache
 --------------
@@ -119,6 +150,7 @@ equal cell averages to O(h^4).
 
 from __future__ import annotations
 
+import os
 import threading
 import warnings
 from collections import OrderedDict
@@ -250,79 +282,129 @@ def _terms(f, kernel, plus) -> list[tuple]:
     return terms
 
 
-def _multiply_even(block: np.ndarray, planes: np.ndarray, add_to=None) -> np.ndarray:
-    """``block`` times the same kz planes of an even kernel's padded
-    spectrum, given by their octant ``planes`` (k, n+1, n+1), as a new
-    block, or added to the block ``add_to`` and returned; all are indexed
-    alike ([kz, ky, kx]), and the mirrored quadrants are views."""
+def _quadrants(planes: np.ndarray) -> tuple:
+    """(x, y, planes) for the four quadrants of a block [kz, ky, kx] that
+    an even kernel's octant ``planes`` (k, n+1, n+1) covers, the mirrored
+    ones as views."""
     n = planes.shape[1] - 1
     lo, hi, mirror = slice(0, n + 1), slice(n + 1, None), slice(n - 1, 0, -1)
-    quadrants = ((lo, lo, planes), (lo, hi, planes[:, :, mirror]),
-                 (hi, lo, planes[:, mirror]), (hi, hi, planes[:, mirror, mirror]))
-    if add_to is None:
-        out = np.empty_like(block)
-        for x, y, p in quadrants:
-            np.multiply(block[:, x, y], p, out=out[:, x, y])
-        return out
-    for x, y, p in quadrants:  # a quadrant-sized temporary at a time
-        add_to[:, x, y] += block[:, x, y] * p
-    return add_to
+    return ((lo, lo, planes), (lo, hi, planes[:, :, mirror]),
+            (hi, lo, planes[:, mirror]), (hi, hi, planes[:, mirror, mirror]))
 
 
-def _sum_of_products(blocks, spectra, coefficients, kz: slice) -> np.ndarray:
-    """Sum over fields of coefficient times the field's ``blocks`` entry
-    times the kz planes ``kz`` of its kernel octant in ``spectra``; a
-    coefficient of 1 multiplies nothing and a single term adds nothing."""
-    product = None
-    for block, octant, a in zip(blocks, spectra, coefficients):
-        planes = _last(octant[kz], (0, 2, 1))  # [kz, ky, kx], as the blocks
-        product = _multiply_even(block, planes if a == 1.0 else a * planes, product)
-    return product
-
-
-def _last(a: np.ndarray, axes: tuple) -> np.ndarray:
-    """``a`` transposed to ``axes`` as a contiguous copy, so that the axis
-    the next FFT runs on is the last one: numpy transforms a strided axis
-    one line at a time."""
-    return np.ascontiguousarray(a.transpose(axes))
-
-
-def _padded_last(a: np.ndarray, axes: tuple, m: int) -> np.ndarray:
-    """``a`` transposed to ``axes`` and zero-padded to length ``m`` along
-    the last axis, as a new contiguous complex array, so that the FFT of
-    its lines can run in place."""
-    b = a.transpose(axes)
-    out = np.zeros(b.shape[:-1] + (m,), dtype=complex)
-    out[..., : b.shape[-1]] = b
+def _sum_of_products(blocks, spectra, coefficients, kz: slice, out, scratch) -> np.ndarray:
+    """Into ``out`` (which may be the first block), the sum over fields of
+    coefficient times the field's ``blocks`` entry times the kz planes
+    ``kz`` of its kernel octant in ``spectra``; all are indexed [kz, ky, kx].
+    A coefficient of 1 multiplies nothing and a single term adds nothing.
+    ``scratch`` (the worker's rows: 2kn^2 values, more than a quadrant's
+    k(n+1)^2) holds one quadrant's scaled kernel planes or product at a
+    time, so nothing is allocated."""
+    for j, (block, octant, a) in enumerate(zip(blocks, spectra, coefficients)):
+        for x, y, planes in _quadrants(octant[kz]):
+            term = scratch.reshape(-1)[: planes.size].reshape(planes.shape)
+            if a != 1.0:
+                planes = np.multiply(planes, a, out=term)
+            if j == 0:
+                np.multiply(block[:, x, y], planes, out=out[:, x, y])
+            else:
+                target = out[:, x, y]
+                np.add(target, np.multiply(block[:, x, y], planes, out=term), out=target)
     return out
 
 
 def _dct1_kz_first(octant: np.ndarray) -> np.ndarray:
     """Type-I DCT of a cubic (n+1)^3 array along x, then y, then z, stored
-    [kz, kx, ky].  Along an axis, the DCT-I of x_0..x_n is the real part of
+    [kz, ky, kx].  Along an axis, the DCT-I of x_0..x_n is the real part of
     the rFFT of its even extension x_0..x_n, x_{n-1}..x_1 (length 2n).
     The three passes share one extension and one output buffer, and each
-    runs on the last axis."""
+    runs on the last axis, its lines split across the workers.  A pass
+    reads the previous one's output, so every line is gathered before any
+    transform writes the output buffer."""
     n1 = octant.shape[0]
     ext = np.empty((n1, n1, 2 * n1 - 2))
     spec = np.empty((n1, n1, n1), dtype=complex)
+    shares = _split(n1, _workers(n1 - 1))
     values = octant
+
+    def gather(_, s):
+        lines = values.transpose(1, 2, 0)[s]
+        ext[s, :, :n1] = lines
+        ext[s, :, n1:] = lines[..., n1 - 2 : 0 : -1]  # not from ext: an overlap is copied first
+
     for _ in range(3):  # x, y and z in turn become the last axis
-        lines = values.transpose(1, 2, 0)
-        ext[..., :n1] = lines
-        ext[..., n1:] = lines[..., n1 - 2 : 0 : -1]  # not from ext: an overlap is copied first
-        values = np.fft.rfft(ext, out=spec).real
-    return np.ascontiguousarray(values.transpose(2, 0, 1))  # [kx, ky, kz] -> [kz, kx, ky]
+        _run(gather, shares)
+        _run(lambda _, s: np.fft.rfft(ext[s], out=spec[s]), shares)
+        values = spec.real
+    out = np.empty_like(octant)  # [kx, ky, kz] -> [kz, ky, kx]
+    _run(lambda _, s: np.copyto(out[s], values.transpose(2, 1, 0)[s]), shares)
+    return out
 
 
-_PLANES = 8  # kz frequency planes per block of the padded x and y passes, for one field
+_PLANES = 8  # kz frequency planes in flight in the padded x and y passes of one call
 
 
-def _plane_blocks(n: int, fields: int = 1) -> list[slice]:
-    """The n+1 kz frequency planes in blocks of at most ``_PLANES`` // ``fields``,
-    so that the blocks of all fields of one call take about one block's memory."""
-    k = max(1, _PLANES // fields)
-    return [slice(k0, min(k0 + k, n + 1)) for k0 in range(0, n + 1, k)]
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# smallest grid whose passes are shared among threads: below it the numpy
+# calls are too short to gain over the handoffs between threads (at N = 32
+# a convolution took 5.8-7.8 ms inline and 8.1-9.0 ms on two threads of a
+# 2-core host; at N = 48 about the same either way)
+_THREADED_N = 48
+
+
+def _workers(n: int, fields: int = 1) -> int:
+    """Threads that share a pass on a grid of n nodes per axis, the calling
+    thread counting as one: one per CPU, at most ``_PLANES`` // ``fields``,
+    so that every worker's block of each of ``fields`` fields keeps at
+    least one kz plane; one below ``_THREADED_N``."""
+    if n < _THREADED_N:
+        return 1
+    return max(1, min(_cpus(), _PLANES // fields))
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The module's worker pool, created on first use (so importing the
+    package starts no thread and imports no ``concurrent.futures``)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_PLANES - 1, thread_name_prefix="convolve_hf")
+        return _pool
+
+
+def _split(count: int, parts: int) -> list[slice]:
+    """0..count-1 in at most ``parts`` contiguous, nonempty, near-equal slices."""
+    parts = min(parts, count)
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _run(task, shares: list[slice]) -> None:
+    """``task(w, shares[w])`` for every worker w: w = 0 on the calling
+    thread, the others on the pool.  Returns when all have finished, and
+    raises the first exception any of them raised.  With one share the
+    task runs inline and no pool is created."""
+    futures = [_executor().submit(task, w, s) for w, s in enumerate(shares) if w]
+    try:
+        task(0, shares[0])
+    finally:
+        errors = [f.exception() for f in futures]
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 _SPECTRUM_BUDGET_BYTES = 768_000_000
@@ -344,8 +426,8 @@ class ConvolutionPlan:
 
     def kernel_spectrum(self, kernel: AnalyticFunction) -> np.ndarray:
         """Read-only (n+1)^3 octant of the padded kernel's DFT: the type-I
-        DCT of its octant samples, stored kz-first ([kz, kx, ky]) so that
-        a block of kz planes is contiguous."""
+        DCT of its octant samples, stored [kz, ky, kx] as the blocks are,
+        so that a block's kernel planes are one contiguous slice."""
         global _spectra_bytes
         key = (self.grid, kernel)
         with _spectra_lock:
@@ -369,34 +451,91 @@ class ConvolutionPlan:
 
     def _forward(self, values: np.ndarray) -> np.ndarray:
         """z pass of the DFT of real ``values`` zero-padded to (2n)^3: the
-        n+1 nonnegative kz frequencies, shape (n, n, n+1)."""
-        return np.fft.rfft(values, n=2 * self.grid.points_per_axis, axis=2)
+        n+1 nonnegative kz frequencies, shape (n, n, n+1), split by x rows
+        across the workers."""
+        n = self.grid.points_per_axis
+        zspec = np.empty((n, n, n + 1), dtype=complex)
+        _run(lambda _, x: np.fft.rfft(values[x], n=2 * n, out=zspec[x]), _split(n, _workers(n)))
+        return zspec
 
-    def _block(self, zspec: np.ndarray, kz: slice) -> np.ndarray:
-        """The kz planes ``kz`` of the padded DFT, from its z pass ``zspec``:
-        shape (k, 2n, 2n) indexed [kz, ky, kx].  y runs on the n nonzero x
-        rows, then x on all rows, each on the last axis."""
-        m = 2 * self.grid.points_per_axis
-        rows = _padded_last(zspec[:, :, kz], (2, 0, 1), m)
+    @staticmethod
+    def _block(zspec: np.ndarray, kz: slice, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """The kz planes ``kz`` of the padded DFT, from its z pass ``zspec``,
+        built in ``block`` (k, 2n, 2n) indexed [kz, ky, kx]: y runs on the n
+        nonzero x rows in ``rows`` (k, n, 2n), then x on all rows, each on
+        the last axis."""
+        n = zspec.shape[0]
+        rows[..., :n] = zspec[:, :, kz].transpose(2, 0, 1)
+        rows[..., n:] = 0
         np.fft.fft(rows, out=rows)  # y pass: [kz, x, ky]
-        block = _padded_last(rows, (0, 2, 1), m)
+        block[..., :n] = rows.transpose(0, 2, 1)
+        block[..., n:] = 0
         return np.fft.fft(block, out=block)
 
     @staticmethod
-    def _inverse_block(block: np.ndarray, keep: slice, out: np.ndarray, kz: slice) -> None:
+    def _inverse_block(block: np.ndarray, keep: slice, out: np.ndarray, kz: slice,
+                       rows: np.ndarray) -> None:
         """Inverse x then y pass of a plane block [kz, ky, kx], each cropped
-        to ``keep``, stored as the kz planes ``kz`` of ``out`` (n, n, n+1)."""
+        to ``keep``, stored as the kz planes ``kz`` of ``out`` (n, n, n+1);
+        the y pass runs in ``rows`` (k, n, 2n)."""
         x_pass = np.fft.ifft(block, out=block)[:, :, keep]  # [kz, ky, x]
-        y_pass = _last(x_pass, (0, 2, 1))
-        out[:, :, kz] = np.fft.ifft(y_pass, out=y_pass)[:, :, keep].transpose(1, 2, 0)
+        np.copyto(rows, x_pass.transpose(0, 2, 1))
+        out[:, :, kz] = np.fft.ifft(rows, out=rows)[:, :, keep].transpose(1, 2, 0)
+
+    def _plane_loop(self, zspecs: list, planes: list, keep: slice, product) -> None:
+        """The padded x and y passes of one call on blocks of kz planes.  On
+        each block every field's block is built from its z pass in
+        ``zspecs``; then, for each output i, ``product(i, blocks, kz, spare,
+        scratch)`` forms its product, whose inverse passes fill the kz
+        planes of ``planes[i]``.  Each worker takes a contiguous share of
+        the blocks, so it reads and writes only its own kz planes, in
+        buffers the calling thread allocated: rows (also the products'
+        ``scratch``), one block per field, and ``spare``, a product buffer
+        when there are several outputs (else None)."""
+        n = self.grid.points_per_axis
+        m = 2 * n
+        arrays = len(zspecs) + (len(planes) > 1)  # blocks and spare per worker
+        workers = _workers(n, arrays)
+        k = max(1, _PLANES // (workers * arrays))
+        kzs = [slice(k0, min(k0 + k, n + 1)) for k0 in range(0, n + 1, k)]
+        shares = _split(len(kzs), workers)
+        rows = [np.empty((k, n, m), dtype=complex) for _ in shares]
+        blocks = [[np.empty((k, m, m), dtype=complex) for _ in zspecs] for _ in shares]
+        spares = [np.empty((k, m, m), dtype=complex) if len(planes) > 1 else None
+                  for _ in shares]
+
+        def task(w, share):
+            for kz in kzs[share]:
+                k_ = kz.stop - kz.start  # the last block may be short
+                block_rows = rows[w][:k_]
+                built = [self._block(z, kz, block_rows, b[:k_]) for z, b in zip(zspecs, blocks[w])]
+                spare = None if spares[w] is None else spares[w][:k_]
+                for i, out in enumerate(planes):
+                    self._inverse_block(product(i, built, kz, spare, block_rows), keep, out, kz,
+                                        block_rows)
+
+        _run(task, shares)
 
     def _inverse_z(self, planes: list[np.ndarray], keep: slice) -> np.ndarray:
         """Real inverse z pass of the first (n, n, n+1) kz-plane array of
-        ``planes``, cropped to ``keep`` and scaled by h^3.  The array is
-        popped, so it is freed before the output is allocated."""
-        m = 2 * self.grid.points_per_axis
-        out = np.fft.irfft(planes.pop(0), n=m)
-        return out[:, :, keep] * self.grid.spacing**3
+        ``planes``, cropped to ``keep`` and scaled by h^3, one x row at a
+        time across the workers, each in its own line buffer.  The array is
+        popped, so it is freed once the output is done."""
+        n = self.grid.points_per_axis
+        m = 2 * n
+        scale = self.grid.spacing**3
+        zspec = planes.pop(0)
+        out = np.empty((n, n, n))
+        shares = _split(n, _workers(n))
+        lines = [np.empty((n, m)) for _ in shares]
+
+        def task(w, xs):
+            for x in range(xs.start, xs.stop):
+                np.fft.irfft(zspec[x], n=m, out=lines[w])
+                np.multiply(lines[w][:, keep], scale, out=out[x])
+
+        _run(task, shares)
+        return out
 
     def convolve_with_kernel(
         self, f: ScalarField, kernel: AnalyticFunction | tuple[AnalyticFunction, ...], *,
@@ -440,20 +579,20 @@ class ConvolutionPlan:
         """The plane-block loop of :meth:`convolve_with_kernel`: output i is
         the sum over (field, kernels, coefficients) terms of coefficient i
         times the field convolved with kernel i."""
-        n = self.grid.points_per_axis
-        keep = slice(0, n)
+        keep = slice(0, self.grid.points_per_axis)
         octants = [[self.kernel_spectrum(k) for k in kernels] for _, kernels, _ in terms]
         # per output: each field's kernel octant and coefficient
         sums = [([o[i] for o in octants], [c[i] for _, _, c in terms]) for i in range(outputs)]
         zspecs = [self._forward(g.values) for g, _, _ in terms]
         # the outputs overwrite the fields' z passes; each further output has its own array
         planes = zspecs[:outputs] + [np.empty_like(zspecs[0]) for _ in range(outputs - len(zspecs))]
-        for kz in _plane_blocks(n, len(terms)):
-            blocks = [self._block(z, kz) for z in zspecs]  # every field's, before any output
-            for i, (spectra, coefficients) in enumerate(sums):
-                self._inverse_block(_sum_of_products(blocks, spectra, coefficients, kz),
-                                    keep, planes[i], kz)
-            del blocks  # before the next blocks are built
+
+        def product(i, blocks, kz, spare, scratch):
+            # the last output no longer needs the blocks: its product overwrites the first
+            out = blocks[0] if i == outputs - 1 else spare
+            return _sum_of_products(blocks, *sums[i], kz, out, scratch)
+
+        self._plane_loop(zspecs, planes, keep, product)
         del zspecs  # the z passes no output took are freed here
         return tuple(terms[0][0].with_values(self._inverse_z(planes, keep))
                      for _ in range(outputs))
@@ -465,11 +604,8 @@ class ConvolutionPlan:
         keep = slice(n // 2, n // 2 + n)  # both origins sit at node n/2
         planes = [self._forward(f.values)]  # the product overwrites f's z pass
         zg = self._forward(g.values)
-        for kz in _plane_blocks(n):
-            block = self._block(planes[0], kz)
-            block *= self._block(zg, kz)
-            self._inverse_block(block, keep, planes[0], kz)
-            del block  # before the next block is built
+        self._plane_loop([planes[0], zg], planes, keep,
+                         lambda i, blocks, kz, spare, scratch: np.multiply(*blocks, out=blocks[0]))
         del zg
         return f.with_values(self._inverse_z(planes, keep))
 

@@ -5,11 +5,16 @@ and quadrature paths: 1-D radial quadrature via scipy, closed-form
 Gaussian integrals, and a direct O(N^6) convolution sum.
 """
 
+import hashlib
+from collections import OrderedDict
+from unittest import mock
+
 import numpy as np
 from scipy import fft as sfft
 from scipy.integrate import quad
 
 import convolve_hf as chf
+from convolve_hf import convolution
 
 S_SUP_BOUND = 2.0 * np.sqrt(np.pi) + 1.0
 
@@ -102,3 +107,32 @@ def hydrogen_identity(n, extent, margin=0.75):
 def assert_overlap_bound(fields):
     """The hard sup bound every overlap-Coulomb field must satisfy."""
     assert fields.s_sup_max() <= S_SUP_BOUND
+
+
+def engine_digests(n):
+    """SHA-256 of every output of the convolution engine's entry points on
+    fixed random fields at N = n: a single, a grouped and a combined kernel
+    convolution, a field convolution and a cold kernel spectrum.  A
+    module-level function, so that a child process can run it too."""
+    grid = chf.GridSpec(points_per_axis=n, extent=8.0)
+    rng = np.random.default_rng(n)
+    f, g = (chf.ScalarField(grid=grid, values=rng.standard_normal(grid.shape)) for _ in range(2))
+    h = grid.spacing
+    coulomb, poisson, gaussian = (chf.CoulombKernel(), chf.PoissonKernel(t=3.0 * h),
+                                  chf.Gaussian(alpha=1.0))
+    plan = convolution.ConvolutionPlan(grid)
+    outputs = {
+        "single": plan.convolve_with_kernel(f, coulomb),
+        "grouped": plan.convolve_with_kernel(f, (poisson, gaussian, coulomb)),
+        "combined": plan.convolve_with_kernel(
+            f, (chf.PoissonDt2Kernel(t=3.0 * h), chf.GaussianLaplacian(alpha=1.0)),
+            plus=((g, (poisson, gaussian), (-1.0, 2.0)),)),
+        "fields": plan.convolve_fields(f, g),
+    }
+    with mock.patch.multiple(convolution, _spectra=OrderedDict(), _spectra_bytes=0):
+        spectrum = plan.kernel_spectrum(chf.PoissonKernel(t=0.5 * h))  # cold, cell-averaged
+    arrays = {"spectrum": spectrum}
+    for name, out in outputs.items():
+        for i, field in enumerate(out if isinstance(out, tuple) else (out,)):
+            arrays[f"{name}{i}"] = field.values
+    return {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}

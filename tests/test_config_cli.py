@@ -143,6 +143,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"^poisson\.t_values: "):
             RunConfig(poisson_t_values=(0.8, t)).validated()
 
+    # grid.n = 16, grid.extent = 8: h = 1, the padded box is 32 wide
+    BOUNDED = {"residuals.t": ("32", "32.5"), "masking.radius_cells": ("16", "16.5"),
+               "window.alpha": ("100", "100.5")}
+
+    @pytest.mark.parametrize("key", sorted(BOUNDED))
+    def test_bounded_key_exits_before_the_scf(self, tmp_path, capsys, monkeypatch, key):
+        # residuals.source = scf would run a whole SCF before the value fails
+        edge, beyond = self.BOUNDED[key]
+        base = "grid.n = 16\ngrid.extent = 8.0\nresiduals.source = scf\n"
+        assert getattr(parse_config(f"{base}{key} = {edge}\n"), _KEYS[key][0]) == float(edge)
+
+        def solve(*args, **kwargs):
+            raise AssertionError("the SCF ran")
+
+        monkeypatch.setattr(cli, "solve", solve)
+        cfg = write_config(tmp_path, f"{base}{key} = {beyond}\n")
+        assert main(["residuals", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key}")
+
     def test_time_step_auto(self):
         assert parse_config("scf.time_step = auto\n").scf_time_step is None
         assert parse_config("scf.time_step = 0.004\n").scf_time_step == 0.004
@@ -463,14 +484,15 @@ output.dir = {out}
         assert all(float(c) == 0.0 for c in cells[1:6])
 
     def test_overflowing_height_is_one_error_line(self, tmp_path, capsys):
-        # validated() accepts t = 1e300; the P_t kernel's t**3 overflows
+        # the P_t kernel's t**3 would overflow; validated() bounds t by the
+        # padded box width first
         cfg = write_config(tmp_path, "grid.n = 8\ngrid.extent = 4.0\nresiduals.t = 1e300\n"
                                      "residuals.source = hydrogen_identity\nbasis.count = 1\n")
         assert main(["expand", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--quiet"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: a computed value left the floating-point range: ")
+        assert err[0].startswith("error: residuals.t must be at most 4 * grid.extent = 16 ")
 
     def test_unit_beta_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "basis.beta = 1.0\n")
@@ -587,6 +609,17 @@ class TestStartup:
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
         # the basis projection's Cholesky solve is numpy.linalg's
         assert self._loaded_by_cli_import("scipy.linalg") == "False"
+
+    def test_cli_import_starts_no_thread(self):
+        # the convolution engine's worker pool is made on first use
+        assert self._loaded_by_cli_import("concurrent.futures") == "False"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import threading, convolve_hf.cli; print(threading.active_count())"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
 
     def test_no_scipy_module_on_the_default_paths(self, tmp_path):
         # FFTs, the Cholesky solve and erf come from numpy and math; only

@@ -1,3 +1,6 @@
+import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -17,7 +20,9 @@ from convolve_hf import convolution, extension, verify
 from convolve_hf.convolution import ConvolutionPlan, _sample_kernel_octant
 from convolve_hf.errors import GridMismatchError, ResolutionError, ResolutionWarning
 
-from support import direct_convolution, radial_coulomb_potential
+from support import direct_convolution, engine_digests, radial_coulomb_potential
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def _random(grid, rng):
@@ -421,14 +426,14 @@ class TestPrunedEngine:
         n = grid32.points_per_axis
         full = np.fft.rfftn(_mirrored(octant))[: n + 1, : n + 1, :]
         spec = ConvolutionPlan(grid32).kernel_spectrum(kernel)
-        assert _rel_err(spec, full.real.transpose(2, 0, 1)) <= 1e-14  # kz-first
+        assert _rel_err(spec, full.real.transpose(2, 1, 0)) <= 1e-14  # [kz, ky, kx]
 
     @pytest.mark.parametrize("n", [16, 48])
     @pytest.mark.parametrize("kind", sorted(KERNELS))
     def test_spectrum_is_scipy_dctn_bit_for_bit(self, n, kind):
         grid = chf.GridSpec(points_per_axis=n, extent=8.0)
         kernel = KERNELS[kind](grid.spacing)
-        ref = sfft.dctn(_sample_kernel_octant(kernel, grid), type=1).transpose(2, 0, 1)
+        ref = sfft.dctn(_sample_kernel_octant(kernel, grid), type=1).transpose(2, 1, 0)
         with _empty_cache():  # a cold computation, not an earlier test's spectrum
             spec = ConvolutionPlan(grid).kernel_spectrum(kernel)
         assert spec.tobytes() == np.ascontiguousarray(ref).tobytes()
@@ -456,7 +461,7 @@ class TestPrunedEngine:
             outs = plan.convolve_with_kernel(f, kernels)
         fold = np.r_[0 : n + 1, n - 1 : 0 : -1]
         for kernel, out in zip(kernels, outs):
-            octant = plan.kernel_spectrum(kernel).transpose(1, 2, 0)  # [kx, ky, kz]
+            octant = plan.kernel_spectrum(kernel).transpose(2, 1, 0)  # [kx, ky, kz]
             ref = _unblocked(f.values, octant[np.ix_(fold, fold, np.arange(n + 1))], 0, h)
             assert out.values.tobytes() == ref.tobytes()
         ref = _unblocked(f.values, _unblocked_spectrum(g.values), n // 2, h)
@@ -683,3 +688,82 @@ class TestCombinedConvolutions:
         combined = _peak_bytes(lambda: plan.convolve_with_kernel(
             f, kernels, plus=((g, partners, (-1.0, 1.0)),)))
         assert combined <= 0.9 * spectrum_bytes
+
+
+# run in a child process pinned to one CPU: the engine's outputs there, and
+# whether it made the worker pool or any thread
+_PINNED_CHILD = """
+import json, os, sys, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from convolve_hf import convolution
+from support import engine_digests
+digests = engine_digests(int(sys.argv[1]))
+print(json.dumps([digests, convolution._pool is None, threading.active_count()]))
+"""
+
+
+class TestWorkers:
+    def test_outputs_do_not_depend_on_the_workers(self):
+        # every line-parallel pass writes its own lines, so reruns on the
+        # pool give the same bytes as the inline path of a one-CPU process
+        runs = [engine_digests(48) for _ in range(20)]
+        assert all(run == runs[0] for run in runs)
+        pythonpath = os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(convolution.__file__)), TESTS,
+                          os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _PINNED_CHILD, "48"],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": pythonpath})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [runs[0], True, 1]
+
+    def test_two_callers_share_the_pool(self):
+        # a grouped and a field convolution on N = 48 and N = 64 at once
+        grids = (chf.GridSpec(points_per_axis=48, extent=10.0),
+                 chf.GridSpec(points_per_axis=64, extent=10.0))
+        rng = np.random.default_rng(7)
+        fields = [(_random(g, rng), _random(g, rng)) for g in grids]
+        kernels = (chf.CoulombKernel(), chf.Gaussian(alpha=1.0))
+
+        def outputs(f, g):
+            plan = ConvolutionPlan(f.grid)
+            return [o.values.tobytes() for o in (*plan.convolve_with_kernel(f, kernels),
+                                                 plan.convolve_fields(f, g))]
+
+        serial = [outputs(f, g) for f, g in fields]
+        barrier = threading.Barrier(2, timeout=30)
+        results, failures = [[], []], []
+
+        def work(i):
+            try:
+                barrier.wait()
+                for _ in range(4):
+                    results[i].append(outputs(*fields[i]))
+            except Exception as exc:  # surfaced by the assertion below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive()
+        assert failures == []
+        assert results == [[s] * 4 for s in serial]
+
+    @pytest.mark.skipif(convolution._cpus() < 2, reason="on one CPU every pass runs inline")
+    def test_worker_error_reaches_the_caller(self, grid48, rng, monkeypatch):
+        f = _random(grid48, rng)
+        expected = chf.coulomb_convolve(f).values.tobytes()
+        caller, ifft = threading.get_ident(), np.fft.ifft
+
+        def ifft_failing_off_the_caller(*args, **kwargs):
+            if threading.get_ident() != caller:
+                raise MemoryError("injected in a worker")
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", ifft_failing_off_the_caller)
+        with pytest.raises(MemoryError, match="injected in a worker"):
+            chf.coulomb_convolve(f)
+        monkeypatch.undo()
+        assert chf.coulomb_convolve(f).values.tobytes() == expected  # the pool still works

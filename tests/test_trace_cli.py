@@ -10,6 +10,7 @@ properties are checked in-process on ``numpy.fft`` instead.
 import contextlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,43 +62,64 @@ basis.count = 4
 """
 
 
-@pytest.mark.parametrize("command", ["residuals", "expand"])
+# per command: its config file (None: HYDROGEN_32, else a shipped config run
+# at N = 32) and its exit code; at N = 32 some of verify's checks fail (exit
+# 3), but every check runs
+TRACED_COMMANDS = {
+    "residuals": (None, 0),
+    "expand": (None, 0),
+    "extend-sweep": ("extend_sweep.cfg", 0),
+    "verify": ("verify.cfg", 3),
+}
+
+
+@pytest.mark.parametrize("command", list(TRACED_COMMANDS))
 def test_traced_transforms_keep_every_padded_pass_inside_a_convolution(tmp_path, command):
     layers = _load("layers")
-    config = tmp_path / "h32.cfg"
-    config.write_text(HYDROGEN_32)
+    shipped, exit_code = TRACED_COMMANDS[command]
+    if shipped is None:
+        config = tmp_path / "h32.cfg"
+        config.write_text(HYDROGEN_32)
+        args = ["--config", str(config)]
+    else:
+        args = ["--config", str(REPO / "configs" / shipped), "--grid-n", "32"]
     spans = tmp_path / "spans.json"
     pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     spawned = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, str(REPO / "perfbench" / "trace_cli.py"), str(spans),
-         command, "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"],
+         command, *args, "--out", str(tmp_path / "out"), "--quiet"],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
     reaped = time.perf_counter()
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     trace = layers.CommandTrace(command, spawned, reaped, json.loads(spans.read_text()))
     assert trace.errors() == []
     convolutions = [s for s in trace.spans if s["name"] == "convolution.kernel"]
 
     def run():
         out = tmp_path / "in_process"
-        assert cli.main([command, "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        assert cli.main([command, *args, "--out", str(out), "--quiet"]) == exit_code
 
     calls, ffts = _record_transforms(run)
-    kernel_calls = [i for i, (method, _) in enumerate(calls) if method == "convolve_with_kernel"]
+    kernel_calls = [i for i, (method, _, _) in enumerate(calls) if method == "convolve_with_kernel"]
     assert len(convolutions) == len(kernel_calls)
     padded = [f for f in ffts if max(*f.shape_in, *f.shape_out) > 32]
     assert padded
     assert all(f.call is not None for f in padded)
-    # one forward transform (its z pass, the only rfft of a grid-shaped
-    # array inside a convolution) per field convolved in each call
-    forwards = [f.call for f in padded if f.name == "rfft" and f.shape_in == (32, 32, 32)]
-    per_call = [forwards.count(i) for i in kernel_calls]
-    assert per_call == [calls[i][1] for i in kernel_calls]
+    # each field convolved takes one forward z pass: its n^2 lines of n
+    # values, zero-padded to 2n (n+1 outputs), shared by x rows among the
+    # workers; the DCT-I passes of a spectrum map 2n values to n+1
+    convolving = [i for i, (method, _, _) in enumerate(calls) if method != "kernel_spectrum"]
+    z_lines = dict.fromkeys(convolving, 0)
+    for f in ffts:
+        if f.name == "rfft" and f.shape_out[-1] == f.shape_in[-1] + 1:
+            z_lines[f.call] += math.prod(f.shape_in[:-1])
+    assert [z_lines[i] for i in convolving] == [fields * n * n for _, fields, n in
+                                               (calls[i] for i in convolving)]
     if command == "expand":  # each ladder order convolves T and c in one call
-        assert 2 in per_call
+        assert any(calls[i][1] == 2 for i in kernel_calls)
 
 
 # one numpy.fft call: its name, input and output shapes, and the index of
@@ -108,9 +130,10 @@ _Transform = namedtuple("_Transform", "name shape_in shape_out call")
 def _record_transforms(run):
     """Call ``run()`` with the one-axis ``numpy.fft`` transforms and the
     ``ConvolutionPlan`` methods wrapped.  Returns the plan calls in call
-    order, each (method, fields it transforms: for ``convolve_with_kernel``
-    every field of the call that is not all zero), and the transforms as
-    ``_Transform`` records."""
+    order, each (method, fields it transforms, grid n): for
+    ``convolve_with_kernel`` every field of the call that is not all zero,
+    for ``convolve_fields`` both, for ``kernel_spectrum`` none; and the
+    transforms as ``_Transform`` records, from every thread."""
     calls, ffts, open_calls = [], [], []
 
     def fft(name, original):
@@ -123,11 +146,12 @@ def _record_transforms(run):
 
     def method(name, original):
         def recorded(self, *args, **kwargs):
+            n = self.grid.points_per_axis
             if name == "convolve_with_kernel":
                 fields = [args[0], *(g for g, _, _ in kwargs.get("plus", ()))]
-                calls.append((name, sum(bool(g.values.any()) for g in fields)))
+                calls.append((name, sum(bool(g.values.any()) for g in fields), n))
             else:
-                calls.append((name, None))
+                calls.append((name, 2 if name == "convolve_fields" else 0, n))
             open_calls.append(len(calls) - 1)
             try:
                 return original(self, *args, **kwargs)

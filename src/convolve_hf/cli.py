@@ -248,7 +248,8 @@ def cmd_expand(config: RunConfig, out: Path, quiet: bool) -> int:
     orbitals, fields, system, code = _residual_inputs(config)
     if code != EXIT_OK:
         return code
-    basis = [basis_function(k, config.basis_alpha0, config.basis_beta)
+    center = tuple(system.charge_barycenter())  # the nucleus of a one-nucleus system
+    basis = [replace(basis_function(k, config.basis_alpha0, config.basis_beta), center=center)
              for k in range(config.basis_count)]
     orders = config.orders()
     state = project_orbitals(orbitals, basis, orders)

@@ -32,7 +32,7 @@ class RunConfig:
     scf_mixing: float = ScfConfig.mixing
     scf_tol_energy: float = ScfConfig.energy_tolerance
     scf_tol_orbital: float = ScfConfig.orbital_tolerance
-    scf_eigensolver: str = ScfConfig.eigensolver
+    scf_eigensolver: str = "imaginary_time"  # read by nothing; see validated()
     scf_time_step: float | None = ScfConfig.time_step
     poisson_t_values: tuple[float, ...] = (0.8, 0.4, 0.2, 0.1)
     window_alpha: float = 1.0
@@ -59,7 +59,6 @@ class RunConfig:
             mixing=self.scf_mixing,
             energy_tolerance=self.scf_tol_energy,
             orbital_tolerance=self.scf_tol_orbital,
-            eigensolver=self.scf_eigensolver,
             time_step=self.scf_time_step,
         )
 
@@ -77,6 +76,10 @@ class RunConfig:
         if self.pairs != 1:
             raise ConfigError(f"system.pairs must be 1 (the SCF solves one orbital), "
                               f"got {self.pairs}")
+        # the key stays because generated benchmark configs write it
+        if self.scf_eigensolver != "imaginary_time":
+            raise ConfigError(f"scf.eigensolver must be imaginary_time (the only eigensolver), "
+                              f"got {self.scf_eigensolver!r}")
         try:
             grid = self.grid()
             system = self.system()

@@ -22,7 +22,7 @@ class IllConditionedBasisError(ValueError):
 
 
 class ScfDivergedError(ValueError):
-    """The SCF eigensolver diverged or its linear solve did not converge."""
+    """The SCF's imaginary-time relaxation diverged."""
 
 
 class ConfigError(ValueError):

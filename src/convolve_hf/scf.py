@@ -6,11 +6,11 @@ operator, and linear density mixing damps the feedback.  Because the
 overlap-Coulomb convolution is linear, mixing densities is implemented
 by mixing the convolved fields directly, so each outer iteration costs a
 single padded convolution plus the inner-loop transforms.  The loop works
-on plain real arrays; a diverging eigensolver raises
+on plain real arrays; a diverging inner relaxation raises
 :class:`ScfDivergedError`.
 
-The default eigensolver is the normalized gradient flow in imaginary
-time with a backward-Euler kinetic term (Bao & Du 2004, SIAM J. Sci.
+The eigensolver is the normalized gradient flow in imaginary time
+with a backward-Euler kinetic term (Bao & Du 2004, SIAM J. Sci.
 Comput. 25, 1674).  With v = v_eff frozen, eps the current Rayleigh
 quotient and sigma = max(0, max v), one step is
 
@@ -64,7 +64,6 @@ __all__ = ["ScfConfig", "ScfIteration", "ScfResult", "apply_fock", "solve"]
 
 _INNER_STEPS = 4
 _AUTO_TIME_STEP = 0.5
-_CG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,6 @@ class ScfConfig:
     mixing: float = 0.6
     energy_tolerance: float = 1e-7
     orbital_tolerance: float = 1e-6
-    eigensolver: str = "imaginary_time"
     time_step: float | None = None
 
     def __post_init__(self):
@@ -111,8 +109,6 @@ class ScfConfig:
             raise ValueError(f"mixing must lie in (0, 1], got {self.mixing}")
         if self.energy_tolerance <= 0 or self.orbital_tolerance <= 0:
             raise ValueError("tolerances must be positive")
-        if self.eigensolver not in ("imaginary_time", "inverse_iteration"):
-            raise ValueError(f"unknown eigensolver {self.eigensolver!r}")
         if self.time_step is not None and self.time_step <= 0:
             raise ValueError("time_step must be positive")
 
@@ -171,12 +167,12 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
 
     Each outer iteration freezes v_eff = -sum Z_c h_c + s_mixed, relaxes
     the lowest eigenpair (``_INNER_STEPS`` semi-implicit imaginary-time
-    steps, see the module docstring, or one shifted inverse-iteration
-    solve), then mixes the overlap-Coulomb field linearly.  The mixing,
-    not the inner relaxation, sets the outer count, so four inner steps
-    reach the 12-step solution in as many outer iterations for He (see
-    :class:`ScfConfig`).  Converged means both the energy change and the
-    orbital change fell below their tolerances.
+    steps, see the module docstring), then mixes the overlap-Coulomb
+    field linearly.  The mixing, not the inner relaxation, sets the outer
+    count, so four inner steps reach the 12-step solution in as many
+    outer iterations for He (see :class:`ScfConfig`).  Converged means
+    both the energy change and the orbital change fell below their
+    tolerances.
     """
     if system.pair_count != 1:
         raise NotImplementedError("multi-orbital SCF is out of scope (n = 1 only)")
@@ -240,31 +236,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
 
     for iteration in range(1, config.max_iterations + 1):
         v_eff = v_nuc + s_mix
-
-        if config.eigensolver == "imaginary_time":
-            psi, kinetic = relax(psi, v_eff, kinetic)
-        else:  # inverse_iteration
-            from scipy.sparse import linalg as spla
-            shift = kinetic + (psi * v_eff * psi).sum() * h3 - 1.0
-            op = spla.LinearOperator(
-                (psi.size, psi.size),
-                matvec=lambda v: (
-                    -0.5 * spectral_laplacian(v.reshape(shape), grid)
-                    + (v_eff - shift) * v.reshape(shape)
-                ).ravel(),
-            )
-            precond_mul = 1.0 / (-0.5 * mult + max(1.0, -shift))
-            precond = spla.LinearOperator(
-                (psi.size, psi.size),
-                matvec=lambda v: irfftn(rfftn(v.reshape(shape)) * precond_mul, shape[0]).ravel(),
-            )
-            sol, info = spla.cg(op, psi.ravel(), rtol=_CG_TOL, maxiter=400, M=precond)
-            if info != 0:
-                raise ScfDivergedError(f"inverse-iteration CG failed to converge (info={info})")
-            psi = sol.reshape(shape)
-            psi /= l2(psi)
-            kinetic = -0.5 * (psi * spectral_laplacian(psi, grid)).sum() * h3
-
+        psi, kinetic = relax(psi, v_eff, kinetic)
         if psi.sum() < 0:  # fix the global sign for reproducible output
             psi = -psi
         rho_new = psi * psi

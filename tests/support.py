@@ -2,7 +2,8 @@
 
 Oracles here are deliberately independent of the library's convolution
 and quadrature paths: 1-D radial quadrature via scipy, closed-form
-Gaussian integrals, and a direct O(N^6) convolution sum.
+Gaussian integrals, a direct O(N^6) convolution sum, and SciPy's LOBPCG
+eigensolver.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ from unittest import mock
 import numpy as np
 from scipy import fft as sfft
 from scipy.integrate import quad
+from scipy.sparse import linalg as spla
 
 import convolve_hf as chf
 from convolve_hf import convolution
@@ -88,6 +90,40 @@ def random_smooth_orbital(grid, rng, corr=0.35, envelope=8.0, hole_radius=None):
         # essentially one beyond ~1.5 hole_radius
         vals = vals * (1.0 - np.exp(-((r2 / hole_radius**2) ** 2)))
     return normalized_field(chf.ScalarField(grid=grid, values=vals.astype(np.complex128)))
+
+
+def lowest_eigenvalues(grid, potential, k=2, tol=1e-6):
+    """The k lowest eigenvalues of -1/2 lap + potential on the periodic
+    grid by SciPy's LOBPCG, ascending.  ``tol`` bounds the residual norms
+    of the unit eigenvectors; an isolated eigenvalue's error is of order
+    its square.  The Laplacian is spectral through ``scipy.fft`` and the
+    preconditioner is 1/(|k|^2/2 + 1).  The start block is a Gaussian at
+    the origin and Gaussians times seeded noise (not any solver output of
+    the package), so no symmetry class of eigenvectors is left out."""
+    n, shape = grid.points_per_axis, grid.shape
+    kx = 2.0 * np.pi * sfft.fftfreq(n, d=grid.spacing)
+    kz = 2.0 * np.pi * sfft.rfftfreq(n, d=grid.spacing)
+    half_k2 = 0.5 * (kx[:, None, None] ** 2 + kx[None, :, None] ** 2 + kz[None, None, :] ** 2)
+
+    def spectral(block, multiplier):
+        cube = block.T.reshape((-1,) + shape)
+        out = sfft.irfftn(sfft.rfftn(cube, axes=(1, 2, 3)) * multiplier, s=shape, axes=(1, 2, 3))
+        return out.reshape(len(cube), -1).T
+
+    def hamiltonian(block):
+        return spectral(block, half_k2) + potential.reshape(-1, 1) * block
+
+    def precondition(block):
+        return spectral(block, 1.0 / (half_k2 + 1.0))
+
+    size = potential.size
+    operator, precond = (spla.LinearOperator((size, size), matvec=f, matmat=f, dtype=np.float64)
+                         for f in (hamiltonian, precondition))
+    gauss = np.exp(-grid.radius_squared()).reshape(-1, 1)
+    noise = np.random.default_rng(0).standard_normal((size, k - 1))
+    block = np.hstack([gauss, gauss * noise])
+    values = spla.lobpcg(operator, block, M=precond, tol=tol, maxiter=200, largest=False)[0]
+    return np.sort(values)
 
 
 def hydrogen_identity(n, extent, margin=0.75):

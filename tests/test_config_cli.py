@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -9,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from convolve_hf import cli, verify
@@ -101,9 +103,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"^masking\.radius_cells must be positive$"):
             parse_config(f"masking.radius_cells = {radius}\n")
 
-    def test_unknown_eigensolver_rejected(self):
-        with pytest.raises(ConfigError, match="eigensolver"):
-            parse_config("scf.eigensolver = lobpcg\n")
+    @pytest.mark.parametrize("value", ["lobpcg", "inverse_iteration"])
+    def test_unknown_eigensolver_rejected(self, value):
+        # imaginary time is the only eigensolver; the key stays because
+        # generated benchmark configs write it
+        with pytest.raises(ConfigError, match=r"^scf\.eigensolver must be imaginary_time "):
+            parse_config(f"scf.eigensolver = {value}\n")
 
     @pytest.mark.parametrize("pairs", [0, 2, 3])
     def test_pair_count_other_than_one_named(self, pairs):
@@ -295,6 +300,16 @@ class TestScfCommand:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: system.pairs must be 1")
+        assert not (tmp_path / "o").exists()
+
+    def test_inverse_iteration_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 8.0\n"
+                                     "scf.eigensolver = inverse_iteration\n")
+        assert main(["scf", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: scf.eigensolver must be imaginary_time (the only eigensolver), "
+            "got 'inverse_iteration'"
+        ]
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_value_is_one_error_line(self, tmp_path, capsys):
@@ -498,6 +513,47 @@ output.dir = {out}
         cfg = write_config(tmp_path, "basis.beta = 1.0\n")
         assert main(["expand", "--config", str(cfg), "--quiet"]) == 1
 
+    # the benchmark's hydrogen-identity expand config at N = 64
+    LADDER_H = 18.0 / 64
+
+    @pytest.fixture(scope="class")
+    def ladders(self, tmp_path_factory):
+        """``expansion_ladder.csv`` rows, as floats, with the nucleus at the
+        origin and moved by the whole nodes (1, -1, 1)."""
+        out = {}
+        for shift in ((0, 0, 0), (1, -1, 1)):
+            tmp = tmp_path_factory.mktemp("ladder")
+            x, y, z = (s * self.LADDER_H for s in shift)
+            cfg = write_config(tmp, f"""
+grid.n = 64
+grid.extent = 9.0
+system.nuclei = 1.0, {x!r}, {y!r}, {z!r}
+residuals.source = hydrogen_identity
+residuals.t = {3 * self.LADDER_H!r}
+masking.radius_cells = 4.0
+basis.alpha0 = 0.1
+basis.beta = 3.0
+basis.count = 6
+output.dir = {tmp / "out"}
+""")
+            assert main(["expand", "--config", str(cfg), "--quiet"]) == 0
+            lines = (tmp / "out" / "expansion_ladder.csv").read_text().splitlines()[1:]
+            out[shift] = np.array([[float(c) for c in line.split(",")] for line in lines])
+        return out
+
+    def test_ladder_follows_the_nucleus_by_whole_nodes(self, ladders):
+        # the basis is centred on the nucleus, so a whole-node move leaves
+        # the discrete problem unchanged up to box truncation (6.3e-4 at most)
+        origin, moved = ladders[(0, 0, 0)], ladders[(1, -1, 1)]
+        assert origin.shape == moved.shape == (3, 7)
+        assert np.all(np.abs(moved - origin) <= 1e-3 * np.abs(origin))
+
+    def test_off_origin_ladder_decays(self, ladders):
+        # columns n, fit_error_l2, thm6_sup, thm6_l2, thm7_sup, thm7_l2, K_bound
+        moved = ladders[(1, -1, 1)]
+        for column in (3, 4):  # thm6_l2, thm7_sup
+            assert np.all(np.diff(moved[:, column]) < 0.0), moved[:, column]
+
 
 class TestVerifyCommand:
     def test_default_config_passes(self, tmp_path):
@@ -603,12 +659,28 @@ class TestStartup:
         return proc.stdout.strip()
 
     def test_cli_import_leaves_scipy_sparse_unloaded(self):
-        # scipy.sparse is imported only by the inverse-iteration eigensolver
+        # the SCF's eigensolver is imaginary time on numpy.fft; only the
+        # tests' LOBPCG oracle uses scipy.sparse
         assert self._loaded_by_cli_import("scipy.sparse") == "False"
 
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
         # the basis projection's Cholesky solve is numpy.linalg's
         assert self._loaded_by_cli_import("scipy.linalg") == "False"
+
+    def test_no_module_imports_scipy(self):
+        # numpy is the package's only runtime dependency (pyproject.toml)
+        found = []
+        for path in sorted((REPO / "src" / "convolve_hf").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.partition(".")[0] == "scipy"]
+        assert found == []
 
     def test_cli_import_starts_no_thread(self):
         # the convolution engine's worker pool is made on first use
@@ -622,8 +694,8 @@ class TestStartup:
         assert proc.stdout.strip() == "1"
 
     def test_no_scipy_module_on_the_default_paths(self, tmp_path):
-        # FFTs, the Cholesky solve and erf come from numpy and math; only
-        # scf.eigensolver = inverse_iteration imports scipy (scipy.sparse)
+        # FFTs, the Cholesky solve and erf come from numpy and math, and the
+        # SCF's eigensolver is imaginary time: no command imports scipy
         hydrogen = write_config(tmp_path, (
             "grid.n = 16\ngrid.extent = 8.0\nsystem.nuclei = 1.0, 0.0, 0.0, 0.0\n"
             "residuals.source = hydrogen_identity\nresiduals.t = 2.5\nbasis.count = 4\n"),

@@ -9,8 +9,7 @@ path that cannot be written, 2 SCF did not converge or diverged, 3 an
 invariant check failed.  All CSV files are
 written atomically (temp file + rename) with a header row; floats are printed
 with 17 significant digits, so identical configurations produce
-byte-identical outputs.  When ``--out`` is absent the CONVOLVE_HF_OUT
-environment variable overrides the config's output.dir.
+byte-identical outputs.  ``--out`` overrides the config's output.dir.
 """
 
 from __future__ import annotations
@@ -110,8 +109,8 @@ def cmd_scf(config: RunConfig, out: Path, quiet: bool) -> int:
     ]
     _write_csv(out / "orbital_z0.csv", ["x", "y", "value"], plane_rows)
 
-    report = energies(result.orbitals, system, fields=result.fields)
-    bounds = check_orbital_bounds(result.orbitals, system, fields=result.fields)
+    report = energies(result.orbitals, result.fields)
+    bounds = check_orbital_bounds(result.orbitals, system, result.fields)
     summary = [
         f"converged = {result.converged}",
         f"iterations = {result.iteration_count}",
@@ -205,7 +204,7 @@ def cmd_residuals(config: RunConfig, out: Path, quiet: bool) -> int:
         {"orbital": a, "laplacian": "spectral", "masked": True},
     )
     thm4, thm5 = transformed_residuals(a, orbitals, fields, t, w)
-    cross = poisson_crosscheck(a, orbitals, fields, system, t, transformed=thm4)
+    cross = poisson_crosscheck(thm4, orbitals, fields, system)
 
     def row(name, rep: ResidualReport, param):
         return (
@@ -333,7 +332,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.grid_n is not None:
             config = replace(config, grid_n=args.grid_n).validated()
-        out = Path(args.out or os.environ.get("CONVOLVE_HF_OUT") or config.output_dir)
+        out = Path(args.out or config.output_dir)
         with warnings.catch_warnings():
             if args.quiet:
                 warnings.simplefilter("ignore")

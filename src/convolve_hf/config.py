@@ -27,13 +27,13 @@ class RunConfig:
     grid_n: int = 64
     grid_extent: float = 10.0
     nuclei: tuple = ((2.0, (0.0, 0.0, 0.0)),)
-    pairs: int = 1
+    pairs: int = 1  # read by nothing; see validated()
     scf_max_iter: int = ScfConfig.max_iterations
     scf_mixing: float = ScfConfig.mixing
     scf_tol_energy: float = ScfConfig.energy_tolerance
     scf_tol_orbital: float = ScfConfig.orbital_tolerance
     scf_eigensolver: str = "imaginary_time"  # read by nothing; see validated()
-    scf_time_step: float | None = ScfConfig.time_step
+    scf_time_step: float = ScfConfig.time_step
     poisson_t_values: tuple[float, ...] = (0.8, 0.4, 0.2, 0.1)
     window_alpha: float = 1.0
     basis_alpha0: float = 0.1
@@ -49,9 +49,7 @@ class RunConfig:
 
     def system(self) -> MolecularSystem:
         margin = self.masking_radius_cells * self.grid().spacing
-        return MolecularSystem(
-            nuclei=self.nuclei, pair_count=self.pairs, regular_set_margin=margin
-        )
+        return MolecularSystem(nuclei=self.nuclei, regular_set_margin=margin)
 
     def scf(self) -> ScfConfig:
         return ScfConfig(
@@ -73,10 +71,10 @@ class RunConfig:
         if self.masking_radius_cells > self.grid_n:
             raise ConfigError(f"masking.radius_cells must be at most grid.n = {self.grid_n}, "
                               f"got {self.masking_radius_cells:g}")
+        # these two keys stay because generated benchmark configs write them
         if self.pairs != 1:
             raise ConfigError(f"system.pairs must be 1 (the SCF solves one orbital), "
                               f"got {self.pairs}")
-        # the key stays because generated benchmark configs write it
         if self.scf_eigensolver != "imaginary_time":
             raise ConfigError(f"scf.eigensolver must be imaginary_time (the only eigensolver), "
                               f"got {self.scf_eigensolver!r}")
@@ -156,7 +154,7 @@ def _floats(raw: str):
 
 
 def _time_step(raw: str):
-    return None if raw.lower() == "auto" else float(raw)
+    return ScfConfig.time_step if raw.lower() == "auto" else float(raw)
 
 
 # config key -> (RunConfig field, converter); a converter raises ValueError

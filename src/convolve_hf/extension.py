@@ -3,9 +3,9 @@
 ``extend`` convolves a boundary field with the Poisson kernel at a
 ladder of heights t; each slice is one horizontal cut of the harmonic
 extension.  The module verifies the extension numerically: interior
-harmonicity via a height-stencil, boundary convergence of the slices,
-and the two sup bounds (the 4/(pi t) bound and the sharper unit-mass
-bound).
+harmonicity via a height-stencil, L2 boundary convergence of the
+slices, and the two sup bounds (the 4/(pi t) bound and the sharper
+unit-mass bound).
 """
 
 from __future__ import annotations
@@ -95,13 +95,9 @@ def harmonicity_residual(ext: HarmonicExtension, t_index: int) -> float:
     return num / den
 
 
-def boundary_convergence(ext: HarmonicExtension, norm_kind: str = "L2"):
-    """Distances ||slice_t - base|| per height, largest t first; ``norm_kind``
-    is "L2" or "sup"."""
-    p = {"L2": 2, "sup": np.inf}.get(norm_kind)
-    if p is None:
-        raise ValueError(f"unknown norm kind {norm_kind!r}")
-    pairs = [(t, norm(s - ext.base, p)) for t, s in zip(ext.heights, ext.slices)]
+def boundary_convergence(ext: HarmonicExtension):
+    """L2 distances ||slice_t - base||_2 per height, largest t first."""
+    pairs = [(t, norm(s - ext.base, 2)) for t, s in zip(ext.heights, ext.slices)]
     return sorted(pairs, key=lambda ts: -ts[0])
 
 

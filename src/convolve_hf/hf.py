@@ -13,7 +13,9 @@ and the strong residual of the transformed eigenvalue equation is
 masked inside a small radius around each nucleus where the equation is
 singular.  ``equation_terms`` assembles the pointwise terms psi_a,
 (p - q + 2 eps_a) psi_a and sum_c s[a,c] psi_c once; the strong residual
-and both convolution-transformed residuals are built from them.  Nucleus
+and both convolution-transformed residuals are built from them.
+``energies`` and ``check_orbital_bounds`` take the ``HfFields`` of the
+orbital set they evaluate and never convolve on their own.  Nucleus
 count and orbital count are independent here even though the source
 equations index both by the same letter.  Orbitals and fields are real.
 """
@@ -63,7 +65,7 @@ _INV_SQUARE_CELL_MEAN = 7.674124222443732
 
 @dataclass(frozen=True)
 class MolecularSystem:
-    """Nuclei (charge, position) plus the number n of doubly occupied orbitals.
+    """Nuclei (charge, position).
 
     ``regular_set_margin`` is the exclusion radius around each nucleus used
     when masking singular quantities; ``None`` defers to 2h of the grid in
@@ -71,7 +73,6 @@ class MolecularSystem:
     """
 
     nuclei: tuple[tuple[float, tuple[float, float, float]], ...]
-    pair_count: int = 1
     regular_set_margin: float | None = None
 
     def __post_init__(self):
@@ -84,8 +85,6 @@ class MolecularSystem:
         positions = [pos for _, pos in nuclei]
         if len({pos for pos in positions}) != len(positions):
             raise ValueError("nuclei positions must be distinct")
-        if self.pair_count < 1:
-            raise ValueError("pair_count must be >= 1")
         if self.regular_set_margin is not None and self.regular_set_margin <= 0:
             raise ValueError("regular_set_margin must be positive")
 
@@ -272,19 +271,15 @@ class EnergyReport:
     virial_ratio: float
 
 
-def energies(
-    orbitals: OrbitalSet,
-    system: MolecularSystem,
-    fields: HfFields | None = None,
-) -> EnergyReport:
+def energies(orbitals: OrbitalSet, fields: HfFields) -> EnergyReport:
     """Closed-shell electronic energies (occupancy 2 per orbital).
 
     kinetic = sum_a 2 <psi_a, -1/2 lap psi_a>; the potential assembles
-    nuclear attraction, Hartree and exchange from p, q, s.  The virial
-    ratio |V| / (2 T) equals 1 for exact stationary solutions.
+    nuclear attraction, Hartree and exchange from the p, q, s of
+    ``fields``, which must be those of ``orbitals`` (``build_fields``, or
+    the fields an SCF result carries).  The virial ratio |V| / (2 T)
+    equals 1 for exact stationary solutions.
     """
-    if fields is None:
-        fields = build_fields(system, orbitals)
     h3 = orbitals.grid.spacing**3
     kinetic = 0.0
     v_nuc = 0.0
@@ -378,12 +373,11 @@ class BoundCheckReport:
 def check_orbital_bounds(
     orbitals: OrbitalSet,
     system: MolecularSystem,
-    fields: HfFields | None = None,
+    fields: HfFields,
 ) -> BoundCheckReport:
-    """Verify the overlap-field sup bound and the weighted-L2 bound at the
-    nuclei plus 10 deterministic pseudo-random points."""
-    if fields is None:
-        fields = build_fields(system, orbitals)
+    """Verify the overlap-field sup bound on ``fields`` (those of
+    ``orbitals``) and the weighted-L2 bound at the nuclei plus 10
+    deterministic pseudo-random points."""
     grid = orbitals.grid
     rng = np.random.default_rng(2026)
     points = [pos for _, pos in system.nuclei]

@@ -4,8 +4,9 @@ Two transforms eliminate the Laplacian: convolution with the Poisson
 kernel (the height derivative takes over the second derivatives) and
 convolution with a smooth window w (the Laplacian moves onto w).  Both
 are evaluated per-term so the reports expose which contribution
-dominates, and both are cross-validated against the convolved strong
-residual: the kernel-derivative route and the grid-Laplacian route must
+dominates.  ``poisson_crosscheck`` takes a height-transformed report and
+compares it with the strong residual convolved with P_t at the report's
+height: the kernel-derivative route and the grid-Laplacian route must
 agree.  One helper assembles every transformed residual from one
 ``hf.equation_terms`` call, convolving each term field once with all its
 kernels; an all-zero field is not transformed (``convolve_with_kernel``
@@ -80,20 +81,12 @@ class ResidualReport:
         )
 
 
-def laplacian_convolution_symmetry_defect(
-    f: ScalarField,
-    g: ScalarField,
-    method: str = "spectral",
-) -> float:
-    """||(lap f) * g - f * (lap g)||_inf / ||(lap f) * g||_inf.
-
-    With the spectral Laplacian the two sides agree to roundoff for
-    band-limited box-supported fields; rough partners (impulses) need
-    the local stencil, whose transfer through the linear convolution is
-    exact away from the boundary.
-    """
-    lhs = convolve(laplacian(f, method=method), g)
-    rhs = convolve(f, laplacian(g, method=method))
+def laplacian_convolution_symmetry_defect(f: ScalarField, g: ScalarField) -> float:
+    """||(lap f) * g - f * (lap g)||_inf / ||(lap f) * g||_inf with the
+    spectral Laplacian; the two sides agree to roundoff for band-limited
+    box-supported fields."""
+    lhs = convolve(laplacian(f), g)
+    rhs = convolve(f, laplacian(g))
     den = norm(lhs, np.inf)
     if den == 0.0:
         return 0.0
@@ -233,10 +226,8 @@ def window_residual_literal(
 
 @dataclass(frozen=True)
 class CrosscheckReport:
-    """Agreement between the kernel-derivative and grid-Laplacian routes;
-    ``transformed`` is the height-transformed residual it compared."""
+    """Agreement between the kernel-derivative and grid-Laplacian routes."""
 
-    transformed: ResidualReport
     diff_l2: float
     diff_sup: float
     convolved_strong_l2: float
@@ -247,30 +238,23 @@ class CrosscheckReport:
 
 
 def poisson_crosscheck(
-    a: int,
+    transformed: ResidualReport,
     orbitals: OrbitalSet,
     fields: HfFields,
     system: MolecularSystem,
-    t: float,
     method: str = "finite_difference_2nd",
-    transformed: ResidualReport | None = None,
 ) -> CrosscheckReport:
-    """Compare the height-transformed residual with -(strong residual * P_t).
+    """Compare a height-transformed residual with -(strong residual * P_t).
 
-    ``transformed`` is that residual when the caller has already evaluated
-    it for orbital ``a`` at height t; by default it is computed here.  The
-    relative measure divides by max(largest transformed term,
-    ||convolved strong residual||): for exact solutions both routes are
-    residual-sized and a ratio of the two alone would be noise over noise.
+    ``transformed`` is the report of :func:`poisson_transformed_residual`
+    (or the first of :func:`transformed_residuals`); the orbital and the
+    height t are read from its params, so the two routes always compare
+    the same equation.  The relative measure divides by max(largest
+    transformed term, ||convolved strong residual||): for exact solutions
+    both routes are residual-sized and a ratio of the two alone would be
+    noise over noise.
     """
-    require_resolved(t, orbitals.grid)
-    if transformed is None:
-        transformed = poisson_transformed_residual(a, orbitals, fields, t)
-    elif (transformed.params.get("t"), transformed.params.get("orbital")) != (t, a):
-        raise ValueError(
-            f"transformed residual has params {transformed.params}, expected t={t} "
-            f"and orbital {a}"
-        )
+    a, t = transformed.params["orbital"], transformed.params["t"]
     strong = strong_residual(a, orbitals, fields, system, method=method)
     cross = -1.0 * convolve_with_kernel(strong, PoissonKernel(t=t))
     diff_field = transformed.total_field - cross
@@ -278,7 +262,6 @@ def poisson_crosscheck(
     diff = norm(diff_field, 2)
     scale = max(max(transformed.term_l2), cross_l2)
     return CrosscheckReport(
-        transformed=transformed,
         diff_l2=diff,
         diff_sup=norm(diff_field, np.inf),
         convolved_strong_l2=cross_l2,

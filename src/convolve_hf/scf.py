@@ -63,22 +63,20 @@ from .kernels import Gaussian, sample
 __all__ = ["ScfConfig", "ScfIteration", "ScfResult", "apply_fock", "solve"]
 
 _INNER_STEPS = 4
-_AUTO_TIME_STEP = 0.5
 
 
 @dataclass(frozen=True)
 class ScfConfig:
     """Iteration controls.
 
-    ``time_step`` is the step of the semi-implicit imaginary-time flow;
-    ``None`` (``auto`` in a config file) takes the grid-independent
-    ``_AUTO_TIME_STEP`` = 0.5.  Measured on He (L = 12, N = 48/64/96)
-    and H2 (N = 48), dt = 0.1 needs 13-19 outer iterations and dt = 0.5,
-    1 and 2 all need 11-12, at the same energies: past 0.5 the
-    linear mixing, not the inner loop, sets the count.  0.5 is the
-    smallest step on that plateau, and it keeps the explicit factor
-    1 - dt (v - eps - sigma) >= 1 + dt eps positive for eps > -2, so a
-    positive orbital stays positive.
+    ``time_step`` is the step of the semi-implicit imaginary-time flow,
+    by default 0.5 whatever the grid (``auto`` in a config file).
+    Measured on He (L = 12, N = 48/64/96) and H2 (N = 48), dt = 0.1
+    needs 13-19 outer iterations and dt = 0.5, 1 and 2 all need 11-12,
+    at the same energies: past 0.5 the linear mixing, not the inner
+    loop, sets the count.  0.5 is the smallest step on that plateau, and
+    it keeps the explicit factor 1 - dt (v - eps - sigma) >= 1 + dt eps
+    positive for eps > -2, so a positive orbital stays positive.
 
     Each outer iteration takes ``_INNER_STEPS`` = 4 inner steps, the
     smallest count at which He keeps the outer count of 12 steps on every
@@ -100,7 +98,7 @@ class ScfConfig:
     mixing: float = 0.6
     energy_tolerance: float = 1e-7
     orbital_tolerance: float = 1e-6
-    time_step: float | None = None
+    time_step: float = 0.5
 
     def __post_init__(self):
         if self.max_iterations < 0:
@@ -109,7 +107,7 @@ class ScfConfig:
             raise ValueError(f"mixing must lie in (0, 1], got {self.mixing}")
         if self.energy_tolerance <= 0 or self.orbital_tolerance <= 0:
             raise ValueError("tolerances must be positive")
-        if self.time_step is not None and self.time_step <= 0:
+        if self.time_step <= 0:
             raise ValueError("time_step must be positive")
 
 
@@ -130,10 +128,6 @@ class ScfResult:
     final_residual: float
     fields: HfFields
     wall_seconds: float
-
-    @property
-    def energy_history(self) -> tuple[float, ...]:
-        return tuple(it.energy for it in self.history)
 
 
 def apply_fock(
@@ -174,8 +168,6 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
     both the energy change and the orbital change fell below their
     tolerances.
     """
-    if system.pair_count != 1:
-        raise NotImplementedError("multi-orbital SCF is out of scope (n = 1 only)")
     system.require_inside(grid)
     t_start = time.perf_counter()
     h = grid.spacing
@@ -197,7 +189,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
 
     rho = psi * psi
     s_mix = s_of(rho)
-    dt = _AUTO_TIME_STEP if config.time_step is None else config.time_step
+    dt = config.time_step
     mult = _spectral_multiplier(grid)  # -|k|^2, cached per grid
     kinetic = -0.5 * (psi * spectral_laplacian(psi, grid)).sum() * h3
 

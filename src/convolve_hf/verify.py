@@ -112,7 +112,7 @@ def run_verify(config: RunConfig) -> list[CheckResult]:
     wide = _gaussian_field(grid, 0.05, amplitude=1.0)
     heights = tuple(sorted(set(config.poisson_t_values) | {2.0}))
     ext = extend(wide, heights)
-    distances = [d for _, d in sorted(boundary_convergence(ext, "L2"))]  # increasing t
+    distances = [d for _, d in sorted(boundary_convergence(ext))]  # increasing t
     strictly_decreasing = all(d2 < d1 for d1, d2 in zip(distances[1:], distances[:-1]))
     final_rel = distances[0] / norm(wide, 2)
     ladder_ok = strictly_decreasing and final_rel <= 0.05

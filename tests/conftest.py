@@ -26,7 +26,7 @@ def grid64():
 
 @pytest.fixture(scope="session")
 def he_system():
-    return chf.MolecularSystem(nuclei=((2.0, (0.0, 0.0, 0.0)),), pair_count=1)
+    return chf.MolecularSystem(nuclei=((2.0, (0.0, 0.0, 0.0)),))
 
 
 @pytest.fixture(scope="session")

@@ -131,7 +131,7 @@ def hydrogen_identity(n, extent, margin=0.75):
     eigenpair configuration (Z=1, eps=-1/2)."""
     grid = chf.GridSpec(points_per_axis=n, extent=extent)
     system = chf.MolecularSystem(
-        nuclei=((1.0, (0.0, 0.0, 0.0)),), pair_count=1, regular_set_margin=margin
+        nuclei=((1.0, (0.0, 0.0, 0.0)),), regular_set_margin=margin
     )
     psi = normalized_field(chf.sample(chf.Slater1s(), grid))
     orbitals = chf.OrbitalSet(orbitals=(psi,), energies=(-0.5,))

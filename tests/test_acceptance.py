@@ -59,7 +59,7 @@ def test_criterion_02_overlap_sup_bound(he_result_96, he_system, rng):
     b = random_smooth_orbital(grid, rng)
     b = normalized_field(b - chf.inner(a, b) * a)
     pair = chf.OrbitalSet(orbitals=(a, b), energies=(0.0, 0.0))
-    system2 = chf.MolecularSystem(nuclei=((2.0, (0, 0, 0)),), pair_count=2)
+    system2 = chf.MolecularSystem(nuclei=((2.0, (0, 0, 0)),))
     worst = max(worst, chf.build_fields(system2, pair).s_sup_max())
     slater = chf.OrbitalSet(
         orbitals=(normalized_field(chf.sample(chf.Slater1s(), grid)),), energies=(-0.5,)
@@ -110,7 +110,7 @@ def test_criterion_05_boundary_convergence():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
         ext = chf.extend(base, (0.8, 0.4, 0.2, 0.1))
-    ladder = chf.boundary_convergence(ext, "L2")
+    ladder = chf.boundary_convergence(ext)
     dists = [d for _, d in ladder]  # descending t
     assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
     final_rel = dists[-1] / chf.norm(base, 2)
@@ -170,19 +170,19 @@ def test_criterion_09_hydrogen_residual_order():
 
 def test_criterion_10_cross_pipeline_identity(rng):
     grid, system, orbitals, fields = hydrogen_identity(160, 8.0, margin=0.75)
-    hyd = chf.poisson_crosscheck(0, orbitals, fields, system, t=0.25,
-                                 method="finite_difference_2nd")
+    hyd = chf.poisson_crosscheck(chf.poisson_transformed_residual(0, orbitals, fields, t=0.25),
+                                 orbitals, fields, system, method="finite_difference_2nd")
     assert hyd.relative <= 0.02
     # unconverged random orbital, vanishing through the one-cell mask
     grid2 = chf.GridSpec(points_per_axis=96, extent=6.0)
     system2 = chf.MolecularSystem(
-        nuclei=((1.0, (0.0, 0.0, 0.0)),), pair_count=1,
-        regular_set_margin=grid2.spacing,
+        nuclei=((1.0, (0.0, 0.0, 0.0)),), regular_set_margin=grid2.spacing,
     )
     psi = random_smooth_orbital(grid2, rng, envelope=4.0, hole_radius=0.5)
     orb2 = chf.OrbitalSet(orbitals=(psi,), energies=(-0.4,))
     fields2 = chf.build_fields(system2, orb2)
-    rand = chf.poisson_crosscheck(0, orb2, fields2, system2, t=0.25, method="spectral")
+    rand = chf.poisson_crosscheck(chf.poisson_transformed_residual(0, orb2, fields2, t=0.25),
+                                  orb2, fields2, system2, method="spectral")
     assert rand.relative <= 0.02
     report(10, f"cross-pipeline: hydrogen {hyd.relative:.4f}, "
                f"random orbital {rand.relative:.4f} <= 2%")
@@ -191,7 +191,7 @@ def test_criterion_10_cross_pipeline_identity(rng):
 def test_criterion_11_helium_scf(he_result_96, he_system):
     result = he_result_96
     assert result.converged and result.iteration_count <= 200
-    rep = chf.energies(result.orbitals, he_system, fields=result.fields)
+    rep = chf.energies(result.orbitals, result.fields)
     assert rep.virial_ratio == pytest.approx(1.0, abs=0.05)
     band = json.loads(
         (REPO / "src" / "convolve_hf" / "data" / "he_reference.json").read_text()

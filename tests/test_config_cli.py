@@ -16,7 +16,7 @@ import pytest
 from convolve_hf import cli, verify
 from convolve_hf.cli import main
 from convolve_hf.config import _KEYS, RunConfig, load_config, parse_config
-from convolve_hf.convolution import ConvolutionPlan
+from convolve_hf.convolution import ConvolutionPlan, under_resolved
 from convolve_hf.errors import ConfigError
 from convolve_hf.extension import HarmonicExtension
 from convolve_hf.fields import ScalarField
@@ -170,7 +170,7 @@ class TestConfigParsing:
         assert len(err) == 1 and err[0].startswith(f"error: {key}")
 
     def test_time_step_auto(self):
-        assert parse_config("scf.time_step = auto\n").scf_time_step is None
+        assert parse_config("scf.time_step = auto\n").scf_time_step == 0.5
         assert parse_config("scf.time_step = 0.004\n").scf_time_step == 0.004
 
     def test_scf_defaults_are_those_of_scf_config(self):
@@ -224,6 +224,15 @@ class TestShippedConfigs:
 
         cfg = load_config(REPO / "configs" / name)
         assert cfg.grid_n >= 8
+
+    @pytest.mark.parametrize(
+        "name",
+        ["he.cfg", "he_quick.cfg", "h2.cfg", "hydrogen_identity.cfg", "zero_orbital.cfg"],
+    )
+    def test_residuals_height_is_resolved(self, name):
+        # residuals and expand exit 1 on a height below 2h
+        cfg = load_config(REPO / "configs" / name)
+        assert not under_resolved(cfg.residuals_t, cfg.grid())
 
 
 class TestScfCommand:
@@ -596,20 +605,12 @@ class TestVerifyCommand:
 
 
 class TestOutputOverrides:
-    def test_env_var_honored_when_flag_absent(self, tmp_path, monkeypatch):
+    def test_flag_wins_over_output_dir(self, tmp_path):
         cfg = write_config(tmp_path, f"output.dir = {tmp_path / 'from_config'}\n")
-        monkeypatch.setenv("CONVOLVE_HF_OUT", str(tmp_path / "from_env"))
-        assert main(["verify", "--config", str(cfg), "--quiet"]) == 0
-        assert (tmp_path / "from_env" / "verify_results.csv").exists()
-        assert not (tmp_path / "from_config").exists()
-
-    def test_flag_wins_over_env(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, "grid.n = 64\n")
-        monkeypatch.setenv("CONVOLVE_HF_OUT", str(tmp_path / "from_env"))
         out = tmp_path / "from_flag"
         assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
         assert (out / "verify_results.csv").exists()
-        assert not (tmp_path / "from_env").exists()
+        assert not (tmp_path / "from_config").exists()
 
     @pytest.mark.parametrize("sub", ["", "sub"])
     def test_out_through_an_existing_file_is_one_error_line(self, tmp_path, capsys, sub):

@@ -89,7 +89,7 @@ class TestBoundaryConvergence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
             ext = chf.extend(base, (0.8, 0.4, 0.2, 0.1))
-        ladder = chf.boundary_convergence(ext, "L2")
+        ladder = chf.boundary_convergence(ext)
         assert [t for t, _ in ladder] == [0.8, 0.4, 0.2, 0.1]
         dists = [d for _, d in ladder]
         assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
@@ -102,8 +102,7 @@ class TestBoundaryConvergence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
             ext = chf.extend(base, (0.8, 0.4, 0.2))
-        ladder = chf.boundary_convergence(ext, "sup")
-        dists = [d for _, d in ladder]
+        dists = [chf.norm(ext.slice_at(t) - base, np.inf) for t in (0.8, 0.4, 0.2)]
         assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
 
     def test_richardson_extrapolation_hits_base(self):
@@ -116,11 +115,6 @@ class TestBoundaryConvergence:
         extrapolated = 2.0 * u2 - u1  # linear in t toward t = 0
         rel = chf.norm(extrapolated - base, 2) / chf.norm(base, 2)
         assert rel <= 0.01
-
-    def test_unknown_norm_kind(self, grid48):
-        ext = chf.extend(wide_gaussian(grid48), (0.6,))
-        with pytest.raises(ValueError):
-            chf.boundary_convergence(ext, "L7")
 
 
 class TestSupBounds:

@@ -117,7 +117,7 @@ class TestOverlapFields:
         b = random_smooth_orbital(grid64, rng)
         b = normalized_field(b - chf.inner(a, b) * a)  # orthogonalize
         orb = chf.OrbitalSet(orbitals=(a, b), energies=(0.0, 0.0))
-        system = chf.MolecularSystem(nuclei=((2.0, (0, 0, 0)),), pair_count=2)
+        system = chf.MolecularSystem(nuclei=((2.0, (0, 0, 0)),))
         fields = chf.build_fields(system, orb)
         assert_overlap_bound(fields)
 
@@ -147,7 +147,7 @@ class TestOverlapFields:
         b = random_smooth_orbital(grid64, rng)
         b = normalized_field(b - chf.inner(a, b) * a)
         orb = chf.OrbitalSet(orbitals=(a, b), energies=(0.0, 0.0))
-        system = chf.MolecularSystem(nuclei=((2.0, (0, 0, 0)),), pair_count=2)
+        system = chf.MolecularSystem(nuclei=((2.0, (0, 0, 0)),))
         fields = chf.build_fields(system, orb)
         expected_q = 4.0 * (fields.s[0][0].values + fields.s[1][1].values)
         assert np.array_equal(fields.q.values, expected_q)
@@ -201,15 +201,15 @@ class TestEnergies:
         psi = unit_gaussian_orbital(grid64)
         orb = chf.OrbitalSet(orbitals=(psi,), energies=(0.0,))
         system = chf.MolecularSystem(nuclei=((2.0, (0, 0, 0)),))
-        rep = chf.energies(orb, system)
+        rep = chf.energies(orb, chf.build_fields(system, orb))
         assert rep.kinetic > 0
 
     def test_sign_invariance(self, grid64):
         # psi -> -psi is the only global phase of a real orbital
         psi = unit_gaussian_orbital(grid64)
         system = chf.MolecularSystem(nuclei=((2.0, (0, 0, 0)),))
-        rep1 = chf.energies(chf.OrbitalSet(orbitals=(psi,), energies=(0.0,)), system)
-        rep2 = chf.energies(chf.OrbitalSet(orbitals=(-psi,), energies=(0.0,)), system)
+        orbs = [chf.OrbitalSet(orbitals=(sign * psi,), energies=(0.0,)) for sign in (1.0, -1.0)]
+        rep1, rep2 = (chf.energies(orb, chf.build_fields(system, orb)) for orb in orbs)
         assert rep2.total == pytest.approx(rep1.total, abs=1e-10)
         assert rep2.kinetic == pytest.approx(rep1.kinetic, abs=1e-10)
 
@@ -245,7 +245,7 @@ class TestBoundChecks:
         psi = unit_gaussian_orbital(grid64, 1.0)
         orb = chf.OrbitalSet(orbitals=(psi,), energies=(0.0,))
         system = chf.MolecularSystem(nuclei=((2.0, (0, 0, 0)),))
-        report = chf.check_orbital_bounds(orb, system)
+        report = chf.check_orbital_bounds(orb, system, chf.build_fields(system, orb))
         assert report.all_ok
         assert report.preconditions_met
         assert report.max_l2_square <= chf.L2_SQUARE_BOUND

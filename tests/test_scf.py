@@ -144,11 +144,11 @@ class TestSolve:
         assert -0.95 < eps < -0.75
         assert result.final_residual <= 0.05
         # diagnostic history: energies settle after the initial transient
-        energies = result.energy_history
+        energies = [it.energy for it in result.history]
         assert abs(energies[-1] - energies[-2]) <= 1e-6
 
-    def test_helium_virial_ratio(self, he_result_48, he_system):
-        report = chf.energies(he_result_48.orbitals, he_system, fields=he_result_48.fields)
+    def test_helium_virial_ratio(self, he_result_48):
+        report = chf.energies(he_result_48.orbitals, he_result_48.fields)
         assert report.virial_ratio == pytest.approx(1.0, abs=0.05)
         assert report.kinetic > 0
         assert report.total < -2
@@ -184,11 +184,6 @@ class TestSolve:
         psi = result.orbitals.orbitals[0]
         f_psi = chf.apply_fock(psi, he_system, result.fields, result.orbitals)
         assert result.orbitals.energies[0] == pytest.approx(chf.inner(psi, f_psi), abs=1e-12)
-
-    def test_multi_orbital_out_of_scope(self, grid32):
-        system = chf.MolecularSystem(nuclei=((4.0, (0.0, 0.0, 0.0)),), pair_count=2)
-        with pytest.raises(NotImplementedError):
-            chf.solve(system, grid32, chf.ScfConfig())
 
     def test_nucleus_outside_box_rejected(self, grid32):
         system = chf.MolecularSystem(nuclei=((2.0, (50.0, 0.0, 0.0)),))
@@ -250,9 +245,7 @@ class TestSolve:
         assert abs(eps[96] - eps[64]) / abs(eps[96]) <= 0.02
 
     def test_hydrogen_molecule_geometry_converges(self):
-        system = chf.MolecularSystem(
-            nuclei=((1.0, (0.7, 0.0, 0.0)), (1.0, (-0.7, 0.0, 0.0))), pair_count=1
-        )
+        system = chf.MolecularSystem(nuclei=((1.0, (0.7, 0.0, 0.0)), (1.0, (-0.7, 0.0, 0.0))))
         grid = chf.GridSpec(points_per_axis=48, extent=12.0)
         result = chf.solve(system, grid, chf.ScfConfig(max_iterations=200))
         assert result.converged
@@ -272,7 +265,7 @@ class TestSemiImplicitStep:
         # box truncation, so it reproduces the N = 64 reference
         grid = chf.GridSpec(points_per_axis=64, extent=12.0)
         center = tuple(s * grid.spacing for s in (2, -1, 2))
-        system = chf.MolecularSystem(nuclei=((2.0, center),), pair_count=1)
+        system = chf.MolecularSystem(nuclei=((2.0, center),))
         result = chf.solve(system, grid, chf.ScfConfig(max_iterations=200, mixing=0.6))
         return system, result
 
@@ -286,7 +279,7 @@ class TestSemiImplicitStep:
         reference = json.loads(
             (Path(chf.__file__).parent / "data" / "he_reference.json").read_text()
         )["grids"]["64"]["total_energy"]
-        report = chf.energies(result.orbitals, system, fields=result.fields)
+        report = chf.energies(result.orbitals, result.fields)
         assert report.total == pytest.approx(reference, abs=1e-7)
 
     def test_shipped_step_count_matches_twelve_steps(self, he_system, he_result_48, monkeypatch):
@@ -299,8 +292,6 @@ class TestSemiImplicitStep:
         shipped = he_result_48
         assert shipped.converged and twelve.converged
         assert shipped.iteration_count <= twelve.iteration_count
-        totals = [
-            chf.energies(r.orbitals, he_system, fields=r.fields).total for r in (shipped, twelve)
-        ]
+        totals = [chf.energies(r.orbitals, r.fields).total for r in (shipped, twelve)]
         assert totals[0] == pytest.approx(totals[1], abs=1e-9)
         assert shipped.final_residual <= 2.0 * twelve.final_residual

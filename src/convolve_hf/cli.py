@@ -147,17 +147,19 @@ def cmd_extend_sweep(config: RunConfig, out: Path, quiet: bool) -> int:
         sl = ext.slice_at(t)
         defect = harmonicity_residual(ext, 1)
         flag = "unresolved" if under_resolved(t, grid) else ""
+        distance = sl - base
         rows.append(
             (
                 t,
-                norm(sl - base, 2),
-                norm(sl - base, np.inf),
+                norm(distance, 2),
+                norm(distance, np.inf),
                 norm(sl, np.inf),
                 4.0 / (np.pi * t),
                 defect,
                 flag,
             )
         )
+        del ext, sl, distance  # this height's slices go before the next extend
     _write_csv(
         out / "extension_sweep.csv",
         ["t", "l2_distance", "sup_distance", "sup_norm", "paper_bound_4_over_pi_t",

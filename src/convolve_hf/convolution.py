@@ -15,7 +15,7 @@ Every convolvable kernel is radial, so its padded offset samples are even
 with period 2n along each axis.  Only the (n+1)^3 octant of nonnegative
 offsets j*h, j = 0..n, is sampled.  Its type-I DCT is exactly the DFT of
 the full (2n)^3 offset grid at frequencies 0..n per axis, and that DFT is
-real; the frequencies beyond n are its mirror images.  A cached spectrum
+real; the frequencies beyond n are its mirror images.  A kept spectrum
 is therefore a real (n+1)^3 array of 8 (n+1)^3 bytes: 7.3 MB at n = 96,
 where the complex rFFT of the padded grid took 57 MB.  Along one axis,
 the DCT-I of x_0..x_n is the real part of the rFFT of its even extension
@@ -43,7 +43,7 @@ pass runs on the field as stored.  A block's planes are copied into a
 rows buffer [kz, x, y], zero-padded along y, for the y pass, and its
 result into a block buffer [kz, ky, x], zero-padded along x, for the x
 pass, each transformed in place.  So a block is indexed [kz, ky, kx], and
-spectra are cached in that order: a block's kernel planes are one
+spectra are kept in that order: a block's kernel planes are one
 contiguous slice.  The inverse x pass runs on the product in place, the
 inverse y pass on a transposed copy in the rows buffer.  The lines and
 the order of the axes (z, y, x forward; x, y, z inverse) are those of
@@ -123,13 +123,21 @@ per-block arrays and a whole (n, n, 2n) inverse z pass they took 29, 43,
 57, 43 and 40 MB, and building the padded spectrum 86, 115 and 143 MB
 for one kernel, three and ``convolve_fields``.
 
-Spectrum cache
---------------
-Spectra live in one process-wide LRU keyed by (grid, kernel), under one
-lock and one byte budget shared by all grids: 768 MB, about 100 spectra
-at n = 96.  Hits are bit-identical to cold computations because sampling
-is deterministic.  Two threads that miss the same key both compute it;
-the first insertion is kept and its bytes are counted once.
+Spectrum ownership
+------------------
+A spectrum belongs to the plan that computed it: a plan keeps the
+spectrum of each distinct kernel it has convolved with, 8 (n+1)^3 bytes
+apiece, and they are freed with the plan.  There is no process-wide
+spectrum state.  Code that reuses a kernel holds one plan: ``scf.solve``
+keeps one Coulomb spectrum for all its outer iterations, and the
+``expand`` ladder four spectra (d2t P_t, P_t, lap w and w; also 1/r for
+the r_n of an SCF source) for all its orders.  The module-level
+``convolve_with_kernel``, ``coulomb_convolve`` and ``convolve`` each take
+a throwaway plan, so a one-shot kernel, such as each height of an
+extension sweep, is dropped when its call returns.  A reused spectrum is
+bit-identical to a fresh one because sampling is deterministic.  Two
+threads that miss the same kernel on one plan both compute it, and the
+plan keeps the first.
 
 Kernel sampling flavors
 -----------------------
@@ -153,7 +161,6 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 
@@ -407,44 +414,30 @@ def _run(task, shares: list[slice]) -> None:
             raise error
 
 
-_SPECTRUM_BUDGET_BYTES = 768_000_000
-_spectra: OrderedDict[tuple[GridSpec, AnalyticFunction], np.ndarray] = OrderedDict()
-_spectra_bytes = 0
-_spectra_lock = threading.Lock()
-
-
 class ConvolutionPlan:
     """Zero-padded convolutions on one grid.
 
-    A plan holds only its grid, so building one costs nothing; kernel
-    spectra come from the process-wide cache, and concurrent convolutions
-    of distinct fields are safe.
+    A plan holds its grid and the spectra of the kernels it has convolved
+    with (see "Spectrum ownership" above), which are freed with the plan;
+    building one costs nothing.  Concurrent convolutions of distinct
+    fields on one plan are safe.
     """
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
+        self._spectra: dict[AnalyticFunction, np.ndarray] = {}
 
     def kernel_spectrum(self, kernel: AnalyticFunction) -> np.ndarray:
         """Read-only (n+1)^3 octant of the padded kernel's DFT: the type-I
         DCT of its octant samples, stored [kz, ky, kx] as the blocks are,
-        so that a block's kernel planes are one contiguous slice."""
-        global _spectra_bytes
-        key = (self.grid, kernel)
-        with _spectra_lock:
-            if key in _spectra:
-                _spectra.move_to_end(key)
-                return _spectra[key]
-        spec = _dct1_kz_first(_sample_kernel_octant(kernel, self.grid))
-        spec.flags.writeable = False
-        with _spectra_lock:
-            if key in _spectra:  # another thread computed it meanwhile
-                _spectra.move_to_end(key)
-                return _spectra[key]
-            _spectra[key] = spec
-            _spectra_bytes += spec.nbytes
-            while _spectra_bytes > _SPECTRUM_BUDGET_BYTES and len(_spectra) > 1:
-                _, old = _spectra.popitem(last=False)
-                _spectra_bytes -= old.nbytes
+        so that a block's kernel planes are one contiguous slice.  Computed
+        on the plan's first request for ``kernel`` and kept by the plan."""
+        spec = self._spectra.get(kernel)
+        if spec is None:
+            spec = _dct1_kz_first(_sample_kernel_octant(kernel, self.grid))
+            spec.flags.writeable = False
+            # a thread that missed meanwhile may have stored its own: keep the first
+            spec = self._spectra.setdefault(kernel, spec)
         return spec
 
     # -- plane-blocked zero-padded transforms ---------------------------

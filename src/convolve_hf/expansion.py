@@ -21,17 +21,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .convolution import convolve_with_kernel
+from .convolution import ConvolutionPlan
 from .errors import IllConditionedBasisError
 from .fields import ScalarField, inner, norm
-from .hf import HfFields, OrbitalSet, build_overlap_fields, equation_terms
+from .hf import HfFields, OrbitalSet, _overlap_fields, equation_terms
 from .kernels import Gaussian, PoissonDt2Kernel, PoissonKernel, sample
 from .residuals import (
     ResidualReport,
-    poisson_transformed_residual,
+    _poisson_report,
+    _transformed_terms,
+    _window_report,
     require_gaussian_window,
     require_resolved,
-    window_transformed_residual,
 )
 
 __all__ = ["ExpansionState", "LadderTotals", "project_orbitals", "expansion_poisson_residuals",
@@ -108,20 +109,35 @@ def project_orbitals(
     )
 
 
-def _truncated_inputs(state: ExpansionState, orbitals: OrbitalSet, fields: HfFields):
+def _truncated_inputs(state: ExpansionState, orbitals: OrbitalSet, fields: HfFields,
+                      plan: ConvolutionPlan):
     """(order, truncated orbital set, truncated fields) per projected order,
-    one order at a time, so that one order's r_n and q_n are alive at once.
-    r_n is built from the truncations, unless every s of ``fields`` is zero
-    (a source without two-electron terms): then r_n is that zero s."""
+    one order at a time, so that one order's r_n and q_n are alive at once
+    if the caller drops each order's fields before it asks for the next.
+    r_n is built from the truncations on ``plan``, unless every s of
+    ``fields`` is zero (a source without two-electron terms): then every
+    order takes ``fields`` itself, whose zero s is r_n and zero q is q_n."""
     two_electron = any(s_ac.values.any() for row in fields.s for s_ac in row)
     for n in state.orders:
         trunc = OrbitalSet(state.truncations[n], orbitals.energies, validate=False)
-        r = build_overlap_fields(trunc) if two_electron else fields.s
-        yield n, trunc, HfFields(p=fields.p, s=r)
+        yield n, trunc, (HfFields(p=fields.p, s=_overlap_fields(trunc, plan))
+                         if two_electron else fields)
 
 
 def _with_order(report: ResidualReport, order: int) -> ResidualReport:
     return replace(report, params={**report.params, "order": order})
+
+
+def _per_term_ladder(state, a, orbitals, fields, psi_kernel, term_kernel, report):
+    """``report(*terms)`` of each truncation's transformed terms (T[n,a] *
+    ``psi_kernel``, local and exchange * ``term_kernel``), all orders on one
+    plan, so that each kernel's spectrum is computed once."""
+    plan = ConvolutionPlan(orbitals.grid)
+    rows = []
+    for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, plan):
+        (terms,) = _transformed_terms(a, trunc, trunc_fields, (psi_kernel,), (term_kernel,), plan)
+        rows.append(_with_order(report(*terms), n))
+    return rows
 
 
 def expansion_poisson_residuals(
@@ -139,10 +155,9 @@ def expansion_poisson_residuals(
     that is, :func:`poisson_transformed_residual` with the expansion
     surrogates in place of the exact orbitals and fields.
     """
-    return [
-        _with_order(poisson_transformed_residual(a, trunc, trunc_fields, t), n)
-        for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields)
-    ]
+    require_resolved(t, orbitals.grid)
+    return _per_term_ladder(state, a, orbitals, fields, PoissonDt2Kernel(t=t), PoissonKernel(t=t),
+                            lambda *terms: _poisson_report(a, t, *terms))
 
 
 def expansion_window_residuals(
@@ -161,10 +176,9 @@ def expansion_window_residuals(
     Gaussian windows are integrable, so L2 norms are always reported
     alongside the sup norms.
     """
-    return [
-        _with_order(window_transformed_residual(a, trunc, trunc_fields, w), n)
-        for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields)
-    ]
+    require_gaussian_window(w)
+    return _per_term_ladder(state, a, orbitals, fields, w.laplacian(), w,
+                            lambda *terms: _window_report(a, w, *terms))
 
 
 @dataclass(frozen=True)
@@ -199,13 +213,16 @@ def expansion_transformed_residuals(
     """
     require_resolved(t, orbitals.grid)
     require_gaussian_window(w)
+    plan = ConvolutionPlan(orbitals.grid)  # one spectrum per kernel for every order
     rows = []
-    for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields):
+    for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, plan):
         psi_a, local, exchange = equation_terms(a, trunc, trunc_fields)
-        thm6, thm7 = convolve_with_kernel(
+        thm6, thm7 = plan.convolve_with_kernel(
             psi_a, (PoissonDt2Kernel(t=t), w.laplacian()),
             plus=((local + 2.0 * exchange, (PoissonKernel(t=t), w), (-1.0, 1.0)),),
         )
         rows.append(LadderTotals(n, norm(thm6, 2), norm(thm6, np.inf),
                                  norm(thm7, 2), norm(thm7, np.inf)))
+        # this order's fields go before the next order's are built
+        del trunc_fields, local, exchange, thm6, thm7
     return rows

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolution import coulomb_convolve
+from .convolution import ConvolutionPlan, coulomb_convolve
 from .errors import GridMismatchError
 from .fields import GridSpec, ScalarField, inner, laplacian, norm
 from .kernels import CoulombKernel, sample
@@ -194,11 +194,18 @@ def build_s(a: int, c: int, orbitals: OrbitalSet) -> ScalarField:
 def build_overlap_fields(orbitals: OrbitalSet) -> tuple[tuple[ScalarField, ...], ...]:
     """The n x n matrix of s fields; s[a,c] = s[c,a] by construction (only
     the upper triangle is convolved)."""
+    return _overlap_fields(orbitals, ConvolutionPlan(orbitals.grid))
+
+
+def _overlap_fields(orbitals: OrbitalSet, plan: ConvolutionPlan):
+    """:func:`build_overlap_fields` on ``plan``, which keeps its Coulomb
+    spectrum for a caller that builds the fields of several orbital sets."""
     n = len(orbitals)
     s = [[None] * n for _ in range(n)]
     for a in range(n):
         for c in range(a, n):
-            s[a][c] = build_s(a, c, orbitals)
+            product = orbitals.orbitals[c] * orbitals.orbitals[a]
+            s[a][c] = plan.convolve_with_kernel(product, CoulombKernel())
             if c != a:
                 s[c][a] = s[a][c]
     return tuple(tuple(row) for row in s)

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import convolve, convolve_with_kernel, resolution_floor, under_resolved
+from .convolution import (
+    ConvolutionPlan,
+    convolve,
+    convolve_with_kernel,
+    resolution_floor,
+    under_resolved,
+)
 from .errors import ResolutionError
 from .fields import ScalarField, laplacian, norm
 from .hf import HfFields, MolecularSystem, OrbitalSet, equation_terms, strong_residual
@@ -108,14 +114,16 @@ def require_gaussian_window(w):
         raise ValueError("window must be centered at the origin")
 
 
-def _transformed_terms(a, orbitals, fields, psi_kernels, term_kernels):
+def _transformed_terms(a, orbitals, fields, psi_kernels, term_kernels, plan=None):
     """Per kernel pair (k_psi, k): psi_a * k_psi, local * k and exchange * k,
-    one grouped convolution per term field of one equation-term assembly."""
+    one grouped convolution per term field of one equation-term assembly,
+    on ``plan`` (a caller that reuses the kernels holds one) or a new plan."""
+    plan = plan or ConvolutionPlan(orbitals.grid)
     psi_a, local, exchange = equation_terms(a, orbitals, fields)
     return tuple(zip(
-        convolve_with_kernel(psi_a, psi_kernels),
-        convolve_with_kernel(local, term_kernels),
-        convolve_with_kernel(exchange, term_kernels),
+        plan.convolve_with_kernel(psi_a, psi_kernels),
+        plan.convolve_with_kernel(local, term_kernels),
+        plan.convolve_with_kernel(exchange, term_kernels),
     ))
 
 

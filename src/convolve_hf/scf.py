@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import coulomb_convolve
+from .convolution import ConvolutionPlan, coulomb_convolve
 from .errors import ScfDivergedError
 from .fields import (
     GridSpec,
@@ -58,7 +58,7 @@ from .hf import (
     build_p,
     nuclear_mask,
 )
-from .kernels import Gaussian, sample
+from .kernels import CoulombKernel, Gaussian, sample
 
 __all__ = ["ScfConfig", "ScfIteration", "ScfResult", "apply_fock", "solve"]
 
@@ -184,8 +184,10 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
     psi = guess.values.copy()
     psi /= l2(psi)
 
+    plan, coulomb = ConvolutionPlan(grid), CoulombKernel()  # one spectrum for every iteration
+
     def s_of(density):
-        return coulomb_convolve(ScalarField(grid=grid, values=density)).values
+        return plan.convolve_with_kernel(ScalarField(grid=grid, values=density), coulomb).values
 
     rho = psi * psi
     s_mix = s_of(rho)

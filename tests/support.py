@@ -7,8 +7,7 @@ eigensolver.
 """
 
 import hashlib
-from collections import OrderedDict
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 from scipy import fft as sfft
@@ -145,6 +144,36 @@ def assert_overlap_bound(fields):
     assert fields.s_sup_max() <= S_SUP_BOUND
 
 
+def peak_traced_bytes(fn):
+    """Peak bytes traced by tracemalloc while ``fn()`` runs, over what was
+    allocated before it started."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def record_sampled_kernels(monkeypatch):
+    """A list to which every kernel whose octant the engine samples is
+    appended: one entry per spectrum computed."""
+    sampled = []
+    sample_octant = convolution._sample_kernel_octant
+
+    def recording(kernel, grid):
+        sampled.append(kernel)
+        return sample_octant(kernel, grid)
+
+    monkeypatch.setattr(convolution, "_sample_kernel_octant", recording)
+    return sampled
+
+
 def engine_digests(n):
     """SHA-256 of every output of the convolution engine's entry points on
     fixed random fields at N = n: a single, a grouped and a combined kernel
@@ -165,8 +194,8 @@ def engine_digests(n):
             plus=((g, (poisson, gaussian), (-1.0, 2.0)),)),
         "fields": plan.convolve_fields(f, g),
     }
-    with mock.patch.multiple(convolution, _spectra=OrderedDict(), _spectra_bytes=0):
-        spectrum = plan.kernel_spectrum(chf.PoissonKernel(t=0.5 * h))  # cold, cell-averaged
+    # cold, cell-averaged: a fresh plan has computed no spectrum
+    spectrum = convolution.ConvolutionPlan(grid).kernel_spectrum(chf.PoissonKernel(t=0.5 * h))
     arrays = {"spectrum": spectrum}
     for name, out in outputs.items():
         for i, field in enumerate(out if isinstance(out, tuple) else (out,)):

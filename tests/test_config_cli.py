@@ -23,6 +23,8 @@ from convolve_hf.fields import ScalarField
 from convolve_hf.hf import OrbitalSet, build_fields
 from convolve_hf.scf import ScfConfig
 
+from support import peak_traced_bytes, record_sampled_kernels
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -373,6 +375,25 @@ output.dir = {out}
         flags = {float(r[0]): r[6] for r in rows}
         assert flags[1.6] == "" and flags[0.4] == "unresolved"
 
+    def test_peak_memory_does_not_grow_with_the_heights(self, tmp_path):
+        # each height's spectra, extension and slice are freed before the
+        # next height, so eight heights peak within one spectrum of two
+        spectrum_bytes = 8 * 33**3
+        heights = [f"{2.6 - 0.2 * i:g}" for i in range(8)]  # resolved: 2h = 1
+        peaks = {}
+        for count in (2, 8):
+            cfg = write_config(tmp_path, f"""
+grid.n = 32
+grid.extent = 8.0
+poisson.t_values = {", ".join(heights[:count])}
+window.alpha = 0.05
+""", name=f"sweep{count}.cfg")
+            out = tmp_path / f"out{count}"
+            peaks[count] = peak_traced_bytes(lambda: main(
+                ["extend-sweep", "--config", str(cfg), "--out", str(out), "--quiet"]))
+            assert len((out / "extension_sweep.csv").read_text().splitlines()) == count + 1
+        assert peaks[8] <= peaks[2] + spectrum_bytes
+
     def test_empty_height_list_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "poisson.t_values =\n")
         assert main(["extend-sweep", "--config", str(cfg), "--quiet"]) == 1
@@ -506,6 +527,15 @@ output.dir = {out}
         assert lines[0] == "n,fit_error_l2,thm6_sup,thm6_l2,thm7_sup,thm7_l2,K_bound"
         cells = lines[1].split(",")
         assert all(float(c) == 0.0 for c in cells[1:6])
+
+    def test_ladder_computes_four_spectra_for_three_orders(self, tmp_path, monkeypatch):
+        # one plan keeps d2t P_t, P_t, lap w and w for every order
+        sampled = record_sampled_kernels(monkeypatch)
+        cfg = write_config(tmp_path, HYDROGEN_32 + "basis.count = 6\n")
+        out = tmp_path / "out"
+        assert main(["expand", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert len((out / "expansion_ladder.csv").read_text().splitlines()) == 1 + 3
+        assert len(sampled) == len(set(sampled)) == 4
 
     def test_overflowing_height_is_one_error_line(self, tmp_path, capsys):
         # the P_t kernel's t**3 would overflow; validated() bounds t by the

@@ -3,10 +3,8 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 import warnings
-from collections import OrderedDict
-from unittest import mock
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +18,13 @@ from convolve_hf import convolution, extension, verify
 from convolve_hf.convolution import ConvolutionPlan, _sample_kernel_octant
 from convolve_hf.errors import GridMismatchError, ResolutionError, ResolutionWarning
 
-from support import direct_convolution, engine_digests, radial_coulomb_potential
+from support import (
+    direct_convolution,
+    engine_digests,
+    peak_traced_bytes,
+    radial_coulomb_potential,
+    record_sampled_kernels,
+)
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 
@@ -80,18 +84,6 @@ def _unblocked(values, partner, start, h):
 
 def _rel_err(out, ref):
     return np.abs(out - ref).max() / np.abs(ref).max()
-
-
-def _empty_cache():
-    """Context in which the process-wide spectrum cache starts empty; the
-    previous cache comes back on exit."""
-    return mock.patch.multiple(convolution, _spectra=OrderedDict(), _spectra_bytes=0)
-
-
-@pytest.fixture
-def empty_cache():
-    with _empty_cache():
-        yield
 
 
 class TestFieldConvolution:
@@ -233,11 +225,11 @@ class TestKernelConvolution:
             assert mass <= 1.0 + 1e-9
             assert octant.min() >= 0.0
 
-    def test_under_resolved_warns_on_every_convolution(self, grid32, empty_cache):
+    def test_under_resolved_warns_on_every_convolution(self, grid32):
         plan = ConvolutionPlan(grid32)
         f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
         kernel = chf.PoissonKernel(t=0.5 * grid32.spacing)
-        for _ in range(2):  # spectrum-cache miss, then hit
+        for _ in range(2):  # the new plan computes the spectrum, then reuses it
             with pytest.warns(ResolutionWarning):
                 plan.convolve_with_kernel(f, kernel)
 
@@ -301,22 +293,26 @@ class TestKernelConvolution:
             chf.convolve_with_kernel(f, chf.Gaussian(alpha=1.0, center=(1.0, 0, 0)))
 
 
-@pytest.mark.usefixtures("empty_cache")
 class TestSpectrumCache:
     def test_warm_and_cold_runs_identical(self, grid32):
         f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
-        cold = chf.coulomb_convolve(f)
-        assert len(convolution._spectra) == 1
-        warm = ConvolutionPlan(grid32).convolve_with_kernel(f, chf.CoulombKernel())
+        plan = ConvolutionPlan(grid32)
+        cold = plan.convolve_with_kernel(f, chf.CoulombKernel())
+        assert list(plan._spectra) == [chf.CoulombKernel()]
+        warm = plan.convolve_with_kernel(f, chf.CoulombKernel())
         assert np.array_equal(cold.values, warm.values)
+        assert np.array_equal(cold.values, chf.coulomb_convolve(f).values)
 
-    def test_cache_hit_is_shared_by_every_plan(self, grid32):
-        s1 = ConvolutionPlan(grid32).kernel_spectrum(chf.CoulombKernel())
-        s2 = ConvolutionPlan(grid32).kernel_spectrum(chf.CoulombKernel())
-        assert s1 is s2
+    def test_second_request_on_a_plan_returns_the_same_array(self, grid32, monkeypatch):
+        sampled = record_sampled_kernels(monkeypatch)
+        plan = ConvolutionPlan(grid32)
+        s1 = plan.kernel_spectrum(chf.CoulombKernel())
+        s2 = plan.kernel_spectrum(chf.CoulombKernel())
+        assert s1 is s2 and not s1.flags.writeable
+        assert sampled == [chf.CoulombKernel()]
 
-    def test_concurrent_misses_count_bytes_once(self, grid32, monkeypatch):
-        # both threads miss the same kernel before either inserts it
+    def test_concurrent_misses_on_a_plan_keep_one_spectrum(self, grid32, monkeypatch):
+        # both threads miss the same kernel before either stores it
         barrier = threading.Barrier(2, timeout=30)
         sample_octant = convolution._sample_kernel_octant
 
@@ -325,10 +321,11 @@ class TestSpectrumCache:
             return sample_octant(kernel, grid)
 
         monkeypatch.setattr(convolution, "_sample_kernel_octant", sample_in_step)
+        plan = ConvolutionPlan(grid32)
+        returned = []
         threads = [
             threading.Thread(
-                target=ConvolutionPlan(grid32).kernel_spectrum, args=(chf.CoulombKernel(),)
-            )
+                target=lambda: returned.append(plan.kernel_spectrum(chf.CoulombKernel())))
             for _ in range(2)
         ]
         for th in threads:
@@ -336,30 +333,33 @@ class TestSpectrumCache:
         for th in threads:
             th.join(timeout=60)
             assert not th.is_alive()
-        assert len(convolution._spectra) == 1
-        assert convolution._spectra_bytes == sum(v.nbytes for v in convolution._spectra.values())
+        # the first array stored is the one both threads return and the plan keeps
+        assert len(returned) == 2 and returned[0] is returned[1]
+        assert list(plan._spectra.values()) == [returned[0]]
 
-    def test_threads_on_two_grids_keep_the_byte_count(self, monkeypatch):
-        # tiny grids keep each miss short, so the threads interleave often
+    def test_threads_sharing_plans_hand_out_the_kept_spectra(self):
+        # eight threads miss together on each round's new plans; tiny grids
+        # keep each miss short, so the threads interleave often
         grids = (chf.GridSpec(points_per_axis=8, extent=1.0),
                  chf.GridSpec(points_per_axis=10, extent=1.0))
-        budget = 3 * 11**3 * 8  # evicts while the threads insert
-        monkeypatch.setattr(convolution, "_SPECTRUM_BUDGET_BYTES", budget)
         kernels = [chf.PoissonKernel(t=1.0 + 0.25 * i) for i in range(5)]
-        failures = []
+        plans = [[ConvolutionPlan(g) for g in grids] for _ in range(40)]
+        barrier = threading.Barrier(8, timeout=60)
+        returned, failures = [], []
 
-        def work(grid):
+        def work():
             try:
-                for _ in range(300):
-                    for kernel in kernels:
-                        ConvolutionPlan(grid).kernel_spectrum(kernel)
+                for round_plans in plans:
+                    barrier.wait()
+                    for plan in round_plans:
+                        returned.extend((plan, k, plan.kernel_spectrum(k)) for k in kernels)
             except Exception as exc:  # surfaced by the assertion below
                 failures.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(g,)) for g in grids * 4]
+            threads = [threading.Thread(target=work) for _ in range(8)]
             for th in threads:
                 th.start()
             for th in threads:
@@ -368,34 +368,34 @@ class TestSpectrumCache:
         finally:
             sys.setswitchinterval(interval)
         assert failures == []
-        assert convolution._spectra_bytes == sum(v.nbytes for v in convolution._spectra.values())
-        assert convolution._spectra_bytes <= budget
+        assert len(returned) == 8 * len(plans) * len(grids) * len(kernels)
+        # every caller got the one array its plan keeps for the kernel
+        assert all(spec is plan._spectra[k] for plan, k, spec in returned)
+        assert all(len(plan._spectra) == len(kernels) for pair in plans for plan in pair)
 
-    def test_cache_eviction_is_bounded(self, grid32, monkeypatch):
-        monkeypatch.setattr(convolution, "_SPECTRUM_BUDGET_BYTES", 1)
+    def test_new_plan_recomputes_the_same_bytes(self, grid32, monkeypatch):
+        sampled = record_sampled_kernels(monkeypatch)
+        kernel = chf.PoissonKernel(t=0.5 * grid32.spacing)  # cell-averaged
+        first = ConvolutionPlan(grid32).kernel_spectrum(kernel)
+        second = ConvolutionPlan(grid32).kernel_spectrum(kernel)
+        assert sampled == [kernel, kernel]
+        assert second is not first and second.tobytes() == first.tobytes()
+
+    def test_dropped_plan_frees_its_spectra(self, grid32, rng):
         plan = ConvolutionPlan(grid32)
-        plan.kernel_spectrum(chf.PoissonKernel(t=1.0))
-        plan.kernel_spectrum(chf.PoissonKernel(t=2.0))
-        assert list(convolution._spectra) == [(grid32, chf.PoissonKernel(t=2.0))]
-
-    def test_one_budget_evicts_across_grids(self, grid32, monkeypatch):
-        grid16 = chf.GridSpec(points_per_axis=16, extent=4.0)
-        # room for one 33^3 and one 17^3 spectrum, not for a third
-        monkeypatch.setattr(convolution, "_SPECTRUM_BUDGET_BYTES", (33**3 + 17**3) * 8)
-        ConvolutionPlan(grid32).kernel_spectrum(chf.CoulombKernel())
-        ConvolutionPlan(grid16).kernel_spectrum(chf.CoulombKernel())
-        assert len(convolution._spectra) == 2
-        ConvolutionPlan(grid16).kernel_spectrum(chf.PoissonKernel(t=1.0))
-        assert list(convolution._spectra) == [
-            (grid16, chf.CoulombKernel()),
-            (grid16, chf.PoissonKernel(t=1.0)),
-        ]
-        assert convolution._spectra_bytes == 2 * 17**3 * 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            plan.convolve_with_kernel(_random(grid32, rng), tuple(
+                KERNELS[kind](grid32.spacing) for kind in sorted(KERNELS)))
+        refs = [weakref.ref(spec) for spec in plan._spectra.values()]
+        assert len(refs) == len(KERNELS)
+        del plan
+        assert [ref() for ref in refs] == [None] * len(KERNELS)
 
     def test_cached_spectrum_is_the_real_octant(self, grid32):
         spec = ConvolutionPlan(grid32).kernel_spectrum(chf.CoulombKernel())
         assert spec.dtype == np.float64
-        assert spec.nbytes == convolution._spectra_bytes == 33**3 * 8
+        assert spec.shape == (33, 33, 33) and spec.nbytes == 33**3 * 8
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -408,11 +408,11 @@ class TestSpectrumCache:
         f, partner = _random(g, rng), _random(g, rng)
         kernel = KERNELS[kind](g.spacing)
         plan = ConvolutionPlan(g)
-        with _empty_cache(), warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
-            # a miss, then two hits of the spectrum it cached
+            # the new plan computes the spectrum, then reuses it twice
             runs = [plan.convolve_with_kernel(f, kernel).values.tobytes() for _ in range(3)]
-            assert len(convolution._spectra) == 1
+            assert list(plan._spectra) == [kernel]
         assert runs[1:] == [runs[0], runs[0]]
         pairs = [plan.convolve_fields(f, partner).values.tobytes() for _ in range(2)]
         assert pairs[0] == pairs[1]
@@ -434,8 +434,7 @@ class TestPrunedEngine:
         grid = chf.GridSpec(points_per_axis=n, extent=8.0)
         kernel = KERNELS[kind](grid.spacing)
         ref = sfft.dctn(_sample_kernel_octant(kernel, grid), type=1).transpose(2, 1, 0)
-        with _empty_cache():  # a cold computation, not an earlier test's spectrum
-            spec = ConvolutionPlan(grid).kernel_spectrum(kernel)
+        spec = ConvolutionPlan(grid).kernel_spectrum(kernel)  # a new plan computes it
         assert spec.tobytes() == np.ascontiguousarray(ref).tobytes()
 
     @pytest.mark.parametrize("kind", sorted(KERNELS))
@@ -478,22 +477,6 @@ class TestPrunedEngine:
         assert _rel_err(out, ref) <= 1e-14
 
 
-def _peak_bytes(fn):
-    """Peak bytes traced by tracemalloc while ``fn()`` runs, over what was
-    allocated before it started."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 class TestGroupedKernels:
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_group_outputs_are_the_single_kernel_outputs(self, grid32, rng, size):
@@ -520,7 +503,7 @@ class TestGroupedKernels:
         outs = chf.convolve_with_kernel(f, (poisson, gaussian, poisson))
         assert outs[0].values.tobytes() == outs[2].values.tobytes() == single
 
-    def test_group_leaves_spectra_and_field_unchanged(self, grid32, rng, empty_cache):
+    def test_group_leaves_spectra_and_field_unchanged(self, grid32, rng):
         f = _random(grid32, rng)
         field_before = f.values.tobytes()
         kernels = tuple(KERNELS[kind](grid32.spacing)
@@ -560,7 +543,7 @@ class TestGroupedKernels:
         with pytest.raises(ValueError, match="at least one kernel"):
             chf.convolve_with_kernel(f, ())
 
-    def test_peak_memory_stays_below_the_padded_spectrum(self, empty_cache):
+    def test_peak_memory_stays_below_the_padded_spectrum(self):
         # in units of one padded half-spectrum S = 16 (2n)^2 (n+1) bytes;
         # building the padded spectrum whole peaks at 1.5 S for one kernel
         # and 2.0 S for three
@@ -573,8 +556,8 @@ class TestGroupedKernels:
         plan = ConvolutionPlan(grid)
         for kernel in kernels:  # warm: measure the transforms, not sampling
             plan.kernel_spectrum(kernel)
-        single = _peak_bytes(lambda: plan.convolve_with_kernel(f, kernels[0]))
-        group = _peak_bytes(lambda: plan.convolve_with_kernel(f, kernels))
+        single = peak_traced_bytes(lambda: plan.convolve_with_kernel(f, kernels[0]))
+        group = peak_traced_bytes(lambda: plan.convolve_with_kernel(f, kernels))
         assert single <= 0.9 * spectrum_bytes
         assert group <= 1.6 * spectrum_bytes
 
@@ -671,7 +654,7 @@ class TestCombinedConvolutions:
         assert [w.category for w in caught] == [ResolutionWarning]
         assert caught[0].filename == __file__
 
-    def test_two_fields_two_outputs_peak_memory(self, empty_cache):
+    def test_two_fields_two_outputs_peak_memory(self):
         # S = 16 (2n)^2 (n+1) bytes; the two z passes take S/4 each and hold
         # the outputs, and the blocks of both fields together take one
         # block's memory
@@ -685,7 +668,7 @@ class TestCombinedConvolutions:
         plan = ConvolutionPlan(grid)
         for kernel in kernels + partners:  # warm: measure the transforms, not sampling
             plan.kernel_spectrum(kernel)
-        combined = _peak_bytes(lambda: plan.convolve_with_kernel(
+        combined = peak_traced_bytes(lambda: plan.convolve_with_kernel(
             f, kernels, plus=((g, partners, (-1.0, 1.0)),)))
         assert combined <= 0.9 * spectrum_bytes
 

@@ -7,7 +7,7 @@ from convolve_hf.convolution import ConvolutionPlan
 from convolve_hf.errors import IllConditionedBasisError, ResolutionError
 from convolve_hf.hf import build_overlap_fields
 
-from support import normalized_field
+from support import normalized_field, record_sampled_kernels
 
 
 def gaussian_orbital_setup(n=48, extent=8.0, alpha=0.7):
@@ -113,6 +113,21 @@ class TestResidualLadders:
             assert r6.total_l2 == chf.poisson_transformed_residual(0, trunc, trunc_fields, t).total_l2
             assert r7.total_l2 == chf.window_transformed_residual(0, trunc, trunc_fields, w).total_l2
             assert r6.params["order"] == r7.params["order"] == n
+
+    def test_each_ladder_computes_one_spectrum_per_kernel(self, monkeypatch):
+        # a ladder's one plan keeps its kernels for every order, the Coulomb
+        # kernel of each order's r_n included
+        grid, system, orbitals, fields, basis = gaussian_orbital_setup(n=32)
+        state = chf.project_orbitals(orbitals, basis, orders=(1, 2, 3))
+        t, w = 1.2, chf.Gaussian(alpha=1.0, amplitude=1.0)
+        coulomb, dt2, poisson = chf.CoulombKernel(), chf.PoissonDt2Kernel(t=t), chf.PoissonKernel(t=t)
+        sampled = record_sampled_kernels(monkeypatch)
+        chf.expansion_poisson_residuals(state, 0, orbitals, fields, t)
+        assert sampled == [coulomb, dt2, poisson]
+        chf.expansion_window_residuals(state, 0, orbitals, fields, w)
+        assert sampled[3:] == [coulomb, w.laplacian(), w]
+        chf.expansion_transformed_residuals(state, 0, orbitals, fields, t, w)
+        assert sampled[6:] == [coulomb, dt2, w.laplacian(), poisson, w]
 
     def test_source_without_two_electron_terms_is_reproduced(self):
         # the fields of such a source (hydrogen_identity, zero) set s to zero:

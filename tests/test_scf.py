@@ -12,6 +12,7 @@ from support import (
     lowest_eigenvalues,
     normalized_field,
     random_smooth_orbital,
+    record_sampled_kernels,
     unit_gaussian_orbital,
 )
 
@@ -130,6 +131,14 @@ class TestSolve:
         result = chf.solve(he_system, grid, chf.ScfConfig(max_iterations=max_iterations))
         assert result.iteration_count == max_iterations
         _assert_fields_bitwise_equal(result.fields, chf.build_fields(he_system, result.orbitals))
+
+    def test_coulomb_octant_is_sampled_once(self, he_system, monkeypatch):
+        # one plan keeps the Coulomb spectrum for every outer iteration
+        sampled = record_sampled_kernels(monkeypatch)
+        grid = chf.GridSpec(points_per_axis=32, extent=12.0)
+        result = chf.solve(he_system, grid, chf.ScfConfig(max_iterations=3))
+        assert result.iteration_count == 3
+        assert sampled == [chf.CoulombKernel()]
 
     def test_converged_fields_are_those_of_the_orbital(self, he_system, he_result_48):
         built = chf.build_fields(he_system, he_result_48.orbitals)

@@ -3,9 +3,6 @@ their convolution transforms."""
 
 from .convolution import (
     ConvolutionPlan,
-    convolve,
-    convolve_with_kernel,
-    coulomb_convolve,
     resolution_floor,
     under_resolved,
 )
@@ -33,7 +30,6 @@ from .hf import (
     S_SUP_BOUND,
     build_fields,
     build_p,
-    build_s,
     check_orbital_bounds,
     coulomb_square_integral,
     energies,

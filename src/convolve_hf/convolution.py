@@ -131,13 +131,13 @@ apiece, and they are freed with the plan.  There is no process-wide
 spectrum state.  Code that reuses a kernel holds one plan: ``scf.solve``
 keeps one Coulomb spectrum for all its outer iterations, and the
 ``expand`` ladder four spectra (d2t P_t, P_t, lap w and w; also 1/r for
-the r_n of an SCF source) for all its orders.  The module-level
-``convolve_with_kernel``, ``coulomb_convolve`` and ``convolve`` each take
-a throwaway plan, so a one-shot kernel, such as each height of an
-extension sweep, is dropped when its call returns.  A reused spectrum is
-bit-identical to a fresh one because sampling is deterministic.  Two
-threads that miss the same kernel on one plan both compute it, and the
-plan keeps the first.
+the r_n of an SCF source) for all its orders.  Every convolution is a
+method call on the plan that keeps its spectra, so a function that
+convolves once (each height of an extension sweep) holds its plan only
+for that call, and one that reuses a kernel (``apply_fock`` over the
+orbitals) samples it once.  A reused spectrum is bit-identical to a
+fresh one because sampling is deterministic.  Two threads that miss the
+same kernel on one plan both compute it, and the plan keeps the first.
 
 Kernel sampling flavors
 -----------------------
@@ -177,9 +177,6 @@ from .kernels import (
 
 __all__ = [
     "ConvolutionPlan",
-    "convolve",
-    "coulomb_convolve",
-    "convolve_with_kernel",
     "resolution_floor",
     "under_resolved",
 ]
@@ -532,7 +529,7 @@ class ConvolutionPlan:
 
     def convolve_with_kernel(
         self, f: ScalarField, kernel: AnalyticFunction | tuple[AnalyticFunction, ...], *,
-        plus: tuple = (), stacklevel: int = 2,
+        plus: tuple = (),
     ) -> ScalarField | tuple[ScalarField, ...]:
         """``f`` convolved with an origin-centered kernel, or with each
         kernel of a tuple (a tuple of fields then, in the same order; see
@@ -541,8 +538,7 @@ class ConvolutionPlan:
         output of the same position (see "Combined convolutions" above).
         An all-zero field is not transformed, and its kernels warn for
         nothing.  A d2t P_t kernel below 2h raises
-        :class:`ResolutionError`.  ``stacklevel`` places each
-        :class:`ResolutionWarning` as in ``warnings.warn``, by default at
+        :class:`ResolutionError`.  Each :class:`ResolutionWarning` names
         the caller of this method."""
         terms = _terms(f, kernel, plus)
         outputs = len(terms[0][1])
@@ -562,7 +558,7 @@ class ConvolutionPlan:
                         f"Poisson height t={k.t:g} is below the resolution floor "
                         f"2h={resolution_floor(self.grid):g}; using cell-averaged sampling",
                         ResolutionWarning,
-                        stacklevel=stacklevel,
+                        stacklevel=2,
                     )
         fields = self._convolve_terms(terms, outputs) if terms else tuple(
             ScalarField.zeros(self.grid) for _ in range(outputs))
@@ -591,6 +587,7 @@ class ConvolutionPlan:
                      for _ in range(outputs))
 
     def convolve_fields(self, f: ScalarField, g: ScalarField) -> ScalarField:
+        """Linear convolution of two fields sampled on the plan's grid."""
         if f.grid != self.grid or g.grid != self.grid:
             raise GridMismatchError("field grids do not match the plan grid")
         n = self.grid.points_per_axis
@@ -601,28 +598,3 @@ class ConvolutionPlan:
                          lambda i, blocks, kz, spare, scratch: np.multiply(*blocks, out=blocks[0]))
         del zg
         return f.with_values(self._inverse_z(planes, keep))
-
-
-def convolve(f: ScalarField, g: ScalarField) -> ScalarField:
-    """Linear convolution of two fields sampled on the same grid."""
-    return ConvolutionPlan(f.grid).convolve_fields(f, g)
-
-
-def convolve_with_kernel(
-    f: ScalarField,
-    kernel: AnalyticFunction | tuple[AnalyticFunction, ...],
-    *,
-    plus: tuple = (),
-) -> ScalarField | tuple[ScalarField, ...]:
-    """Convolve a field with an origin-centered analytic kernel, or with
-    each kernel of a tuple from one forward transform of ``f``; ``plus``
-    adds further fields' convolutions to the outputs, as in
-    :meth:`ConvolutionPlan.convolve_with_kernel`.
-    """
-    # name our caller, not this line, in the ResolutionWarning
-    return ConvolutionPlan(f.grid).convolve_with_kernel(f, kernel, plus=plus, stacklevel=3)
-
-
-def coulomb_convolve(f: ScalarField) -> ScalarField:
-    """f * (1/|x|) by padded FFT against the mollified Coulomb kernel."""
-    return convolve_with_kernel(f, CoulombKernel())

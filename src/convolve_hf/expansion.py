@@ -24,7 +24,7 @@ import numpy as np
 from .convolution import ConvolutionPlan
 from .errors import IllConditionedBasisError
 from .fields import ScalarField, inner, norm
-from .hf import HfFields, OrbitalSet, _overlap_fields, equation_terms
+from .hf import HfFields, OrbitalSet, build_overlap_fields, equation_terms
 from .kernels import Gaussian, PoissonDt2Kernel, PoissonKernel, sample
 from .residuals import (
     ResidualReport,
@@ -120,7 +120,7 @@ def _truncated_inputs(state: ExpansionState, orbitals: OrbitalSet, fields: HfFie
     two_electron = any(s_ac.values.any() for row in fields.s for s_ac in row)
     for n in state.orders:
         trunc = OrbitalSet(state.truncations[n], orbitals.energies, validate=False)
-        yield n, trunc, (HfFields(p=fields.p, s=_overlap_fields(trunc, plan))
+        yield n, trunc, (HfFields(p=fields.p, s=build_overlap_fields(trunc, plan))
                          if two_electron else fields)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import convolve_with_kernel
+from .convolution import ConvolutionPlan
 from .fields import ScalarField, laplacian, norm
 from .kernels import PoissonKernel
 
@@ -64,7 +64,7 @@ def extend(f: ScalarField, heights) -> HarmonicExtension:
         raise ValueError("at least one height required")
     order = np.argsort(heights)
     hs = tuple(heights[i] for i in order)
-    slices = convolve_with_kernel(f, tuple(PoissonKernel(t=t) for t in hs))
+    slices = ConvolutionPlan(f.grid).convolve_with_kernel(f, tuple(PoissonKernel(t=t) for t in hs))
     return HarmonicExtension(base=f, heights=hs, slices=slices)
 
 

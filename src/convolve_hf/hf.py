@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolution import ConvolutionPlan, coulomb_convolve
+from .convolution import ConvolutionPlan
 from .errors import GridMismatchError
 from .fields import GridSpec, ScalarField, inner, laplacian, norm
 from .kernels import CoulombKernel, sample
@@ -38,7 +38,6 @@ __all__ = [
     "OrbitalSet",
     "HfFields",
     "build_p",
-    "build_s",
     "build_overlap_fields",
     "build_fields",
     "nuclear_mask",
@@ -182,24 +181,13 @@ def build_p(system: MolecularSystem, grid: GridSpec) -> ScalarField:
     return ScalarField(grid=grid, values=total)
 
 
-def build_s(a: int, c: int, orbitals: OrbitalSet) -> ScalarField:
-    """Overlap-Coulomb field s[a,c] = [(psi_c psi_a) * h]."""
-    n = len(orbitals)
-    if not (0 <= a < n and 0 <= c < n):
-        raise IndexError(f"orbital indices ({a}, {c}) out of range for n={n}")
-    product = orbitals.orbitals[c] * orbitals.orbitals[a]
-    return coulomb_convolve(product)
-
-
-def build_overlap_fields(orbitals: OrbitalSet) -> tuple[tuple[ScalarField, ...], ...]:
-    """The n x n matrix of s fields; s[a,c] = s[c,a] by construction (only
-    the upper triangle is convolved)."""
-    return _overlap_fields(orbitals, ConvolutionPlan(orbitals.grid))
-
-
-def _overlap_fields(orbitals: OrbitalSet, plan: ConvolutionPlan):
-    """:func:`build_overlap_fields` on ``plan``, which keeps its Coulomb
-    spectrum for a caller that builds the fields of several orbital sets."""
+def build_overlap_fields(
+    orbitals: OrbitalSet, plan: ConvolutionPlan
+) -> tuple[tuple[ScalarField, ...], ...]:
+    """The n x n matrix of s fields s[a,c] = [(psi_c psi_a) * h] on
+    ``plan``, which keeps its Coulomb spectrum for a caller that builds
+    the fields of several orbital sets; s[a,c] = s[c,a] by construction
+    (only the upper triangle is convolved)."""
     n = len(orbitals)
     s = [[None] * n for _ in range(n)]
     for a in range(n):
@@ -213,7 +201,8 @@ def _overlap_fields(orbitals: OrbitalSet, plan: ConvolutionPlan):
 
 def build_fields(system: MolecularSystem, orbitals: OrbitalSet) -> HfFields:
     """Assemble p and all s fields (see :func:`build_overlap_fields`)."""
-    return HfFields(p=build_p(system, orbitals.grid), s=build_overlap_fields(orbitals))
+    return HfFields(p=build_p(system, orbitals.grid),
+                    s=build_overlap_fields(orbitals, ConvolutionPlan(orbitals.grid)))
 
 
 def nuclear_mask(grid: GridSpec, system: MolecularSystem) -> np.ndarray:

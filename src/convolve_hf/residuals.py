@@ -27,8 +27,6 @@ import numpy as np
 
 from .convolution import (
     ConvolutionPlan,
-    convolve,
-    convolve_with_kernel,
     resolution_floor,
     under_resolved,
 )
@@ -91,8 +89,9 @@ def laplacian_convolution_symmetry_defect(f: ScalarField, g: ScalarField) -> flo
     """||(lap f) * g - f * (lap g)||_inf / ||(lap f) * g||_inf with the
     spectral Laplacian; the two sides agree to roundoff for band-limited
     box-supported fields."""
-    lhs = convolve(laplacian(f), g)
-    rhs = convolve(f, laplacian(g))
+    plan = ConvolutionPlan(f.grid)
+    lhs = plan.convolve_fields(laplacian(f), g)
+    rhs = plan.convolve_fields(f, laplacian(g))
     den = norm(lhs, np.inf)
     if den == 0.0:
         return 0.0
@@ -219,11 +218,12 @@ def window_residual_literal(
     require_gaussian_window(w)
     psi_a = orbitals.orbitals[a]
     eps_a = orbitals.energies[a]
+    plan = ConvolutionPlan(psi_a.grid)  # one spectrum each for lap w and w
     terms = (
-        convolve_with_kernel(psi_a, w.laplacian()),
-        -1.0 * convolve_with_kernel(psi_a.with_values(fields.p.values * psi_a.values), w),
-        convolve_with_kernel(fields.q, w),
-        -2.0 * eps_a * convolve_with_kernel(psi_a, w),
+        plan.convolve_with_kernel(psi_a, w.laplacian()),
+        -1.0 * plan.convolve_with_kernel(psi_a.with_values(fields.p.values * psi_a.values), w),
+        plan.convolve_with_kernel(fields.q, w),
+        -2.0 * eps_a * plan.convolve_with_kernel(psi_a, w),
     )
     return ResidualReport.from_terms(
         ("kernel_lap", "nuclear", "hartree", "energy"),
@@ -264,7 +264,7 @@ def poisson_crosscheck(
     """
     a, t = transformed.params["orbital"], transformed.params["t"]
     strong = strong_residual(a, orbitals, fields, system, method=method)
-    cross = -1.0 * convolve_with_kernel(strong, PoissonKernel(t=t))
+    cross = -1.0 * ConvolutionPlan(strong.grid).convolve_with_kernel(strong, PoissonKernel(t=t))
     diff_field = transformed.total_field - cross
     cross_l2 = norm(cross, 2)
     diff = norm(diff_field, 2)

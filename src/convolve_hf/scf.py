@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import ConvolutionPlan, coulomb_convolve
+from .convolution import ConvolutionPlan
 from .errors import ScfDivergedError
 from .fields import (
     GridSpec,
@@ -150,8 +150,9 @@ def apply_fock(
     # p = 2 sum Z_c h_c and q = 4 sum s_cc, so nuclear + Hartree = (q - p)/2
     vals = -0.5 * laplacian(psi, method="spectral").values
     vals = vals + 0.5 * (fields.q.values - fields.p.values) * psi.values
+    plan = ConvolutionPlan(psi.grid)  # one Coulomb spectrum for every orbital
     for psi_c in orbitals.orbitals:
-        overlap = coulomb_convolve(psi_c * psi)
+        overlap = plan.convolve_with_kernel(psi_c * psi, CoulombKernel())
         vals = vals - overlap.values * psi_c.values
     return psi.with_values(vals)
 

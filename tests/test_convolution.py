@@ -92,7 +92,7 @@ class TestFieldConvolution:
         n = grid32.points_per_axis
         delta = np.zeros(grid32.shape)
         delta[n // 2, n // 2, n // 2] = 1.0 / grid32.spacing**3
-        out = chf.convolve(f, chf.ScalarField(grid=grid32, values=delta))
+        out = ConvolutionPlan(grid32).convolve_fields(f, chf.ScalarField(grid=grid32, values=delta))
         assert np.abs(out.values - f.values).max() <= 1e-10
 
     def test_impulse_shift(self, grid32):
@@ -100,7 +100,7 @@ class TestFieldConvolution:
         n = grid32.points_per_axis
         delta = np.zeros(grid32.shape)
         delta[n // 2 + 3, n // 2, n // 2] = 1.0 / grid32.spacing**3
-        out = chf.convolve(f, chf.ScalarField(grid=grid32, values=delta))
+        out = ConvolutionPlan(grid32).convolve_fields(f, chf.ScalarField(grid=grid32, values=delta))
         shifted = np.zeros_like(f.values)
         shifted[3:, :, :] = f.values[:-3, :, :]
         assert np.abs(out.values - shifted).max() <= 1e-10
@@ -109,28 +109,31 @@ class TestFieldConvolution:
         # e^{-a r^2} * e^{-b r^2} = (pi/(a+b))^{3/2} e^{-ab r^2/(a+b)}
         g = chf.GridSpec(points_per_axis=64, extent=10.0)
         f = chf.ScalarField(grid=g, values=np.exp(-g.radius_squared()))
-        out = chf.convolve(f, f)
+        out = ConvolutionPlan(g).convolve_fields(f, f)
         exact = (np.pi / 2.0) ** 1.5 * np.exp(-0.5 * g.radius_squared())
         rel = np.abs(out.values - exact).max() / exact.max()
         assert rel <= 1e-4
 
     def test_commutativity(self, grid32, rng):
         f, g = _random(grid32, rng), _random(grid32, rng)
-        d = chf.convolve(f, g) - chf.convolve(g, f)
+        plan = ConvolutionPlan(grid32)
+        d = plan.convolve_fields(f, g) - plan.convolve_fields(g, f)
         assert chf.norm(d, np.inf) <= 1e-12
 
     def test_linearity(self, grid32, rng):
         f1, f2, g = (_random(grid32, rng) for _ in range(3))
         a = -2.3
-        lhs = chf.convolve(f1 * a + f2, g)
-        rhs = a * chf.convolve(f1, g) + chf.convolve(f2, g)
+        plan = ConvolutionPlan(grid32)
+        lhs = plan.convolve_fields(f1 * a + f2, g)
+        rhs = a * plan.convolve_fields(f1, g) + plan.convolve_fields(f2, g)
         scale = chf.norm(lhs, np.inf)
         assert chf.norm(lhs - rhs, np.inf) <= 1e-12 * scale
 
     def test_young_bound(self, grid32, rng):
+        plan = ConvolutionPlan(grid32)
         for _ in range(5):
             f, g = _random(grid32, rng), _random(grid32, rng)
-            assert chf.norm(chf.convolve(f, g), np.inf) <= (
+            assert chf.norm(plan.convolve_fields(f, g), np.inf) <= (
                 chf.norm(f, np.inf) * chf.norm(g, 1) + 1e-9
             )
 
@@ -141,7 +144,7 @@ class TestFieldConvolution:
         mask[2:6, 2:6, 2:6] = 1.0
         f = chf.ScalarField(grid=g, values=rng.standard_normal(g.shape) * mask)
         k = chf.ScalarField(grid=g, values=rng.standard_normal(g.shape) * mask)
-        fast = chf.convolve(f, k).values
+        fast = ConvolutionPlan(g).convolve_fields(f, k).values
         brute = direct_convolution(f, k)
         assert np.abs(fast - brute).max() <= 1e-10
         # the verify command's own direct sum adds in the same order
@@ -149,7 +152,8 @@ class TestFieldConvolution:
 
     def test_grid_mismatch(self, grid32, grid64):
         with pytest.raises(GridMismatchError):
-            chf.convolve(chf.ScalarField.zeros(grid32), chf.ScalarField.zeros(grid64))
+            ConvolutionPlan(grid32).convolve_fields(chf.ScalarField.zeros(grid32),
+                                                    chf.ScalarField.zeros(grid64))
 
 
 class TestCoulombConvolve:
@@ -157,7 +161,7 @@ class TestCoulombConvolve:
         g = chf.GridSpec(points_per_axis=64, extent=10.0)
         alpha = 1.0
         f = chf.sample(chf.Gaussian(alpha=alpha), g)
-        out = chf.coulomb_convolve(f).values
+        out = ConvolutionPlan(g).convolve_with_kernel(f, chf.CoulombKernel()).values
         r = np.sqrt(g.radius_squared())
         with np.errstate(invalid="ignore"):
             exact = np.where(r > 1e-12, erf(np.sqrt(alpha) * r) / np.where(r > 0, r, 1.0),
@@ -172,19 +176,20 @@ class TestCoulombConvolve:
             assert out[i0 + steps, i0, i0] == pytest.approx(expected, rel=0.01)
 
     def test_zero_field(self, grid32):
-        out = chf.coulomb_convolve(chf.ScalarField.zeros(grid32))
+        out = ConvolutionPlan(grid32).convolve_with_kernel(chf.ScalarField.zeros(grid32),
+                                                           chf.CoulombKernel())
         assert chf.norm(out, np.inf) == 0.0
 
     def test_far_field_monopole(self):
         g = chf.GridSpec(points_per_axis=48, extent=10.0)
         f = chf.sample(chf.Gaussian(alpha=2.0), g)  # unit mass
-        out = chf.coulomb_convolve(f).values
+        out = ConvolutionPlan(g).convolve_with_kernel(f, chf.CoulombKernel()).values
         i = g.nearest_node((5.0, 0.0, 0.0))
         assert out[i] == pytest.approx(1.0 / 5.0, rel=0.02)
 
     def test_nonnegative_output_for_nonnegative_input(self, grid32):
         f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
-        out = chf.coulomb_convolve(f)
+        out = ConvolutionPlan(grid32).convolve_with_kernel(f, chf.CoulombKernel())
         assert out.values.min() >= -1e-12
 
 
@@ -192,15 +197,16 @@ class TestKernelConvolution:
     def test_gaussian_kernel_matches_field_path(self, grid32):
         f = chf.sample(chf.Gaussian(alpha=2.0, amplitude=1.0), grid32)
         kern = chf.Gaussian(alpha=1.5, amplitude=0.8)
-        via_kernel = chf.convolve_with_kernel(f, kern)
-        via_fields = chf.convolve(f, chf.sample(kern, grid32))
+        plan = ConvolutionPlan(grid32)
+        via_kernel = plan.convolve_with_kernel(f, kern)
+        via_fields = plan.convolve_fields(f, chf.sample(kern, grid32))
         scale = chf.norm(via_kernel, np.inf)
         assert chf.norm(via_kernel - via_fields, np.inf) <= 1e-12 * scale
 
     def test_semigroup(self):
         g = chf.GridSpec(points_per_axis=64, extent=8.0)
         f = chf.sample(chf.PoissonKernel(t=0.5), g)
-        out = chf.convolve_with_kernel(f, chf.PoissonKernel(t=0.5))
+        out = ConvolutionPlan(g).convolve_with_kernel(f, chf.PoissonKernel(t=0.5))
         target = chf.sample(chf.PoissonKernel(t=1.0), g)
         rel = chf.norm(out - target, np.inf) / chf.norm(target, np.inf)
         assert rel <= 0.02
@@ -211,7 +217,7 @@ class TestKernelConvolution:
         g = chf.GridSpec(points_per_axis=64, extent=10.0)
         f = chf.sample(chf.Gaussian(alpha=1.0), g)  # unit mass, compact support
         with pytest.warns(ResolutionWarning):
-            out = chf.convolve_with_kernel(f, chf.PoissonKernel(t=0.05))
+            out = ConvolutionPlan(g).convolve_with_kernel(f, chf.PoissonKernel(t=0.05))
         assert chf.integrate(out) == pytest.approx(1.0, abs=0.01)
 
     def test_discrete_kernel_mass_bounded_by_one(self):
@@ -236,45 +242,41 @@ class TestKernelConvolution:
     def test_resolution_warning_names_the_caller(self, grid32):
         f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
         kernel = chf.PoissonKernel(t=0.5 * grid32.spacing)
-        entry_points = (
-            lambda: chf.convolve_with_kernel(f, kernel),
-            lambda: ConvolutionPlan(grid32).convolve_with_kernel(f, kernel),
-        )
-        for convolve_once in entry_points:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                convolve_once()
-            assert [w.category for w in caught] == [ResolutionWarning]
-            assert caught[0].filename == __file__
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ConvolutionPlan(grid32).convolve_with_kernel(f, kernel)
+        assert [w.category for w in caught] == [ResolutionWarning]
+        assert caught[0].filename == __file__
 
     def test_zero_field_skips_the_engine(self, grid32, monkeypatch):
         # no sampling, no transform and no warning, even for an under-resolved
-        # kernel, from the module function and the plan method alike
+        # kernel
         monkeypatch.setattr(ConvolutionPlan, "kernel_spectrum", None)
         monkeypatch.setattr(ConvolutionPlan, "_forward", None)
         zero = chf.ScalarField.zeros(grid32)
         under = chf.PoissonKernel(t=0.5 * grid32.spacing)
-        for convolve in (chf.convolve_with_kernel, ConvolutionPlan(grid32).convolve_with_kernel):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                single = convolve(zero, under)
-                group = convolve(zero, (under, chf.Gaussian(alpha=1.0)))
-            assert not single.values.any() and single.grid == grid32
-            assert len(group) == 2 and not any(g.values.any() for g in group)
+        plan = ConvolutionPlan(grid32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = plan.convolve_with_kernel(zero, under)
+            group = plan.convolve_with_kernel(zero, (under, chf.Gaussian(alpha=1.0)))
+        assert not single.values.any() and single.grid == grid32
+        assert len(group) == 2 and not any(g.values.any() for g in group)
 
     def test_under_resolved_dt2_kernel_is_rejected(self, grid32):
         # every caller rejects t < 2h before it builds d2t P_t, so the engine
         # has no under-resolved flavour of it; zero fields are rejected too
         f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
         under = chf.PoissonDt2Kernel(t=grid32.spacing)
+        plan = ConvolutionPlan(grid32)
         for field in (f, chf.ScalarField.zeros(grid32)):
             with pytest.raises(ResolutionError, match="below the resolution floor"):
-                chf.convolve_with_kernel(field, under)
+                plan.convolve_with_kernel(field, under)
             with pytest.raises(ResolutionError):
-                chf.convolve_with_kernel(field, chf.Gaussian(alpha=1.0),
-                                         plus=((f, under, 1.0),))
+                plan.convolve_with_kernel(field, chf.Gaussian(alpha=1.0),
+                                          plus=((f, under, 1.0),))
         at_floor = chf.PoissonDt2Kernel(t=chf.resolution_floor(grid32))
-        assert chf.convolve_with_kernel(f, at_floor).values.any()
+        assert plan.convolve_with_kernel(f, at_floor).values.any()
 
     def test_under_resolved_is_t_below_two_h(self, grid32):
         floor = chf.resolution_floor(grid32)
@@ -285,12 +287,13 @@ class TestKernelConvolution:
     def test_unsupported_kernel_kind(self, grid32):
         f = chf.ScalarField.zeros(grid32)
         with pytest.raises(ValueError, match="unsupported"):
-            chf.convolve_with_kernel(f, chf.Slater1s())
+            ConvolutionPlan(grid32).convolve_with_kernel(f, chf.Slater1s())
 
     def test_off_center_kernel_rejected(self, grid32):
         f = chf.ScalarField.zeros(grid32)
         with pytest.raises(ValueError, match="centered"):
-            chf.convolve_with_kernel(f, chf.Gaussian(alpha=1.0, center=(1.0, 0, 0)))
+            ConvolutionPlan(grid32).convolve_with_kernel(
+                f, chf.Gaussian(alpha=1.0, center=(1.0, 0, 0)))
 
 
 class TestSpectrumCache:
@@ -301,7 +304,8 @@ class TestSpectrumCache:
         assert list(plan._spectra) == [chf.CoulombKernel()]
         warm = plan.convolve_with_kernel(f, chf.CoulombKernel())
         assert np.array_equal(cold.values, warm.values)
-        assert np.array_equal(cold.values, chf.coulomb_convolve(f).values)
+        fresh = ConvolutionPlan(grid32).convolve_with_kernel(f, chf.CoulombKernel())
+        assert np.array_equal(cold.values, fresh.values)
 
     def test_second_request_on_a_plan_returns_the_same_array(self, grid32, monkeypatch):
         sampled = record_sampled_kernels(monkeypatch)
@@ -499,8 +503,9 @@ class TestGroupedKernels:
         f = _random(grid32, rng)
         poisson = KERNELS["poisson"](grid32.spacing)
         gaussian = KERNELS["gaussian"](grid32.spacing)
-        single = chf.convolve_with_kernel(f, poisson).values.tobytes()
-        outs = chf.convolve_with_kernel(f, (poisson, gaussian, poisson))
+        plan = ConvolutionPlan(grid32)
+        single = plan.convolve_with_kernel(f, poisson).values.tobytes()
+        outs = plan.convolve_with_kernel(f, (poisson, gaussian, poisson))
         assert outs[0].values.tobytes() == outs[2].values.tobytes() == single
 
     def test_group_leaves_spectra_and_field_unchanged(self, grid32, rng):
@@ -531,17 +536,18 @@ class TestGroupedKernels:
         under = chf.PoissonKernel(t=0.5 * grid32.spacing)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            chf.convolve_with_kernel(f, (under, chf.Gaussian(alpha=1.0)))
+            ConvolutionPlan(grid32).convolve_with_kernel(f, (under, chf.Gaussian(alpha=1.0)))
         assert [w.category for w in caught] == [ResolutionWarning]
         assert caught[0].filename == __file__
 
     def test_group_is_validated_before_any_transform(self, grid32, monkeypatch):
         f = chf.sample(chf.Gaussian(alpha=1.0), grid32)
         monkeypatch.setattr(ConvolutionPlan, "_forward", None)  # any transform fails
+        plan = ConvolutionPlan(grid32)
         with pytest.raises(ValueError, match="unsupported"):
-            chf.convolve_with_kernel(f, (chf.Gaussian(), chf.Slater1s()))
+            plan.convolve_with_kernel(f, (chf.Gaussian(), chf.Slater1s()))
         with pytest.raises(ValueError, match="at least one kernel"):
-            chf.convolve_with_kernel(f, ())
+            plan.convolve_with_kernel(f, ())
 
     def test_peak_memory_stays_below_the_padded_spectrum(self):
         # in units of one padded half-spectrum S = 16 (2n)^2 (n+1) bytes;
@@ -590,19 +596,21 @@ class TestCombinedConvolutions:
         f, g, k = (_random(grid32, rng) for _ in range(3))
         poisson, gaussian, coulomb = (KERNELS[kind](grid32.spacing)
                                       for kind in ("poisson", "gaussian", "coulomb"))
-        out = chf.convolve_with_kernel(f, poisson, plus=((g, gaussian, -1.0),
-                                                         (k, coulomb, 2.0)))
-        ref = (chf.convolve_with_kernel(f, poisson).values
-               - chf.convolve_with_kernel(g, gaussian).values
-               + 2.0 * chf.convolve_with_kernel(k, coulomb).values)
+        plan = ConvolutionPlan(grid32)
+        out = plan.convolve_with_kernel(f, poisson, plus=((g, gaussian, -1.0),
+                                                          (k, coulomb, 2.0)))
+        ref = (plan.convolve_with_kernel(f, poisson).values
+               - plan.convolve_with_kernel(g, gaussian).values
+               + 2.0 * plan.convolve_with_kernel(k, coulomb).values)
         assert _rel_err(out.values, ref) <= 1e-13
 
     def test_more_outputs_than_fields_and_fields_than_outputs(self, grid32, rng):
         f, g = _random(grid32, rng), _random(grid32, rng)
         kernels = tuple(KERNELS[kind](grid32.spacing) for kind in ("poisson", "gaussian"))
-        outs = chf.convolve_with_kernel(f, kernels, plus=((g, kernels[::-1], (1.0, -1.0)),))
-        for out, a, b, weight in zip(outs, chf.convolve_with_kernel(f, kernels),
-                                     chf.convolve_with_kernel(g, kernels[::-1]), (1.0, -1.0)):
+        plan = ConvolutionPlan(grid32)
+        outs = plan.convolve_with_kernel(f, kernels, plus=((g, kernels[::-1], (1.0, -1.0)),))
+        for out, a, b, weight in zip(outs, plan.convolve_with_kernel(f, kernels),
+                                     plan.convolve_with_kernel(g, kernels[::-1]), (1.0, -1.0)):
             assert _rel_err(out.values, a.values + weight * b.values) <= 1e-13
 
     def test_all_zero_field_is_dropped_without_a_transform(self, grid32, rng, monkeypatch):
@@ -624,10 +632,10 @@ class TestCombinedConvolutions:
         assert len(forwards) == 2
         for out, single, weight in zip(outs, singles, (-1.0, 2.0)):
             assert np.array_equal(out.values, weight * single.values)
-        # every field zero: zeros without a transform, from either entry point
+        # every field zero: zeros without a transform
         outs = plan.convolve_with_kernel(zero, kernels, plus=((zero, kernels, (1.0, 1.0)),))
         assert len(forwards) == 2 and not any(o.values.any() for o in outs)
-        out = chf.convolve_with_kernel(zero, kernels[0], plus=((zero, kernels[1], 2.0),))
+        out = plan.convolve_with_kernel(zero, kernels[0], plus=((zero, kernels[1], 2.0),))
         assert len(forwards) == 2 and out.grid == grid32 and not out.values.any()
 
     def test_plus_is_validated(self, grid32, grid64, rng):
@@ -650,7 +658,8 @@ class TestCombinedConvolutions:
         under = chf.PoissonKernel(t=0.5 * grid32.spacing)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            chf.convolve_with_kernel(f, chf.Gaussian(alpha=1.0), plus=((f, under, -1.0),))
+            ConvolutionPlan(grid32).convolve_with_kernel(f, chf.Gaussian(alpha=1.0),
+                                                         plus=((f, under, -1.0),))
         assert [w.category for w in caught] == [ResolutionWarning]
         assert caught[0].filename == __file__
 
@@ -737,7 +746,8 @@ class TestWorkers:
     @pytest.mark.skipif(convolution._cpus() < 2, reason="on one CPU every pass runs inline")
     def test_worker_error_reaches_the_caller(self, grid48, rng, monkeypatch):
         f = _random(grid48, rng)
-        expected = chf.coulomb_convolve(f).values.tobytes()
+        coulomb = chf.CoulombKernel()
+        expected = ConvolutionPlan(grid48).convolve_with_kernel(f, coulomb).values.tobytes()
         caller, ifft = threading.get_ident(), np.fft.ifft
 
         def ifft_failing_off_the_caller(*args, **kwargs):
@@ -747,6 +757,7 @@ class TestWorkers:
 
         monkeypatch.setattr(np.fft, "ifft", ifft_failing_off_the_caller)
         with pytest.raises(MemoryError, match="injected in a worker"):
-            chf.coulomb_convolve(f)
+            ConvolutionPlan(grid48).convolve_with_kernel(f, coulomb)
         monkeypatch.undo()
-        assert chf.coulomb_convolve(f).values.tobytes() == expected  # the pool still works
+        out = ConvolutionPlan(grid48).convolve_with_kernel(f, coulomb)
+        assert out.values.tobytes() == expected  # the pool still works

@@ -109,7 +109,7 @@ class TestResidualLadders:
         ladder7 = chf.expansion_window_residuals(state, 0, orbitals, fields, w)
         for n, r6, r7 in zip(state.orders, ladder6, ladder7):
             trunc = chf.OrbitalSet(state.truncations[n], orbitals.energies, validate=False)
-            trunc_fields = chf.HfFields(fields.p, build_overlap_fields(trunc))
+            trunc_fields = chf.HfFields(fields.p, build_overlap_fields(trunc, ConvolutionPlan(grid)))
             assert r6.total_l2 == chf.poisson_transformed_residual(0, trunc, trunc_fields, t).total_l2
             assert r7.total_l2 == chf.window_transformed_residual(0, trunc, trunc_fields, w).total_l2
             assert r6.params["order"] == r7.params["order"] == n

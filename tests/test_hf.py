@@ -4,6 +4,7 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 import convolve_hf as chf
+from convolve_hf.hf import build_overlap_fields
 
 from support import (
     assert_overlap_bound,
@@ -101,7 +102,7 @@ class TestOverlapFields:
         alpha = 1.0
         psi = unit_gaussian_orbital(g, alpha)
         orb = chf.OrbitalSet(orbitals=(psi,), energies=(0.0,))
-        s00 = chf.build_s(0, 0, orb).values
+        s00 = build_overlap_fields(orb, chf.ConvolutionPlan(g))[0][0].values
         # |psi|^2 is the unit-mass density with exponent 2 alpha
         r = np.sqrt(g.radius_squared())
         with np.errstate(invalid="ignore"):
@@ -126,14 +127,8 @@ class TestOverlapFields:
         a = unit_gaussian_orbital(g, 4.0, center=(-4.0, 0, 0))
         b = unit_gaussian_orbital(g, 4.0, center=(4.0, 0, 0))
         orb = chf.OrbitalSet(orbitals=(a, b), energies=(0.0, 0.0))
-        s01 = chf.build_s(0, 1, orb)
+        s01 = build_overlap_fields(orb, chf.ConvolutionPlan(g))[0][1]
         assert chf.norm(s01, np.inf) <= 1e-8
-
-    def test_index_range(self, grid32):
-        psi = unit_gaussian_orbital(grid32)
-        orb = chf.OrbitalSet(orbitals=(psi,), energies=(0.0,))
-        with pytest.raises(IndexError):
-            chf.build_s(0, 1, orb)
 
     def test_q_is_derived_from_s(self, grid32, rng):
         s = tuple(tuple(random_smooth_orbital(grid32, rng) for _ in range(2)) for _ in range(2))

@@ -5,7 +5,7 @@ import convolve_hf as chf
 from convolve_hf.convolution import ConvolutionPlan
 from convolve_hf.errors import ResolutionError
 
-from support import hydrogen_identity, random_smooth_orbital
+from support import hydrogen_identity, random_smooth_orbital, record_sampled_kernels
 
 
 def random_orbital_setup(rng, n=48, extent=6.0, eps=-0.4, hole_radius=None):
@@ -40,8 +40,9 @@ class TestSymmetryDefect:
         delta = chf.ScalarField(grid=grid32, values=vals)
         # an impulse is not band-limited: the local stencil transfers
         # exactly through the linear convolution, the spectral one cannot
-        lhs = chf.convolve(chf.laplacian(f, method="finite_difference_2nd"), delta)
-        rhs = chf.convolve(f, chf.laplacian(delta, method="finite_difference_2nd"))
+        plan = ConvolutionPlan(grid32)
+        lhs = plan.convolve_fields(chf.laplacian(f, method="finite_difference_2nd"), delta)
+        rhs = plan.convolve_fields(f, chf.laplacian(delta, method="finite_difference_2nd"))
         defect = chf.norm(lhs - rhs, np.inf) / chf.norm(lhs, np.inf)
         assert defect <= 1e-8
 
@@ -100,7 +101,7 @@ class TestWindowTransformed:
         report = chf.window_transformed_residual(0, orbitals, fields, w)
         strong = chf.strong_residual(0, orbitals, fields, system,
                                      method="spectral")
-        cross = chf.convolve(strong, chf.sample(w, grid))
+        cross = ConvolutionPlan(grid).convolve_fields(strong, chf.sample(w, grid))
         scale = max(max(report.term_l2), chf.norm(cross, 2))
         rel = chf.norm(report.total_field - cross, 2) / scale
         assert rel <= 0.02
@@ -129,6 +130,14 @@ class TestWindowTransformed:
         # exact solution it stays O(1) while the consistent form vanishes
         assert literal.total_l2 > 10.0 * consistent.total_l2
         assert literal.params["literal"] is True
+
+    def test_literal_form_samples_each_window_kernel_once(self, rng, monkeypatch):
+        # its four terms share one plan: lap w for one term, w for three
+        grid, system, orbitals, fields = random_orbital_setup(rng, n=32)
+        w = chf.Gaussian(alpha=1.0, amplitude=1.0)
+        sampled = record_sampled_kernels(monkeypatch)
+        chf.window_residual_literal(0, orbitals, fields, w)
+        assert sampled == [w.laplacian(), w]
 
 
 class TestPairedEvaluation:

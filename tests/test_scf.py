@@ -101,6 +101,19 @@ class TestApplyFock:
         with pytest.raises(ValueError, match="orbital count"):
             chf.apply_fock(psi, system, bad, orbitals)
 
+    def test_coulomb_octant_is_sampled_once_for_every_orbital(self, rng, monkeypatch):
+        # one plan keeps the Coulomb spectrum for each orbital's exchange
+        grid = chf.GridSpec(points_per_axis=32, extent=8.0)
+        system = chf.MolecularSystem(nuclei=((2.0, (0.0, 0.0, 0.0)),))
+        a = unit_gaussian_orbital(grid, 1.0)
+        b = random_smooth_orbital(grid, rng)
+        b = normalized_field(b - chf.inner(a, b) * a)
+        orbitals = chf.OrbitalSet(orbitals=(a, b), energies=(-0.5, -0.2))
+        fields = chf.build_fields(system, orbitals)
+        sampled = record_sampled_kernels(monkeypatch)
+        chf.apply_fock(random_smooth_orbital(grid, rng), system, fields, orbitals)
+        assert sampled == [chf.CoulombKernel()]
+
 
 class TestScfConfig:
     def test_validation(self):

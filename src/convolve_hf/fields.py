@@ -7,7 +7,9 @@ for the point (x_i, y_j, z_k).  Fields are real float64: the closed-shell
 Hamiltonian is real, so its orbitals and every field built from them can
 be taken real.  Quadrature assigns every node the weight h^3.  The grid
 transforms of the spectral Laplacian and the SCF are one ``rfftn`` /
-``irfftn`` pair of one-axis ``numpy.fft`` passes.
+``irfftn`` pair of one-axis ``numpy.fft`` passes; their private forms
+``_rfftn_into`` / ``_irfftn_into`` write into given arrays, so the SCF's
+inner steps transform in place.
 """
 
 from __future__ import annotations
@@ -186,26 +188,43 @@ def rfftn(values: np.ndarray) -> np.ndarray:
     transform along z, then complex ones along x and y, the passes of
     ``scipy.fft.rfftn``, so the result is its bits (``numpy.fft.rfftn``
     takes y before x and differs in the last bits)."""
-    spec = np.fft.rfft(values)
-    spec = np.fft.fft(spec, axis=0, out=spec)
-    return np.fft.fft(spec, axis=1, out=spec)
+    half = values.shape[:-1] + (values.shape[-1] // 2 + 1,)
+    return _rfftn_into(values, np.empty(half, np.complex128))
 
 
 def irfftn(spec: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`rfftn` for a real (n, n, n) array: unscaled
     inverse transforms along x and y, then the real one along z, then one
     scaling by 1/n^3.  The passes and the single scaling are those of
-    ``scipy.fft.irfftn``, so the result is its bits."""
-    spec = np.fft.ifft(spec, axis=0, norm="forward")
-    spec = np.fft.ifft(spec, axis=1, norm="forward", out=spec)
-    return np.fft.irfft(spec, n=n, norm="forward") * (1.0 / n**3)
+    ``scipy.fft.irfftn``, so the result is its bits.  ``spec`` is left
+    as it is."""
+    return _irfftn_into(spec.copy(), np.empty((n, n, n)))
+
+
+def _rfftn_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`rfftn` of ``values`` written into the complex (n, n, n//2 + 1)
+    array ``out``, which is returned; no other array is allocated."""
+    np.fft.rfft(values, out=out)
+    np.fft.fft(out, axis=0, out=out)
+    return np.fft.fft(out, axis=1, out=out)
+
+
+def _irfftn_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`irfftn` of ``spec`` written into the real (n, n, n) array
+    ``out``, which is returned.  The x and y passes run in ``spec``, so it
+    is overwritten; no other array is allocated."""
+    np.fft.ifft(spec, axis=0, norm="forward", out=spec)
+    np.fft.ifft(spec, axis=1, norm="forward", out=spec)
+    np.fft.irfft(spec, n=out.shape[-1], norm="forward", out=out)
+    out *= 1.0 / out.size
+    return out
 
 
 def spectral_laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Spectral (periodic) Laplacian of a real (n, n, n) array on ``grid``."""
     spec = rfftn(values)
     spec *= _spectral_multiplier(grid)
-    return irfftn(spec, grid.points_per_axis)
+    return _irfftn_into(spec, np.empty(grid.shape))
 
 
 def laplacian(f: ScalarField, method: str = "spectral") -> ScalarField:

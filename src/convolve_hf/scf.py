@@ -26,6 +26,14 @@ last step's Parseval sum is also the kinetic energy of the outer
 iteration's energy and eps, so no separate Laplacian is taken per
 iteration.
 
+The inner steps allocate nothing: each relaxation allocates two grid
+arrays (-dt v and u = -dt v psi), the real gain and one complex half
+spectrum, and every step runs in them and in psi, one pass per quantity
+(u, eps, the explicit half step in place, the gain, the Parseval power
+in a buffer the forward transform has freed), with the inverse transform
+written straight into psi.  Those arrays are freed before the outer
+iteration's padded convolution, which sets the solver's peak memory.
+
 For a single orbital the exchange acting on the occupied orbital itself
 collapses onto the local field s[0,0], so the frozen operator is local:
 v_eff = -sum_c Z_c h_c + s[0,0].  The public ``apply_fock`` keeps the
@@ -45,10 +53,10 @@ from .errors import ScfDivergedError
 from .fields import (
     GridSpec,
     ScalarField,
+    _irfftn_into,
+    _rfftn_into,
     _spectral_multiplier,
-    irfftn,
     laplacian,
-    rfftn,
     spectral_laplacian,
 )
 from .hf import (
@@ -178,7 +186,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
     v_nuc = -0.5 * build_p(system, grid).values  # -sum_c Z_c h_c, mollified
 
     def l2(arr):
-        return np.sqrt((arr * arr).sum() * h3)
+        return np.sqrt(np.einsum("ijk,ijk->", arr, arr) * h3)
 
     # initial guess: normalized Gaussian at the charge barycenter
     guess = sample(Gaussian(alpha=1.0, center=tuple(system.charge_barycenter())), grid)
@@ -190,37 +198,55 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
     def s_of(density):
         return plan.convolve_with_kernel(ScalarField(grid=grid, values=density), coulomb).values
 
-    rho = psi * psi
-    s_mix = s_of(rho)
+    s_mix = s_of(psi * psi)
     dt = config.time_step
     mult = _spectral_multiplier(grid)  # -|k|^2, cached per grid
     kinetic = -0.5 * (psi * spectral_laplacian(psi, grid)).sum() * h3
 
-    def relax(psi, v_eff, kinetic):
-        """``_INNER_STEPS`` semi-implicit imaginary-time steps; ``kinetic``
-        is that of ``psi``.  Returns the new psi and its kinetic energy,
-        the last step's Parseval sum.  The step's arrays are freed on
-        return, before the padded convolution, which sets the solver's
-        peak memory."""
-        sigma = max(0.0, float(v_eff.max()))
+    def relax(psi, s_mix, kinetic):
+        """``_INNER_STEPS`` semi-implicit imaginary-time steps on ``psi``, in
+        place, with v_eff = v_nuc + s_mix frozen; ``kinetic`` is that of
+        ``psi``.  Returns the new psi's kinetic energy, the last step's
+        Parseval sum.
+
+        A call allocates two grid arrays, w = -dt v_eff and u, the real
+        gain and one complex half spectrum, and each step runs in them and
+        in psi, one pass per quantity: u = w psi; eps = kinetic +
+        h^3 <psi, v_eff psi> from one reduction of psi against u; the
+        explicit half step psi <- (1 + dt (eps + sigma)) psi + u in place;
+        the forward transform of psi into the spectrum and the gain; the
+        Parseval power in u's buffer, which the transform has freed, with
+        imag^2 in psi's; the inverse transform straight into psi.  The
+        arrays are freed on return, before the padded convolution, which
+        sets the solver's peak memory."""
+        w = v_nuc + s_mix
+        sigma = max(0.0, float(w.max()))
+        w *= -dt
         gain = 1.0 / (1.0 + dt * (sigma - 0.5 * mult))
+        u = np.empty(shape)
+        spec = np.empty(mult.shape, np.complex128)
+        power = u.reshape(-1)[: mult.size].reshape(mult.shape)
+        imag2 = psi.reshape(-1)[: mult.size].reshape(mult.shape)
         for _ in range(_INNER_STEPS):
-            eps = kinetic + (psi * v_eff * psi).sum() * h3
+            np.multiply(w, psi, out=u)
+            eps = kinetic - np.einsum("ijk,ijk->", psi, u) / dt * h3
             with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                spec = rfftn(psi - dt * (v_eff - (eps + sigma)) * psi)
+                psi *= 1.0 + dt * (eps + sigma)
+                psi += u
+                _rfftn_into(psi, spec)
                 spec *= gain
                 # norm and kinetic energy by Parseval on the rFFT half
                 # spectrum, whose interior columns count twice
-                power = np.square(spec.real)
-                power += np.square(spec.imag)
+                np.square(spec.real, out=power)
+                power += np.square(spec.imag, out=imag2)
                 power[..., 1 : (shape[-1] + 1) // 2] *= 2.0
                 mass = power.sum()
-                kinetic = -0.5 * (mult * power).sum() / mass
+                kinetic = -0.5 * np.einsum("ijk,ijk->", mult, power) / mass
             if not np.isfinite(mass) or mass == 0.0:
                 raise ScfDivergedError("imaginary-time propagation diverged; reduce time_step")
-            psi = irfftn(spec, shape[0])
+            _irfftn_into(spec, psi)
             psi /= np.sqrt(mass * h3 / psi.size)
-        return psi, kinetic
+        return kinetic
 
     history: list[ScfIteration] = []
     converged = False
@@ -230,20 +256,20 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
     iteration = 0
 
     for iteration in range(1, config.max_iterations + 1):
-        v_eff = v_nuc + s_mix
-        psi, kinetic = relax(psi, v_eff, kinetic)
+        kinetic = relax(psi, s_mix, kinetic)
         if psi.sum() < 0:  # fix the global sign for reproducible output
-            psi = -psi
+            np.negative(psi, out=psi)
         rho_new = psi * psi
         s_new = s_of(rho_new)
 
-        v_nuc_1 = 2.0 * (rho_new * v_nuc).sum() * h3
-        hartree = (rho_new * s_new).sum() * h3
+        v_nuc_1 = 2.0 * np.einsum("ijk,ijk->", rho_new, v_nuc) * h3
+        hartree = np.einsum("ijk,ijk->", rho_new, s_new) * h3
         energy = 2.0 * kinetic + v_nuc_1 + hartree
         eps = kinetic + 0.5 * v_nuc_1 + hartree  # Rayleigh quotient of the new field
 
-        orbital_change = l2(psi - psi_prev)
-        psi_prev = psi.copy()
+        psi_prev -= psi
+        orbital_change = l2(psi_prev)
+        np.copyto(psi_prev, psi)
         history.append(
             ScfIteration(
                 iteration=iteration,
@@ -255,10 +281,11 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
 
         de = abs(energy - e_prev) if e_prev is not None else np.inf
         e_prev = energy
-        s_mix = (1.0 - config.mixing) * s_mix + config.mixing * s_new
         if de <= config.energy_tolerance and orbital_change <= config.orbital_tolerance:
             converged = True
             break
+        s_mix = (1.0 - config.mixing) * s_mix
+        s_mix += config.mixing * s_new
 
     psi_field = ScalarField(grid=grid, values=psi)
     if history:  # eps is the Rayleigh quotient of psi with v_nuc + s_new

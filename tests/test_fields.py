@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from scipy import fft as sfft
 
 import convolve_hf as chf
 from convolve_hf.errors import GridMismatchError, NonFiniteError, SupportWarning
-from convolve_hf.fields import irfftn, outer_shell_mass_fraction, rfftn
+from convolve_hf.fields import (
+    _irfftn_into,
+    _rfftn_into,
+    irfftn,
+    outer_shell_mass_fraction,
+    rfftn,
+)
 
 from support import unit_gaussian_orbital
 
@@ -209,6 +216,42 @@ class TestGridTransforms:
         kept = spec.copy()
         irfftn(spec, grid32.points_per_axis)
         assert spec.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 48, 64, 96])
+    def test_in_place_forms_give_the_pair_s_bytes(self, n):
+        values = np.random.default_rng(n).standard_normal((n, n, n))
+        spec = np.empty((n, n, n // 2 + 1), np.complex128)
+        assert _rfftn_into(values, spec) is spec
+        assert spec.tobytes() == rfftn(values).tobytes()
+        spec *= np.random.default_rng(n + 1).standard_normal(spec.shape)
+        out = np.empty((n, n, n))
+        assert _irfftn_into(spec.copy(), out) is out
+        assert out.tobytes() == irfftn(spec, n).tobytes()
+
+    def test_consuming_inverse_writes_only_its_spectrum_and_out(self, rng):
+        # the spectrum and the output sit in one byte buffer between guard
+        # bands that must come through untouched, and the call allocates no
+        # array of their size
+        n, guard = 16, 4096
+        spec_bytes, out_bytes = n * n * (n // 2 + 1) * 16, n**3 * 8
+        buf = np.full(3 * guard + spec_bytes + out_bytes, 0xA5, np.uint8)
+        spec = buf[guard : guard + spec_bytes].view(np.complex128).reshape(n, n, n // 2 + 1)
+        out_start = 2 * guard + spec_bytes
+        out = buf[out_start : out_start + out_bytes].view(np.float64).reshape(n, n, n)
+        spec[...] = rfftn(rng.standard_normal((n, n, n)))
+        want = irfftn(spec, n)
+        guards = [slice(0, guard), slice(guard + spec_bytes, out_start),
+                  slice(out_start + out_bytes, None)]
+        kept = [buf[g].copy() for g in guards]
+        tracemalloc.start()
+        try:
+            assert _irfftn_into(spec, out) is out
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == want.tobytes()
+        assert all(np.array_equal(buf[g], k) for g, k in zip(guards, kept))
+        assert peak < out_bytes // 4
 
 
 class TestLaplacian:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,6 +36,22 @@ def _assert_fields_bitwise_equal(got, want):
     for g, w in pairs:
         assert g.values.dtype == w.values.dtype
         assert g.values.tobytes() == w.values.tobytes()
+
+
+# per-iteration energy and eps of the he_result_48 solve with out-of-place
+# inner steps; the in-place steps reorder their roundoff only
+HE48_ENERGIES = (
+    -2.657842178333395, -2.659120793017156, -2.6592413784223323, -2.659291740713684,
+    -2.6592989395412463, -2.6592995613302826, -2.6592996107134987, -2.6592996165654457,
+    -2.659299617416268, -2.6592996175283923, -2.6592996175421266,
+)
+HE48_EPSILONS = (
+    -0.845427138479188, -0.8560624364594869, -0.8549298869660815, -0.8534459123464715,
+    -0.8528185127331247, -0.8526404768065075, -0.8526062422845117, -0.8526039282254498,
+    -0.8526053330370097, -0.852606065116216, -0.85260625009506,
+)
+# traced peak of that solve with out-of-place inner steps, bytes
+HE48_PEAK_BYTES = 13_450_605
 
 
 class TestApplyFock:
@@ -168,6 +185,27 @@ class TestSolve:
         # diagnostic history: energies settle after the initial transient
         energies = [it.energy for it in result.history]
         assert abs(energies[-1] - energies[-2]) <= 1e-6
+
+    def test_trajectory_matches_the_recorded_one(self, he_result_48):
+        history = he_result_48.history
+        assert len(history) == len(HE48_ENERGIES)
+        for it, energy, eps in zip(history, HE48_ENERGIES, HE48_EPSILONS):
+            assert it.energy == pytest.approx(energy, rel=1e-12, abs=0)
+            assert it.epsilon == pytest.approx(eps, rel=1e-12, abs=0)
+
+    def test_step_buffers_do_not_outlive_the_relaxation(self, he_system, he_result_48):
+        # the padded convolution sets the solver's peak; an inner-step
+        # buffer still alive during it would lift the peak above the one
+        # of out-of-place steps
+        grid = he_result_48.orbitals.grid  # the fixture has warmed its caches
+        tracemalloc.start()
+        try:
+            result = chf.solve(he_system, grid, chf.ScfConfig(max_iterations=200, mixing=0.6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.iteration_count == he_result_48.iteration_count
+        assert peak <= HE48_PEAK_BYTES
 
     def test_helium_virial_ratio(self, he_result_48):
         report = chf.energies(he_result_48.orbitals, he_result_48.fields)

@@ -200,13 +200,15 @@ def cmd_residuals(config: RunConfig, out: Path, quiet: bool) -> int:
     t = config.residuals_t
     w = Gaussian(alpha=config.window_alpha, amplitude=1.0)
     a = 0
+    thm4, thm5 = transformed_residuals(a, orbitals, fields, t, w)
+    cross = poisson_crosscheck(thm4, orbitals, fields, system)
+    # last, so that its term fields are not alive at the command's peak,
+    # which is inside transformed_residuals
     strong = ResidualReport.from_terms(
         ("laplacian", "potential", "exchange"),
         strong_terms(a, orbitals, fields, system),
         {"orbital": a, "laplacian": "spectral", "masked": True},
     )
-    thm4, thm5 = transformed_residuals(a, orbitals, fields, t, w)
-    cross = poisson_crosscheck(thm4, orbitals, fields, system)
 
     def row(name, rep: ResidualReport, param):
         return (

@@ -217,12 +217,13 @@ def expansion_transformed_residuals(
     rows = []
     for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, plan):
         psi_a, local, exchange = equation_terms(a, trunc, trunc_fields)
+        combined = local + 2.0 * exchange if exchange.values.any() else local
         thm6, thm7 = plan.convolve_with_kernel(
             psi_a, (PoissonDt2Kernel(t=t), w.laplacian()),
-            plus=((local + 2.0 * exchange, (PoissonKernel(t=t), w), (-1.0, 1.0)),),
+            plus=((combined, (PoissonKernel(t=t), w), (-1.0, 1.0)),),
         )
         rows.append(LadderTotals(n, norm(thm6, 2), norm(thm6, np.inf),
                                  norm(thm7, 2), norm(thm7, np.inf)))
         # this order's fields go before the next order's are built
-        del trunc_fields, local, exchange, thm6, thm7
+        del trunc_fields, local, exchange, combined, thm6, thm7
     return rows

@@ -154,15 +154,22 @@ class OrbitalSet:
 
 @dataclass(frozen=True)
 class HfFields:
-    """p and the n x n s fields of one orbital set; q = 4 sum_c s[c,c] is derived."""
+    """p and the n x n s fields of one orbital set; q = 4 sum_c s[c,c] is derived.
+
+    The sum leaves out every all-zero s[c,c], which keeps each bit of a
+    nonzero sum (x + 0.0 = x).  When every s[c,c] is zero (a source
+    without two-electron terms), q is s[0][0] itself, shared read-only,
+    so no zero array is written for it.
+    """
 
     p: ScalarField
     s: tuple[tuple[ScalarField, ...], ...]
     q: ScalarField = field(init=False)
 
     def __post_init__(self):
-        q = 4.0 * sum(self.s[c][c].values for c in range(self.n))
-        object.__setattr__(self, "q", self.p.with_values(q))
+        diagonal = [self.s[c][c].values for c in range(self.n) if self.s[c][c].values.any()]
+        q = self.p.with_values(4.0 * sum(diagonal)) if diagonal else self.s[0][0]
+        object.__setattr__(self, "q", q)
 
     @property
     def n(self) -> int:
@@ -219,13 +226,20 @@ def equation_terms(
     a: int, orbitals: OrbitalSet, fields: HfFields
 ) -> tuple[ScalarField, ScalarField, ScalarField]:
     """The pointwise terms of the eigenvalue equation for orbital ``a``:
-    psi_a, (p - q + 2 eps_a) psi_a and sum_c s[a,c] psi_c."""
+    psi_a, (p - q + 2 eps_a) psi_a and sum_c s[a,c] psi_c.
+
+    The exchange sum leaves out every all-zero s[a,c], which keeps each
+    bit of a nonzero sum; when every s[a,c] is zero, the exchange term is
+    s[a][0] itself, shared read-only, and no product is computed."""
     if fields.n != len(orbitals):
         raise ValueError("fields were built from a different orbital count")
     psi_a = orbitals.orbitals[a]
     local = (fields.p.values - fields.q.values + 2.0 * orbitals.energies[a]) * psi_a.values
-    exchange = sum(s_ac.values * psi_c.values for s_ac, psi_c in zip(fields.s[a], orbitals.orbitals))
-    return psi_a, psi_a.with_values(local), psi_a.with_values(exchange)
+    pairs = [(s_ac, psi_c) for s_ac, psi_c in zip(fields.s[a], orbitals.orbitals)
+             if s_ac.values.any()]
+    exchange = (psi_a.with_values(sum(s_ac.values * psi_c.values for s_ac, psi_c in pairs))
+                if pairs else fields.s[a][0])
+    return psi_a, psi_a.with_values(local), exchange
 
 
 def strong_terms(

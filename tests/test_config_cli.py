@@ -464,6 +464,17 @@ class TestResidualsCommand:
         assert rows and all(float(c) == 0.0 for row in rows for c in row[1:10])
 
     @pytest.mark.parametrize("command", ["residuals", "expand"])
+    def test_no_zero_or_used_field_is_alive_at_the_peak(self, tmp_path, command):
+        # at N = 32 the engine runs inline, so the traced peak does not
+        # depend on the CPUs; zero arrays for q and the exchange term, or
+        # the strong report's fields alive during the transformed
+        # residuals, lift it to 5.46-5.68 MB (4.68-4.73 MB without them)
+        cfg = write_config(tmp_path, HYDROGEN_32)
+        peak = peak_traced_bytes(lambda: main(
+            [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]))
+        assert peak <= 5_100_000
+
+    @pytest.mark.parametrize("command", ["residuals", "expand"])
     def test_zero_source_below_floor_is_resolution_error(self, tmp_path, capsys, command):
         # zero terms are not transformed, yet the height is still checked
         body = (REPO / "configs" / "zero_orbital.cfg").read_text()

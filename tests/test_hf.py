@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 import convolve_hf as chf
-from convolve_hf.hf import build_overlap_fields
+from convolve_hf.hf import build_overlap_fields, equation_terms
 
 from support import (
     assert_overlap_bound,
@@ -149,6 +149,49 @@ class TestOverlapFields:
         assert fields.q.values.min() >= -1e-12
         # the symmetry s[0,1] = s[1,0] is structural
         assert np.array_equal(fields.s[0][1].values, fields.s[1][0].values)
+
+
+def written_out_sums(orbitals, fields, a):
+    """q = 4 sum_c s[c,c] and sum_c s[a,c] psi_c over every term."""
+    n = len(orbitals)
+    q = 4.0 * sum(fields.s[c][c].values for c in range(n))
+    exchange = sum(fields.s[a][c].values * orbitals.orbitals[c].values for c in range(n))
+    return q, exchange
+
+
+class TestTwoElectronSums:
+    def test_all_zero_s_is_shared_not_rewritten(self):
+        _, _, orb, fields = hydrogen_identity(32, 8.0)
+        zero = fields.s[0][0].values
+        _, _, exchange = equation_terms(0, orb, fields)
+        assert np.shares_memory(fields.q.values, zero)
+        assert np.shares_memory(exchange.values, zero)
+        assert not fields.q.values.any() and not exchange.values.any()
+
+    def test_one_zero_orbital_keeps_every_bit(self, grid32):
+        # s[0][1], s[1][0] and s[1][1] are zero and left out of the sums;
+        # the second orbital's exchange sum has no nonzero term at all
+        psi = unit_gaussian_orbital(grid32)
+        orb = chf.OrbitalSet(orbitals=(psi, chf.ScalarField.zeros(grid32)), energies=(-0.4, 0.0),
+                             validate=False)
+        system = chf.MolecularSystem(nuclei=((1.0, (0, 0, 0)),))
+        fields = chf.build_fields(system, orb)
+        assert fields.s[0][0].values.any() and not fields.s[1][1].values.any()
+        for a in range(2):
+            q, exchange = written_out_sums(orb, fields, a)
+            assert fields.q.values.tobytes() == q.tobytes()
+            assert equation_terms(a, orb, fields)[2].values.tobytes() == exchange.tobytes()
+
+    def test_nonzero_s_keeps_every_bit(self, grid64, rng):
+        a = unit_gaussian_orbital(grid64, 1.0)
+        b = random_smooth_orbital(grid64, rng)
+        b = normalized_field(b - chf.inner(a, b) * a)
+        orb = chf.OrbitalSet(orbitals=(a, b), energies=(-0.9, -0.1))
+        fields = chf.build_fields(chf.MolecularSystem(nuclei=((2.0, (0, 0, 0)),)), orb)
+        for index in range(2):
+            q, exchange = written_out_sums(orb, fields, index)
+            assert fields.q.values.tobytes() == q.tobytes()
+            assert equation_terms(index, orb, fields)[2].values.tobytes() == exchange.tobytes()
 
 
 class TestStrongResidual:

@@ -21,7 +21,7 @@ from .extension import (
     harmonicity_residual,
     sup_bound_check,
 )
-from .fields import GridSpec, ScalarField, inner, integrate, laplacian, norm
+from .fields import GridSpec, ScalarField, inner, laplacian, norm
 from .hf import (
     HfFields,
     L2_SQUARE_BOUND,
@@ -57,6 +57,6 @@ from .residuals import (
     window_residual_literal,
     window_transformed_residual,
 )
-from .scf import ScfConfig, ScfResult, apply_fock, solve
+from .scf import ScfConfig, ScfResult, solve
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ path that cannot be written, 2 SCF did not converge or diverged, 3 an
 invariant check failed.  All CSV files are
 written atomically (temp file + rename) with a header row; floats are printed
 with 17 significant digits, so identical configurations produce
-byte-identical outputs.  ``--out`` overrides the config's output.dir.
+byte-identical outputs, and a NaN or infinite one exits 1 before its file
+is written.  ``--out`` overrides the config's output.dir.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .convolution import under_resolved
-from .errors import ConfigError, IllConditionedBasisError, ResolutionError, ScfDivergedError
+from .errors import (
+    ConfigError,
+    IllConditionedBasisError,
+    NonFiniteError,
+    ResolutionError,
+    ScfDivergedError,
+)
 from .expansion import expansion_transformed_residuals, project_orbitals
 from .extension import extend, harmonicity_residual
 from .fields import ScalarField, norm
@@ -67,8 +74,14 @@ def _write_atomic(path: Path, text: str):
 
 
 def _write_csv(path: Path, header, rows):
+    """Write ``rows`` under ``header``; a NaN or infinite number raises
+    NonFiniteError before anything is written."""
     lines = [",".join(header)]
     for row in rows:
+        bad = [name for name, cell in zip(header, row)
+               if not (isinstance(cell, str) or np.isfinite(cell))]
+        if bad:
+            raise NonFiniteError(f"{path.name}, row {row[0]}: not finite in {', '.join(bad)}")
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
     _write_atomic(path, "\n".join(lines) + "\n")
 

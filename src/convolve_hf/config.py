@@ -105,6 +105,17 @@ class RunConfig:
             raise ConfigError("basis.beta must exceed 1")
         if self.basis_count < 1:
             raise ConfigError("basis.count must be >= 1")
+        # the last basis member has the largest exponent and amplitude
+        try:
+            a = self.basis_alpha0 * self.basis_beta ** (self.basis_count - 1)
+            amplitude = (2.0 * a / math.pi) ** 0.75
+        except OverflowError:
+            a = amplitude = math.inf
+        if not (math.isfinite(a) and math.isfinite(amplitude)):
+            raise ConfigError(f"basis.alpha0 * basis.beta^(basis.count - 1) must be a finite "
+                              f"exponent with a finite amplitude (2a/pi)^(3/4), got "
+                              f"basis.alpha0 = {self.basis_alpha0:g}, basis.beta = "
+                              f"{self.basis_beta:g}, basis.count = {self.basis_count}")
         if self.residuals_t <= 0:
             raise ConfigError("residuals.t must be positive")
         if self.residuals_t > 4.0 * self.grid_extent:

@@ -134,8 +134,9 @@ keeps one Coulomb spectrum for all its outer iterations, and the
 the r_n of an SCF source) for all its orders.  Every convolution is a
 method call on the plan that keeps its spectra, so a function that
 convolves once (each height of an extension sweep) holds its plan only
-for that call, and one that reuses a kernel (``apply_fock`` over the
-orbitals) samples it once.  A reused spectrum is bit-identical to a
+for that call, and one that reuses a kernel (``build_overlap_fields``
+over the orbital pairs, ``run_verify`` for its Coulomb oracle and
+overlap bound) samples it once.  A reused spectrum is bit-identical to a
 fresh one because sampling is deterministic.  Two threads that miss the
 same kernel on one plan both compute it, and the plan keeps the first.
 

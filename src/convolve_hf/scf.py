@@ -36,9 +36,7 @@ iteration's padded convolution, which sets the solver's peak memory.
 
 For a single orbital the exchange acting on the occupied orbital itself
 collapses onto the local field s[0,0], so the frozen operator is local:
-v_eff = -sum_c Z_c h_c + s[0,0].  The public ``apply_fock`` keeps the
-full non-local exchange operator (linear and Hermitian) and coincides
-with the local form on the occupied orbital.
+v_eff = -sum_c Z_c h_c + s[0,0].
 """
 
 from __future__ import annotations
@@ -53,10 +51,9 @@ from .errors import ScfDivergedError
 from .fields import (
     GridSpec,
     ScalarField,
-    _irfftn_into,
-    _rfftn_into,
     _spectral_multiplier,
-    laplacian,
+    irfftn,
+    rfftn,
     spectral_laplacian,
 )
 from .hf import (
@@ -68,7 +65,7 @@ from .hf import (
 )
 from .kernels import CoulombKernel, Gaussian, sample
 
-__all__ = ["ScfConfig", "ScfIteration", "ScfResult", "apply_fock", "solve"]
+__all__ = ["ScfConfig", "ScfIteration", "ScfResult", "solve"]
 
 _INNER_STEPS = 4
 
@@ -88,18 +85,17 @@ class ScfConfig:
 
     Each outer iteration takes ``_INNER_STEPS`` = 4 inner steps, the
     smallest count at which He keeps the outer count of 12 steps on every
-    grid.  Outer iterations (median solve seconds, 2-core host) at mixing
-    0.6 for 12 / 6 / 4 / 3 / 2 steps:
+    grid.  Outer iterations at mixing 0.6 for 12 / 6 / 4 / 3 / 2 steps:
 
-        He N = 48      11 / 11 / 11 / 12 / 14   (0.96 -> 0.54 s at 4)
-        He N = 64      11 / 11 / 11 / 12 / 13   (2.36 -> 1.26 s at 4)
-        He N = 96      11 / 11 / 11 / 12 / 13   (9.1 -> 4.7 s at 4)
+        He N = 48      11 / 11 / 11 / 12 / 14
+        He N = 64      11 / 11 / 11 / 12 / 13
+        He N = 96      11 / 11 / 11 / 12 / 13
         H2 N = 48, 64  12 / 12-13 / 14 / 15 / 21
 
     Energies agree with the 12-step ones to 2e-12 and the final residual
     stays within 3e-7 to 2e-6.  Below 4 steps the outer count climbs and
-    the time stops falling steadily: He gains at most 0.6 s (N = 96), and
-    H2 at 2 steps is slower than at 4.
+    the solve time stops falling steadily; ``BENCH_9.json`` holds the
+    solve times of this sweep.
     """
 
     max_iterations: int = 200
@@ -136,33 +132,6 @@ class ScfResult:
     final_residual: float
     fields: HfFields
     wall_seconds: float
-
-
-def apply_fock(
-    psi: ScalarField,
-    system: MolecularSystem,
-    fields: HfFields,
-    orbitals: OrbitalSet,
-) -> ScalarField:
-    """One-particle operator with frozen fields applied to a trial field:
-
-        -1/2 lap psi - sum_c Z_c h_c psi + 2 sum_c s[c,c] psi - K psi,
-
-    where (K psi)(x) = sum_c [(psi_c psi) * h](x) psi_c(x).  The
-    exchange recomputes the overlap convolution with the trial, which
-    keeps the operator linear and Hermitian; on psi = psi_a it equals
-    sum_c s[a,c] psi_c.
-    """
-    if fields.n != len(orbitals):
-        raise ValueError("fields were built from a different orbital count")
-    # p = 2 sum Z_c h_c and q = 4 sum s_cc, so nuclear + Hartree = (q - p)/2
-    vals = -0.5 * laplacian(psi, method="spectral").values
-    vals = vals + 0.5 * (fields.q.values - fields.p.values) * psi.values
-    plan = ConvolutionPlan(psi.grid)  # one Coulomb spectrum for every orbital
-    for psi_c in orbitals.orbitals:
-        overlap = plan.convolve_with_kernel(psi_c * psi, CoulombKernel())
-        vals = vals - overlap.values * psi_c.values
-    return psi.with_values(vals)
 
 
 def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResult:
@@ -233,7 +202,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
             with np.errstate(over="ignore", invalid="ignore"):  # reported just below
                 psi *= 1.0 + dt * (eps + sigma)
                 psi += u
-                _rfftn_into(psi, spec)
+                rfftn(psi, spec)
                 spec *= gain
                 # norm and kinetic energy by Parseval on the rFFT half
                 # spectrum, whose interior columns count twice
@@ -244,7 +213,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
                 kinetic = -0.5 * np.einsum("ijk,ijk->", mult, power) / mass
             if not np.isfinite(mass) or mass == 0.0:
                 raise ScfDivergedError("imaginary-time propagation diverged; reduce time_step")
-            _irfftn_into(spec, psi)
+            irfftn(spec, psi)
             psi /= np.sqrt(mass * h3 / psi.size)
         return kinetic
 

@@ -3,7 +3,8 @@
 Oracles here are deliberately independent of the library's convolution
 and quadrature paths: 1-D radial quadrature via scipy, closed-form
 Gaussian integrals, a direct O(N^6) convolution sum, and SciPy's LOBPCG
-eigensolver.
+eigensolver.  ``apply_fock`` is the full non-local Fock operator that
+the solver's local form is checked against.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from scipy.integrate import quad
 from scipy.sparse import linalg as spla
 
 import convolve_hf as chf
-from convolve_hf import convolution
+from convolve_hf import ConvolutionPlan, CoulombKernel, convolution, laplacian
 
 S_SUP_BOUND = 2.0 * np.sqrt(np.pi) + 1.0
 
@@ -57,6 +58,11 @@ def direct_convolution(f, g):
                     klo - sk + half : khi - sk + half,
                 ]
     return out * h3
+
+
+def integral(f):
+    """Quadrature of ``f`` over the box: sum of values times h^3."""
+    return float(f.values.sum() * f.grid.spacing**3)
 
 
 def normalized_field(field):
@@ -123,6 +129,28 @@ def lowest_eigenvalues(grid, potential, k=2, tol=1e-6):
     block = np.hstack([gauss, gauss * noise])
     values = spla.lobpcg(operator, block, M=precond, tol=tol, maxiter=200, largest=False)[0]
     return np.sort(values)
+
+
+def apply_fock(psi, system, fields, orbitals):
+    """One-particle operator with frozen fields applied to a trial field:
+
+        -1/2 lap psi - sum_c Z_c h_c psi + 2 sum_c s[c,c] psi - K psi,
+
+    where (K psi)(x) = sum_c [(psi_c psi) * h](x) psi_c(x).  The
+    exchange recomputes the overlap convolution with the trial, which
+    keeps the operator linear and Hermitian; on psi = psi_a it equals
+    sum_c s[a,c] psi_c.
+    """
+    if fields.n != len(orbitals):
+        raise ValueError("fields were built from a different orbital count")
+    # p = 2 sum Z_c h_c and q = 4 sum s_cc, so nuclear + Hartree = (q - p)/2
+    vals = -0.5 * laplacian(psi, method="spectral").values
+    vals = vals + 0.5 * (fields.q.values - fields.p.values) * psi.values
+    plan = ConvolutionPlan(psi.grid)  # one Coulomb spectrum for every orbital
+    for psi_c in orbitals.orbitals:
+        overlap = plan.convolve_with_kernel(psi_c * psi, CoulombKernel())
+        vals = vals - overlap.values * psi_c.values
+    return psi.with_values(vals)
 
 
 def hydrogen_identity(n, extent, margin=0.75):

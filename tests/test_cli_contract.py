@@ -1,7 +1,8 @@
 """The command-line contract as a property: every command, on any config
 drawn from the key table, exits 0, 1, 2 or 3, never with a traceback;
 exits 1 and 2 print exactly one ``error:`` line, and exit 0 writes every
-file the README lists for the command.
+file the README lists for the command, with every number in its CSV
+files finite.
 
 Values are drawn valid, on the boundary, extreme (1e+-300, 0, negative)
 and non-finite, on grids of 8 to 16 nodes per axis so that each command
@@ -10,6 +11,7 @@ runs in milliseconds.
 
 import contextlib
 import io
+import math
 import tempfile
 import traceback
 from pathlib import Path
@@ -117,13 +119,17 @@ def _case(command, **overrides):
           suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
 # cases found by this test: values whose computation overflows, a grid
-# whose cell volume leaves the float range, SCF non-convergence
+# whose cell volume leaves the float range, SCF non-convergence, a basis
+# exponent that overflows, infinite residual norms
 @example(_case("expand", residuals__t="1e300"))
 @example(_case("residuals", masking__radius_cells="1e300"))
 @example(_case("residuals", window__alpha="1e300"))
 @example(_case("verify", grid__extent="1e300"))
 @example(_case("residuals", grid__extent="1e-300"))
 @example(_case("scf", scf__max_iter="1"))
+@example(_case("expand", basis__alpha0="1e300", basis__beta="1e10", basis__count="4"))
+@example(_case("residuals", residuals__source="hydrogen_identity",
+               system__nuclei="1e300, 0.0, 0.0, 0.0"))
 def test_every_exit_is_documented(run):
     command, text, out_is_file, quiet = run
     with tempfile.TemporaryDirectory() as tmp:
@@ -150,3 +156,16 @@ def test_every_exit_is_documented(run):
             assert code != 0 and out.read_text() == "taken\n", (code, text)
         if code == 0:
             assert all((out / name).is_file() for name in OUTPUTS[command]), (command, text)
+            for name in OUTPUTS[command]:
+                if name.endswith(".csv"):
+                    assert _numbers_are_finite((out / name).read_text()), (name, text)
+
+
+def _numbers_are_finite(csv_text):
+    """True when every cell below the header that parses as a float is finite."""
+    cells = [cell for line in csv_text.splitlines()[1:] for cell in line.split(",")]
+    numbers = []
+    for cell in cells:
+        with contextlib.suppress(ValueError):
+            numbers.append(float(cell))
+    return all(math.isfinite(x) for x in numbers)

@@ -17,10 +17,11 @@ from convolve_hf import cli, verify
 from convolve_hf.cli import main
 from convolve_hf.config import _KEYS, RunConfig, load_config, parse_config
 from convolve_hf.convolution import ConvolutionPlan, under_resolved
-from convolve_hf.errors import ConfigError
+from convolve_hf.errors import ConfigError, NonFiniteError
 from convolve_hf.extension import HarmonicExtension
-from convolve_hf.fields import ScalarField
-from convolve_hf.hf import OrbitalSet, build_fields
+from convolve_hf.fields import ScalarField, norm
+from convolve_hf.hf import MolecularSystem, OrbitalSet, build_fields
+from convolve_hf.kernels import CoulombKernel, Gaussian, sample
 from convolve_hf.scf import ScfConfig
 
 from support import peak_traced_bytes, record_sampled_kernels
@@ -170,6 +171,20 @@ class TestConfigParsing:
                      "--quiet"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key}")
+
+    @pytest.mark.parametrize("alpha0, beta, count", [
+        ("1e300", "1e10", "4"),  # the largest exponent overflows
+        ("1e308", "1.5", "2"),  # it is finite, its amplitude (2a/pi)^(3/4) is not
+        ("1.0", "1e300", "1000"),  # beta^(count - 1) raises OverflowError
+    ])
+    def test_overflowing_basis_member_named(self, alpha0, beta, count):
+        named = r"^basis\.alpha0 \* basis\.beta\^\(basis\.count - 1\) "
+        with pytest.raises(ConfigError, match=named):
+            parse_config(f"basis.alpha0 = {alpha0}\nbasis.beta = {beta}\nbasis.count = {count}\n")
+
+    def test_large_finite_basis_member_accepted(self):
+        config = parse_config("basis.alpha0 = 1e300\nbasis.beta = 10\nbasis.count = 4\n")
+        assert config.basis_alpha0 * config.basis_beta ** 3 == pytest.approx(1e303)
 
     def test_time_step_auto(self):
         assert parse_config("scf.time_step = auto\n").scf_time_step == 0.5
@@ -517,6 +532,29 @@ class TestResidualsCommand:
         assert kinds.count("PoissonKernel") == 2
 
 
+@pytest.mark.parametrize("command, name", [("residuals", "residuals.csv"),
+                                           ("expand", "expansion_ladder.csv")])
+def test_infinite_residual_norm_is_one_error_line(tmp_path, capsys, command, name):
+    # Z = 1e300 leaves every field finite, but the L2 norms of the nuclear
+    # term overflow; the CSV is not written
+    cfg = write_config(tmp_path, "grid.n = 8\ngrid.extent = 4.0\nresiduals.t = 2.5\n"
+                                 "residuals.source = hydrogen_identity\nbasis.count = 2\n"
+                                 "system.nuclei = 1e300, 0.0, 0.0, 0.0\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"{name}, row " in err[0]
+    assert not (out / name).exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_csv_cell_writes_nothing(tmp_path, value):
+    path = tmp_path / "out" / "rows.csv"
+    with pytest.raises(NonFiniteError, match=r"^rows\.csv, row b: not finite in y$"):
+        cli._write_csv(path, ["name", "x", "y"], [("a", 1.0, 2.0), ("b", 3.0, value)])
+    assert not path.parent.exists() or list(path.parent.iterdir()) == []
+
+
 class TestExpandCommand:
     def test_zero_source_ladder_vanishes(self, tmp_path):
         out = tmp_path / "out"
@@ -628,6 +666,27 @@ class TestVerifyCommand:
         assert code == 3
         text = (out / "verify_results.csv").read_text()
         assert ",FAIL" in text
+
+    # verify.cfg's lowest heights are below 2h, so its extension ladder warns
+    @pytest.mark.filterwarnings("ignore::convolve_hf.errors.ResolutionWarning")
+    def test_one_coulomb_spectrum(self, monkeypatch):
+        # the Coulomb oracle and the eq5 overlap bound share run_verify's plan
+        sampled = record_sampled_kernels(monkeypatch)
+        config = dataclasses.replace(load_config(REPO / "configs" / "verify.cfg"), grid_n=32)
+        verify.run_verify(config)
+        assert [k for k in sampled if isinstance(k, CoulombKernel)] == [CoulombKernel()]
+
+    # verify.cfg's lowest heights are below 2h, so its extension ladder warns
+    @pytest.mark.filterwarnings("ignore::convolve_hf.errors.ResolutionWarning")
+    def test_overlap_bound_is_that_of_the_built_fields(self):
+        config = load_config(REPO / "configs" / "verify.cfg")
+        value = {r.check: r.value for r in verify.run_verify(config)}["eq5_s_sup_bound"]
+        grid = config.grid()
+        f = sample(Gaussian(alpha=0.5, amplitude=1.0), grid)
+        psi = f * (1.0 / norm(f, 2))
+        system = MolecularSystem(nuclei=((2.0, (0.0, 0.0, 0.0)),))
+        fields = build_fields(system, OrbitalSet(orbitals=(psi,), energies=(0.0,)))
+        assert value.hex() == fields.s_sup_max().hex()
 
     def test_violated_sup_hook_names_the_check(self, tmp_path, capsys, monkeypatch):
         # check a 1.5x extension instead, which breaks ||base||_inf <= 1

@@ -21,6 +21,7 @@ from convolve_hf.errors import GridMismatchError, ResolutionError, ResolutionWar
 from support import (
     direct_convolution,
     engine_digests,
+    integral,
     peak_traced_bytes,
     radial_coulomb_potential,
     record_sampled_kernels,
@@ -218,7 +219,7 @@ class TestKernelConvolution:
         f = chf.sample(chf.Gaussian(alpha=1.0), g)  # unit mass, compact support
         with pytest.warns(ResolutionWarning):
             out = ConvolutionPlan(g).convolve_with_kernel(f, chf.PoissonKernel(t=0.05))
-        assert chf.integrate(out) == pytest.approx(1.0, abs=0.01)
+        assert integral(out) == pytest.approx(1.0, abs=0.01)
 
     def test_discrete_kernel_mass_bounded_by_one(self):
         g = chf.GridSpec(points_per_axis=64, extent=10.0)

@@ -3,7 +3,7 @@ import pytest
 
 import convolve_hf as chf
 
-from support import gaussian_overlap
+from support import gaussian_overlap, integral
 
 
 class TestPoissonKernel:
@@ -79,7 +79,7 @@ class TestSample:
     def test_sharp_gaussian_keeps_unit_mass(self):
         g = chf.GridSpec(points_per_axis=64, extent=8.0)
         f = chf.sample(chf.Gaussian(alpha=4.0), g)
-        assert chf.integrate(f).real == pytest.approx(1.0, abs=1e-4)
+        assert integral(f).real == pytest.approx(1.0, abs=1e-4)
 
     def test_poisson_sup_norm(self, grid64):
         f = chf.sample(chf.PoissonKernel(t=1.0), grid64)

@@ -10,6 +10,7 @@ import convolve_hf as chf
 from convolve_hf import scf
 
 from support import (
+    apply_fock,
     lowest_eigenvalues,
     normalized_field,
     random_smooth_orbital,
@@ -58,7 +59,7 @@ class TestApplyFock:
     def test_hydrogen_eigenpair(self):
         grid, system, orbitals, fields = hydrogen_like_fock_setup(64, 10.0)
         psi = normalized_field(chf.sample(chf.Slater1s(), grid))
-        out = chf.apply_fock(psi, system, fields, orbitals)
+        out = apply_fock(psi, system, fields, orbitals)
         resid = out.values + 0.5 * psi.values
         keep = chf.nuclear_mask(grid, replace(system, regular_set_margin=0.75))
         resid[~keep] = 0.0
@@ -76,8 +77,8 @@ class TestApplyFock:
         f = random_smooth_orbital(grid, rng)
         g = random_smooth_orbital(grid, rng)
         a = 1.7
-        lhs = chf.apply_fock(a * f + g, system, fields, orbitals)
-        rhs = a * chf.apply_fock(f, system, fields, orbitals) + chf.apply_fock(
+        lhs = apply_fock(a * f + g, system, fields, orbitals)
+        rhs = a * apply_fock(f, system, fields, orbitals) + apply_fock(
             g, system, fields, orbitals
         )
         scale = chf.norm(lhs, np.inf)
@@ -92,8 +93,8 @@ class TestApplyFock:
         for _ in range(3):
             f = random_smooth_orbital(grid, rng)
             g = random_smooth_orbital(grid, rng)
-            lhs = chf.inner(f, chf.apply_fock(g, system, fields, orbitals))
-            rhs = chf.inner(chf.apply_fock(f, system, fields, orbitals), g)
+            lhs = chf.inner(f, apply_fock(g, system, fields, orbitals))
+            rhs = chf.inner(apply_fock(f, system, fields, orbitals), g)
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_exchange_reduces_to_field_on_occupied_orbital(self):
@@ -102,7 +103,7 @@ class TestApplyFock:
         psi = unit_gaussian_orbital(grid, 1.0)
         orbitals = chf.OrbitalSet(orbitals=(psi,), energies=(-0.5,))
         fields = chf.build_fields(system, orbitals)
-        out = chf.apply_fock(psi, system, fields, orbitals)
+        out = apply_fock(psi, system, fields, orbitals)
         # assemble the same operator with the printed exchange s[0,0] psi
         expected = (
             -0.5 * chf.laplacian(psi, method="spectral").values
@@ -116,7 +117,7 @@ class TestApplyFock:
         psi = unit_gaussian_orbital(grid)
         bad = chf.HfFields(p=fields.p, s=((fields.q, fields.q), (fields.q, fields.q)))
         with pytest.raises(ValueError, match="orbital count"):
-            chf.apply_fock(psi, system, bad, orbitals)
+            apply_fock(psi, system, bad, orbitals)
 
     def test_coulomb_octant_is_sampled_once_for_every_orbital(self, rng, monkeypatch):
         # one plan keeps the Coulomb spectrum for each orbital's exchange
@@ -128,7 +129,7 @@ class TestApplyFock:
         orbitals = chf.OrbitalSet(orbitals=(a, b), energies=(-0.5, -0.2))
         fields = chf.build_fields(system, orbitals)
         sampled = record_sampled_kernels(monkeypatch)
-        chf.apply_fock(random_smooth_orbital(grid, rng), system, fields, orbitals)
+        apply_fock(random_smooth_orbital(grid, rng), system, fields, orbitals)
         assert sampled == [chf.CoulombKernel()]
 
 
@@ -229,7 +230,7 @@ class TestSolve:
         # here, is the reported one, and the orbital is an eigenvector to it
         result = he_result_48
         psi, eps = result.orbitals.orbitals[0], result.orbitals.energies[0]
-        f_psi = chf.apply_fock(psi, he_system, result.fields, result.orbitals).values
+        f_psi = apply_fock(psi, he_system, result.fields, result.orbitals).values
         grid = psi.grid
         keep = grid.radius_squared() > (2.0 * grid.spacing) ** 2  # the default margin
         resid = np.linalg.norm(np.where(keep, f_psi - eps * psi.values, 0.0))
@@ -242,7 +243,7 @@ class TestSolve:
         # the full operator applied to the returned orbital must agree
         result = he_result_48
         psi = result.orbitals.orbitals[0]
-        f_psi = chf.apply_fock(psi, he_system, result.fields, result.orbitals)
+        f_psi = apply_fock(psi, he_system, result.fields, result.orbitals)
         assert result.orbitals.energies[0] == pytest.approx(chf.inner(psi, f_psi), abs=1e-12)
 
     def test_nucleus_outside_box_rejected(self, grid32):

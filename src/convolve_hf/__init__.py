@@ -43,6 +43,7 @@ from .kernels import (
     GaussianLaplacian,
     PoissonDt2Kernel,
     PoissonKernel,
+    PoissonSecondDifference,
     Slater1s,
     basis_function,
     sample,

@@ -16,6 +16,7 @@ is written.  ``--out`` overrides the config's output.dir.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .convolution import under_resolved
+from .convolution import ConvolutionPlan, under_resolved
 from .errors import (
     ConfigError,
     IllConditionedBasisError,
@@ -34,7 +35,7 @@ from .errors import (
     ScfDivergedError,
 )
 from .expansion import expansion_transformed_residuals, project_orbitals
-from .extension import extend, harmonicity_residual
+from .extension import harmonicity_residual
 from .fields import ScalarField, norm
 from .hf import (
     L2_SQUARE_BOUND,
@@ -79,7 +80,7 @@ def _write_csv(path: Path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         bad = [name for name, cell in zip(header, row)
-               if not (isinstance(cell, str) or np.isfinite(cell))]
+               if not (isinstance(cell, str) or math.isfinite(cell))]
         if bad:
             raise NonFiniteError(f"{path.name}, row {row[0]}: not finite in {', '.join(bad)}")
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
@@ -112,14 +113,10 @@ def cmd_scf(config: RunConfig, out: Path, quiet: bool) -> int:
         ["iteration", "energy", "orbital_change", "epsilon"],
         [(str(it.iteration), it.energy, it.orbital_change, it.epsilon) for it in result.history],
     )
-    x = grid.axis_coordinates()
+    x = grid.axis_coordinates().tolist()
     k0 = grid.points_per_axis // 2  # z = 0 plane
-    psi = result.orbitals.orbitals[0].values
-    plane_rows = [
-        (x[i], x[j], psi[i, j, k0])
-        for i in range(grid.points_per_axis)
-        for j in range(grid.points_per_axis)
-    ]
+    plane = result.orbitals.orbitals[0].values[:, :, k0].tolist()
+    plane_rows = [(xi, xj, value) for xi, row in zip(x, plane) for xj, value in zip(x, row)]
     _write_csv(out / "orbital_z0.csv", ["x", "y", "value"], plane_rows)
 
     report = energies(result.orbitals, result.fields)
@@ -155,10 +152,7 @@ def cmd_extend_sweep(config: RunConfig, out: Path, quiet: bool) -> int:
     base_l2 = norm(base, 2)
     rows = []
     for t in sorted(config.poisson_t_values, reverse=True):
-        delta = t / 8.0
-        ext = extend(base, (t - delta, t, t + delta))
-        sl = ext.slice_at(t)
-        defect = harmonicity_residual(ext, 1)
+        sl, defect = harmonicity_residual(base, t, t / 8.0)
         flag = "unresolved" if under_resolved(t, grid) else ""
         distance = sl - base
         rows.append(
@@ -172,7 +166,7 @@ def cmd_extend_sweep(config: RunConfig, out: Path, quiet: bool) -> int:
                 flag,
             )
         )
-        del ext, sl, distance  # this height's slices go before the next extend
+        del sl, distance  # this height's slice goes before the next height's
     _write_csv(
         out / "extension_sweep.csv",
         ["t", "l2_distance", "sup_distance", "sup_norm", "paper_bound_4_over_pi_t",
@@ -213,10 +207,12 @@ def cmd_residuals(config: RunConfig, out: Path, quiet: bool) -> int:
     t = config.residuals_t
     w = Gaussian(alpha=config.window_alpha, amplitude=1.0)
     a = 0
-    thm4, thm5 = transformed_residuals(a, orbitals, fields, t, w)
-    cross = poisson_crosscheck(thm4, orbitals, fields, system)
-    # last, so that its term fields are not alive at the command's peak,
-    # which is inside transformed_residuals
+    plan = ConvolutionPlan(orbitals.grid)  # keeps the P_t spectrum for the crosscheck
+    thm4, thm5 = transformed_residuals(a, orbitals, fields, t, w, plan)
+    cross = poisson_crosscheck(thm4, orbitals, fields, system, plan=plan)
+    del plan
+    # the strong terms last, so that their fields are not alive at the
+    # command's peak, which is inside transformed_residuals
     strong = ResidualReport.from_terms(
         ("laplacian", "potential", "exchange"),
         strong_terms(a, orbitals, fields, system),

@@ -3,9 +3,16 @@
 ``extend`` convolves a boundary field with the Poisson kernel at a
 ladder of heights t; each slice is one horizontal cut of the harmonic
 extension.  The module verifies the extension numerically: interior
-harmonicity via a height-stencil, L2 boundary convergence of the
+harmonicity via a height stencil, L2 boundary convergence of the
 slices, and the two sup bounds (the 4/(pi t) bound and the sharper
 unit-mass bound).
+
+``harmonicity_residual`` takes the base field, a height t and a step
+delta.  By linearity the stencil (u_{t+delta} - 2 u_t + u_{t-delta}) /
+delta^2 is one convolution of the base with the second difference of the
+kernels, formed on the sampled octants before their single transform; so
+each height costs two kernel spectra and one grouped convolution with
+two outputs (u_t and the stencil), not three slices.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .convolution import ConvolutionPlan
 from .fields import ScalarField, laplacian, norm
-from .kernels import PoissonKernel
+from .kernels import PoissonKernel, PoissonSecondDifference
 
 __all__ = [
     "HarmonicExtension",
@@ -68,31 +75,25 @@ def extend(f: ScalarField, heights) -> HarmonicExtension:
     return HarmonicExtension(base=f, heights=hs, slices=slices)
 
 
-def harmonicity_residual(ext: HarmonicExtension, t_index: int) -> float:
-    """Relative defect of (lap + d2/dt2) at an interior ladder index.
+def harmonicity_residual(f: ScalarField, t: float, delta: float) -> tuple[ScalarField, float]:
+    """The slice u_t = f * P_t and the relative defect of (lap + d2/dt2)
+    at height t, ||lap u_t + D * f||_2 / ||lap u_t||_2, exactly 0 for a
+    zero base.
 
-    The t-second-derivative uses the stored neighboring slices (never the
-    analytic kernel derivative, which is validated elsewhere), so the
-    heights around ``t_index`` must be uniformly spaced.  Returns
-    ||lap u + dtt u||_2 / ||lap u||_2, or exactly 0 for a zero extension.
+    D is the second difference of P in the height with step ``delta``
+    (never the analytic kernel derivative, which is validated elsewhere),
+    so D * f is the height stencil of the slices at t - delta, t and
+    t + delta.  u_t and D * f are one grouped convolution of ``f``; u_t is
+    byte-identical to ``extend(f, (t,))``'s slice.  Needs delta > 0 and
+    t - delta > 0.
     """
-    if not (0 < t_index < len(ext.heights) - 1):
-        raise IndexError("t_index must have stored neighbors on both sides")
-    t_lo, t_mid, t_hi = ext.heights[t_index - 1 : t_index + 2]
-    delta = t_mid - t_lo
-    if abs((t_hi - t_mid) - delta) > 1e-9 * delta:
-        raise ValueError(
-            f"height spacing around index {t_index} is not uniform: "
-            f"{t_mid - t_lo:g} vs {t_hi - t_mid:g}"
-        )
-    u_lo, u, u_hi = (ext.slices[t_index + k] for k in (-1, 0, 1))
+    kernels = (PoissonKernel(t=t), PoissonSecondDifference(t=t, delta=delta))
+    u, dtt = ConvolutionPlan(f.grid).convolve_with_kernel(f, kernels)
     lap_u = laplacian(u)
-    dtt = (u_hi.values - 2.0 * u.values + u_lo.values) * (1.0 / delta**2)
     den = norm(lap_u, 2)
     if den == 0.0:
-        return 0.0
-    num = norm(u.with_values(lap_u.values + dtt), 2)
-    return num / den
+        return u, 0.0
+    return u, norm(lap_u + dtt, 2) / den
 
 
 def boundary_convergence(ext: HarmonicExtension):

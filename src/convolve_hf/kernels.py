@@ -2,7 +2,8 @@
 
 All kinds are radially symmetric about a center: the Coulomb kernel
 1/|x|, its shifts, the half-space Poisson kernel for three space
-dimensions and its second height-derivative, Gaussians (unit-mass
+dimensions, its second height-derivative and its centred second
+difference in the height, Gaussians (unit-mass
 densities, unit-L2 basis members, and plain-amplitude windows), and the
 normalized Slater 1s orbital.
 """
@@ -21,6 +22,7 @@ __all__ = [
     "CoulombKernel",
     "PoissonKernel",
     "PoissonDt2Kernel",
+    "PoissonSecondDifference",
     "Gaussian",
     "GaussianLaplacian",
     "Slater1s",
@@ -121,6 +123,34 @@ class PoissonDt2Kernel(AnalyticFunction):
 
     def evaluate_r2(self, r2):
         return _poisson_dt2(r2, self.t)
+
+
+@dataclass(frozen=True)
+class PoissonSecondDifference(AnalyticFunction):
+    """Centred second difference of P_t in the height with step delta:
+
+        (P_{t+delta} - 2 P_t + P_{t-delta}) / delta^2,
+
+    so that its convolution with f is the height stencil of the extension
+    slices f * P at t - delta, t and t + delta.  Needs t - delta > 0.  It
+    has no pointwise form of its own: the convolution engine combines the
+    sampled octants of its three Poisson kernels.
+    """
+
+    t: float = 1.0
+    delta: float = 0.1
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require_positive("t", self.t)
+        _require_positive("delta", self.delta)
+        if not self.t - self.delta > 0:
+            raise ValueError(f"t - delta must be positive, got t={self.t}, delta={self.delta}")
+
+    @property
+    def heights(self) -> tuple[float, float, float]:
+        """The stencil heights t - delta, t, t + delta."""
+        return (self.t - self.delta, self.t, self.t + self.delta)
 
 
 @dataclass(frozen=True)

@@ -186,18 +186,26 @@ def transformed_residuals(
     fields: HfFields,
     t: float,
     w: Gaussian,
+    plan: ConvolutionPlan | None = None,
 ) -> tuple[ResidualReport, ResidualReport]:
     """:func:`poisson_transformed_residual` at height t and
     :func:`window_transformed_residual` with window w, byte-identical to
     the two calls, from one assembly of the equation terms: each term
     field is forward-transformed once for its P_t-family kernel and its
-    window kernel together.
+    window kernel together.  The convolutions run on ``plan`` if given,
+    which afterwards keeps only the P_t spectrum, for
+    :func:`poisson_crosscheck`: the other three are freed before the
+    reports are assembled, as they are with the new plan of a call
+    without one.
     """
     require_resolved(t, orbitals.grid)
     require_gaussian_window(w)
     poisson_terms, window_terms = _transformed_terms(
-        a, orbitals, fields, (PoissonDt2Kernel(t=t), w.laplacian()), (PoissonKernel(t=t), w)
+        a, orbitals, fields, (PoissonDt2Kernel(t=t), w.laplacian()), (PoissonKernel(t=t), w),
+        plan,
     )
+    if plan is not None:
+        plan.keep_only(PoissonKernel(t=t))
     return _poisson_report(a, t, *poisson_terms), _window_report(a, w, *window_terms)
 
 
@@ -251,20 +259,23 @@ def poisson_crosscheck(
     fields: HfFields,
     system: MolecularSystem,
     method: str = "finite_difference_2nd",
+    plan: ConvolutionPlan | None = None,
 ) -> CrosscheckReport:
     """Compare a height-transformed residual with -(strong residual * P_t).
 
     ``transformed`` is the report of :func:`poisson_transformed_residual`
     (or the first of :func:`transformed_residuals`); the orbital and the
     height t are read from its params, so the two routes always compare
-    the same equation.  The relative measure divides by max(largest
-    transformed term, ||convolved strong residual||): for exact solutions
-    both routes are residual-sized and a ratio of the two alone would be
-    noise over noise.
+    the same equation.  The convolution runs on ``plan`` (which may keep
+    the P_t spectrum already) or on a new plan.  The relative measure
+    divides by max(largest transformed term, ||convolved strong
+    residual||): for exact solutions both routes are residual-sized and a
+    ratio of the two alone would be noise over noise.
     """
     a, t = transformed.params["orbital"], transformed.params["t"]
     strong = strong_residual(a, orbitals, fields, system, method=method)
-    cross = -1.0 * ConvolutionPlan(strong.grid).convolve_with_kernel(strong, PoissonKernel(t=t))
+    plan = plan or ConvolutionPlan(strong.grid)
+    cross = -1.0 * plan.convolve_with_kernel(strong, PoissonKernel(t=t))
     diff_field = transformed.total_field - cross
     cross_l2 = norm(cross, 2)
     diff = norm(diff_field, 2)

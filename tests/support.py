@@ -188,6 +188,29 @@ def peak_traced_bytes(fn):
             tracemalloc.stop()
 
 
+def pointwise_octant(kernel, grid):
+    """A kernel's octant samples with every kind evaluated at each offset's
+    own r^2 = (ih)^2 + (jh)^2 + (kh)^2, i, j, k = 0..n, and the engine's
+    singular, cell-average and central overrides; a Poisson second
+    difference combines the octants of its three heights."""
+    if isinstance(kernel, chf.PoissonSecondDifference):
+        lo, mid, hi = (pointwise_octant(chf.PoissonKernel(t=s), grid) for s in kernel.heights)
+        return (hi - 2.0 * mid + lo) * (1.0 / kernel.delta**2)
+    n, h = grid.points_per_axis, grid.spacing
+    off = np.arange(n + 1) * h
+    r2 = off[:, None, None] ** 2 + off[None, :, None] ** 2 + off[None, None, :] ** 2
+    if isinstance(kernel, chf.CoulombKernel):
+        vals = kernel.evaluate_r2(r2)
+        vals[0, 0, 0] = kernel.singular_cell_mean(h)
+        return vals
+    if isinstance(kernel, chf.PoissonKernel) and chf.under_resolved(kernel.t, grid):
+        vals = kernel.evaluate_r2(r2) + (h * h / 24.0) * kernel.laplacian_r2(r2)
+        convolution._cell_average_near_origin(kernel, vals, off, h, 4.0 * max(kernel.t, h))
+        vals[0, 0, 0] = convolution._poisson_central_cell_mean(kernel.t, h)
+        return vals
+    return np.asarray(kernel.evaluate_r2(r2), dtype=np.float64)
+
+
 def record_sampled_kernels(monkeypatch):
     """A list to which every kernel whose octant the engine samples is
     appended: one entry per spectrum computed."""

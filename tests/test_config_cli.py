@@ -21,7 +21,13 @@ from convolve_hf.errors import ConfigError, NonFiniteError
 from convolve_hf.extension import HarmonicExtension
 from convolve_hf.fields import ScalarField, norm
 from convolve_hf.hf import MolecularSystem, OrbitalSet, build_fields
-from convolve_hf.kernels import CoulombKernel, Gaussian, sample
+from convolve_hf.kernels import (
+    CoulombKernel,
+    Gaussian,
+    PoissonKernel,
+    PoissonSecondDifference,
+    sample,
+)
 from convolve_hf.scf import ScfConfig
 
 from support import peak_traced_bytes, record_sampled_kernels
@@ -391,8 +397,8 @@ output.dir = {out}
         assert flags[1.6] == "" and flags[0.4] == "unresolved"
 
     def test_peak_memory_does_not_grow_with_the_heights(self, tmp_path):
-        # each height's spectra, extension and slice are freed before the
-        # next height, so eight heights peak within one spectrum of two
+        # each height's spectra and fields are freed before the next
+        # height, so eight heights peak within one spectrum of two
         spectrum_bytes = 8 * 33**3
         heights = [f"{2.6 - 0.2 * i:g}" for i in range(8)]  # resolved: 2h = 1
         peaks = {}
@@ -408,6 +414,16 @@ window.alpha = 0.05
                 ["extend-sweep", "--config", str(cfg), "--out", str(out), "--quiet"]))
             assert len((out / "extension_sweep.csv").read_text().splitlines()) == count + 1
         assert peaks[8] <= peaks[2] + spectrum_bytes
+
+    def test_two_spectra_per_height(self, tmp_path, monkeypatch):
+        # P_t and the second difference of P around t: one grouped convolution
+        sampled = record_sampled_kernels(monkeypatch)
+        cfg = write_config(tmp_path, "grid.n = 32\ngrid.extent = 8.0\n"
+                                     "poisson.t_values = 2.4, 1.6, 1.2, 1.0\n")
+        assert main(["extend-sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        assert sampled == [kernel for t in (2.4, 1.6, 1.2, 1.0) for kernel in
+                           (PoissonKernel(t=t), PoissonSecondDifference(t=t, delta=t / 8.0))]
 
     def test_empty_height_list_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "poisson.t_values =\n")
@@ -499,6 +515,15 @@ class TestResidualsCommand:
         assert capsys.readouterr().err.splitlines() == [
             "error: Poisson height t=0.5 below resolution floor 2h=0.666667"
         ]
+
+    def test_four_spectra(self, tmp_path, monkeypatch):
+        # the crosscheck reuses the P_t spectrum of the transformed residuals
+        sampled = record_sampled_kernels(monkeypatch)
+        cfg = write_config(tmp_path, HYDROGEN_32)
+        assert main(["residuals", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        assert len(sampled) == len(set(sampled)) == 4
+        assert PoissonKernel(t=1.5) in sampled
 
     def test_poisson_residual_computed_once(self, tmp_path, monkeypatch):
         # d2t P_t enters only the height-transformed residual, so one Poisson
@@ -666,6 +691,16 @@ class TestVerifyCommand:
         assert code == 3
         text = (out / "verify_results.csv").read_text()
         assert ",FAIL" in text
+
+    # verify.cfg's lowest heights are below 2h, so its extension ladder warns
+    @pytest.mark.filterwarnings("ignore::convolve_hf.errors.ResolutionWarning")
+    def test_eight_spectra(self, monkeypatch):
+        # 1/r; P_t and its second difference for thm3a; the four heights of
+        # verify.cfg and t = 2 for the boundary and sup checks
+        sampled = record_sampled_kernels(monkeypatch)
+        config = dataclasses.replace(load_config(REPO / "configs" / "verify.cfg"), grid_n=32)
+        verify.run_verify(config)
+        assert len(sampled) == len(set(sampled)) == 8
 
     # verify.cfg's lowest heights are below 2h, so its extension ladder warns
     @pytest.mark.filterwarnings("ignore::convolve_hf.errors.ResolutionWarning")

@@ -23,6 +23,7 @@ from support import (
     engine_digests,
     integral,
     peak_traced_bytes,
+    pointwise_octant,
     radial_coulomb_potential,
     record_sampled_kernels,
 )
@@ -44,6 +45,8 @@ KERNELS = {
     "poisson_dt2": lambda h: chf.PoissonDt2Kernel(t=3.0 * h),
     "gaussian": lambda h: chf.Gaussian(alpha=1.0, amplitude=1.0),
     "gaussian_laplacian": lambda h: chf.GaussianLaplacian(alpha=1.0),
+    # heights h and 1.5h cell-averaged, 2h pointwise
+    "poisson_second_difference": lambda h: chf.PoissonSecondDifference(t=1.5 * h, delta=0.5 * h),
 }
 
 
@@ -421,6 +424,27 @@ class TestSpectrumCache:
         assert runs[1:] == [runs[0], runs[0]]
         pairs = [plan.convolve_fields(f, partner).values.tobytes() for _ in range(2)]
         assert pairs[0] == pairs[1]
+
+
+class TestSamplingByDistinctRadius:
+    # each kind is evaluated once per m = i^2 + j^2 + k^2, at r^2 = m h^2
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_dyadic_spacing_keeps_the_pointwise_bits(self, kind):
+        grid = chf.GridSpec(points_per_axis=64, extent=10.0)  # h = 5/16: every r^2 is exact
+        kernel = KERNELS[kind](grid.spacing)
+        octant = _sample_kernel_octant(kernel, grid)
+        assert octant.tobytes() == pointwise_octant(kernel, grid).tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_other_spacings_move_by_roundoff(self, kind):
+        # h = 5/24: m h^2 and (ih)^2 + (jh)^2 + (kh)^2 round differently; a
+        # Gaussian tail exp(-a r^2) moves by a r^2 times that rounding, so
+        # the bound is in units of the largest sample
+        grid = chf.GridSpec(points_per_axis=96, extent=10.0)
+        kernel = KERNELS[kind](grid.spacing)
+        octant = _sample_kernel_octant(kernel, grid)
+        ref = pointwise_octant(kernel, grid)
+        assert np.abs(octant - ref).max() <= 4.0 * np.spacing(np.abs(ref).max())
 
 
 class TestPrunedEngine:

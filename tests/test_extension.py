@@ -60,28 +60,56 @@ class TestExtend:
             assert chf.norm(combo.slice_at(t) - expected, np.inf) <= 1e-12 * scale
 
 
+def three_slice_defect(f, t, delta):
+    """The defect from the slices at t - delta, t and t + delta."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        lo, u, hi = chf.extend(f, (t - delta, t, t + delta)).slices
+    lap_u = chf.laplacian(u)
+    dtt = (hi.values - 2.0 * u.values + lo.values) * (1.0 / delta**2)
+    return chf.norm(u.with_values(lap_u.values + dtt), 2) / chf.norm(lap_u, 2)
+
+
 class TestHarmonicity:
     def test_zero_base_defect_is_exactly_zero(self, grid48):
-        ext = chf.extend(chf.ScalarField.zeros(grid48), (0.5, 0.6, 0.7))
-        assert chf.harmonicity_residual(ext, 1) == 0.0
+        u, defect = chf.harmonicity_residual(chf.ScalarField.zeros(grid48), 0.6, 0.1)
+        assert defect == 0.0
+        assert not u.values.any()
 
     def test_gaussian_defect_small(self):
         g = chf.GridSpec(points_per_axis=64, extent=7.0)
         base = chf.sample(chf.Gaussian(alpha=1.0, amplitude=1.0), g)
-        ext = chf.extend(base, (0.45, 0.5, 0.55))
-        assert chf.harmonicity_residual(ext, 1) <= 0.05
+        _, defect = chf.harmonicity_residual(base, 0.5, 0.05)
+        assert defect <= 0.05
 
-    def test_non_uniform_spacing_rejected(self, grid48):
-        base = wide_gaussian(grid48)
-        ext = chf.extend(base, (0.5, 0.7, 1.0))
-        with pytest.raises(ValueError, match="uniform"):
-            chf.harmonicity_residual(ext, 1)
+    # 2h = 0.833 on grid48: 1.2 +- 0.15 is resolved, 0.5 +- 0.0625 is not
+    @pytest.mark.parametrize("t, delta", [(1.2, 0.15), (0.5, 0.0625)])
+    def test_defect_is_that_of_the_three_slices(self, grid48, t, delta):
+        base = wide_gaussian(grid48, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            u, defect = chf.harmonicity_residual(base, t, delta)
+            (slice_t,) = chf.extend(base, (t,)).slices
+        assert defect == pytest.approx(three_slice_defect(base, t, delta), rel=1e-11, abs=0.0)
+        assert u.values.tobytes() == slice_t.values.tobytes()
 
-    def test_boundary_index_rejected(self, grid48):
+    def test_under_resolved_height_warns_once_per_kernel(self, grid48):
+        # P_t and the second difference each warn; the three slices warned three times
         base = wide_gaussian(grid48)
-        ext = chf.extend(base, (0.5, 0.6, 0.7))
-        with pytest.raises(IndexError):
-            chf.harmonicity_residual(ext, 0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chf.harmonicity_residual(base, 0.5, 0.0625)
+        assert [w.category for w in caught] == [ResolutionWarning] * 2
+        assert all(w.filename.endswith("extension.py") for w in caught)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1])
+    def test_nonpositive_step_rejected(self, grid48, delta):
+        with pytest.raises(ValueError, match="delta"):
+            chf.harmonicity_residual(wide_gaussian(grid48), 0.5, delta)
+
+    def test_step_reaching_the_boundary_rejected(self, grid48):
+        with pytest.raises(ValueError, match="t - delta"):
+            chf.harmonicity_residual(wide_gaussian(grid48), 0.5, 0.5)
 
 
 class TestBoundaryConvergence:

@@ -179,6 +179,18 @@ class TestPairedEvaluation:
             assert paired.term_l2[2] == 0.0
             assert paired.total_field.values.tobytes() == single.total_field.values.tobytes()
 
+    def test_given_plan_keeps_only_the_poisson_spectrum_for_the_crosscheck(self, rng):
+        grid, system, orbitals, fields = random_orbital_setup(rng, n=32)
+        t, w = 3.0 * grid.spacing, chf.Gaussian(alpha=1.0, amplitude=1.0)
+        plan = ConvolutionPlan(grid)
+        poisson, window = chf.transformed_residuals(0, orbitals, fields, t, w, plan)
+        assert list(plan._spectra) == [chf.PoissonKernel(t=t)]
+        alone = chf.transformed_residuals(0, orbitals, fields, t, w)
+        for on_plan, fresh in zip((poisson, window), alone):
+            assert on_plan.total_field.values.tobytes() == fresh.total_field.values.tobytes()
+        cross = chf.poisson_crosscheck(poisson, orbitals, fields, system, plan=plan)
+        assert cross == chf.poisson_crosscheck(alone[0], orbitals, fields, system)
+
     def test_pair_rejects_what_the_singles_reject(self, rng):
         grid, system, orbitals, fields = random_orbital_setup(rng, n=32)
         w = chf.Gaussian(alpha=1.0, amplitude=1.0)

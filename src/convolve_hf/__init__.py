@@ -58,6 +58,6 @@ from .residuals import (
     window_residual_literal,
     window_transformed_residual,
 )
-from .scf import ScfConfig, ScfResult, solve
+from .scf import ScfResult, solve
 
 __version__ = "0.1.0"

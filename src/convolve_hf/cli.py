@@ -4,9 +4,9 @@
                 --config <path> [--out <dir>] [--grid-n <int>] [--quiet]
 
 Exit codes: 0 success, 1 configuration/validation error (a config value
-whose computation leaves the floating-point range included) or an output
-path that cannot be written, 2 SCF did not converge or diverged, 3 an
-invariant check failed.  All CSV files are
+whose computation leaves the floating-point range included), an output
+path that cannot be written or an allocation that fails, 2 SCF did not
+converge or diverged, 3 an invariant check failed.  All CSV files are
 written atomically (temp file + rename) with a header row; floats are printed
 with 17 significant digits, so identical configurations produce
 byte-identical outputs, and a NaN or infinite one exits 1 before its file
@@ -107,7 +107,7 @@ def _scf_exit(result) -> int:
 
 def cmd_scf(config: RunConfig, out: Path, quiet: bool) -> int:
     grid, system = config.grid(), config.system()
-    result = solve(system, grid, config.scf())
+    result = solve(system, grid, config.scf_max_iter)
     _write_csv(
         out / "scf_history.csv",
         ["iteration", "energy", "orbital_change", "epsilon"],
@@ -189,7 +189,7 @@ def _residual_inputs(config: RunConfig):
     require_resolved(config.residuals_t, grid)
     system = config.system()
     if config.residuals_source == "scf":
-        result = solve(system, grid, config.scf())
+        result = solve(system, grid, config.scf_max_iter)
         return result.orbitals, result.fields, system, _scf_exit(result)
     # zero and hydrogen_identity: the two-electron fields q and s are zero
     if config.residuals_source == "zero":
@@ -359,6 +359,10 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # overflow, division by zero, a NaN or inf field
         print(f"error: a computed value left the floating-point range: {exc!r}; "
               f"a config value is too large or too small", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a grid too large for the host's memory
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}; a smaller grid.n needs less", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # an output path that cannot be written
         print(f"error: cannot write output: {exc}", file=sys.stderr)

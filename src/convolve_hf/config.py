@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .fields import GridSpec
 from .hf import MolecularSystem
-from .scf import ScfConfig
+from . import scf
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
@@ -27,13 +27,7 @@ class RunConfig:
     grid_n: int = 64
     grid_extent: float = 10.0
     nuclei: tuple = ((2.0, (0.0, 0.0, 0.0)),)
-    pairs: int = 1  # read by nothing; see validated()
-    scf_max_iter: int = ScfConfig.max_iterations
-    scf_mixing: float = ScfConfig.mixing
-    scf_tol_energy: float = ScfConfig.energy_tolerance
-    scf_tol_orbital: float = ScfConfig.orbital_tolerance
-    scf_eigensolver: str = "imaginary_time"  # read by nothing; see validated()
-    scf_time_step: float = ScfConfig.time_step
+    scf_max_iter: int = 200
     poisson_t_values: tuple[float, ...] = (0.8, 0.4, 0.2, 0.1)
     window_alpha: float = 1.0
     basis_alpha0: float = 0.1
@@ -51,38 +45,25 @@ class RunConfig:
         margin = self.masking_radius_cells * self.grid().spacing
         return MolecularSystem(nuclei=self.nuclei, regular_set_margin=margin)
 
-    def scf(self) -> ScfConfig:
-        return ScfConfig(
-            max_iterations=self.scf_max_iter,
-            mixing=self.scf_mixing,
-            energy_tolerance=self.scf_tol_energy,
-            orbital_tolerance=self.scf_tol_orbital,
-            time_step=self.scf_time_step,
-        )
-
     def validated(self) -> "RunConfig":
         """Trigger every module-level precondition; raise ConfigError on any."""
         for key, (attr, _) in _KEYS.items():
             value = getattr(self, attr)
             if not all(math.isfinite(x) for x in _floats_in(value)):
                 raise ConfigError(f"{key}: cannot parse {str(value)!r} (not a finite number)")
+        if self.grid_n < 8 or self.grid_n % 2:
+            raise ConfigError(f"grid.n must be even and at least 8, got {self.grid_n}")
         if self.masking_radius_cells <= 0:
             raise ConfigError("masking.radius_cells must be positive")
         if self.masking_radius_cells > self.grid_n:
             raise ConfigError(f"masking.radius_cells must be at most grid.n = {self.grid_n}, "
                               f"got {self.masking_radius_cells:g}")
-        # these two keys stay because generated benchmark configs write them
-        if self.pairs != 1:
-            raise ConfigError(f"system.pairs must be 1 (the SCF solves one orbital), "
-                              f"got {self.pairs}")
-        if self.scf_eigensolver != "imaginary_time":
-            raise ConfigError(f"scf.eigensolver must be imaginary_time (the only eigensolver), "
-                              f"got {self.scf_eigensolver!r}")
+        if self.scf_max_iter < 0:
+            raise ConfigError(f"scf.max_iter must be nonnegative, got {self.scf_max_iter}")
         try:
             grid = self.grid()
             system = self.system()
             system.require_inside(grid)
-            self.scf()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.residuals_source not in _RESIDUAL_SOURCES:
@@ -164,22 +145,12 @@ def _floats(raw: str):
     return tuple(float(p) for p in raw.split(",") if p.strip())
 
 
-def _time_step(raw: str):
-    return ScfConfig.time_step if raw.lower() == "auto" else float(raw)
-
-
 # config key -> (RunConfig field, converter); a converter raises ValueError
 _KEYS = {
     "grid.n": ("grid_n", int),
     "grid.extent": ("grid_extent", float),
     "system.nuclei": ("nuclei", _nuclei),
-    "system.pairs": ("pairs", int),
     "scf.max_iter": ("scf_max_iter", int),
-    "scf.mixing": ("scf_mixing", float),
-    "scf.tol_energy": ("scf_tol_energy", float),
-    "scf.tol_orbital": ("scf_tol_orbital", float),
-    "scf.eigensolver": ("scf_eigensolver", str),
-    "scf.time_step": ("scf_time_step", _time_step),
     "poisson.t_values": ("poisson_t_values", _floats),
     "window.alpha": ("window_alpha", float),
     "basis.alpha0": ("basis_alpha0", float),
@@ -191,6 +162,31 @@ _KEYS = {
     "residuals.t": ("residuals_t", float),
 }
 
+# keys that set nothing: each accepts only the value the program uses, and
+# stays only because generated benchmark configs write it
+_FIXED = {
+    "system.pairs": 1,  # the SCF solves one orbital
+    "scf.eigensolver": "imaginary_time",
+    "scf.mixing": scf._MIXING,
+    "scf.tol_energy": scf._ENERGY_TOLERANCE,
+    "scf.tol_orbital": scf._ORBITAL_TOLERANCE,
+    "scf.time_step": scf._TIME_STEP,  # also written auto
+}
+
+
+def _check_fixed(key: str, raw: str):
+    """Raise ConfigError unless ``raw`` spells the one value of ``key``."""
+    value = _FIXED[key]
+    if key == "scf.time_step" and raw.lower() == "auto":
+        return
+    try:
+        if type(value)(raw) == value:
+            return
+    except ValueError:
+        pass
+    spelled = f"auto or {value}" if key == "scf.time_step" else f"{value}"
+    raise ConfigError(f"{key} accepts only {spelled}, got {raw!r}")
+
 
 def parse_config(text: str) -> RunConfig:
     updates = {}
@@ -201,6 +197,9 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in _FIXED:
+            _check_fixed(key, raw)
+            continue
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         attr, convert = _KEYS[key]

@@ -119,10 +119,7 @@ first output's inverse z pass, while the planes of all outputs are held.
 In a combined call the outputs overwrite the fields' z passes block by
 block, so two fields with two outputs also peak at 5S/8.  tracemalloc at
 n = 96 reads 22 MB for one kernel, 36 MB for two, 50 MB for three, 36 MB
-for two fields with two outputs and 35 MB for ``convolve_fields``; with
-per-block arrays and a whole (n, n, 2n) inverse z pass they took 29, 43,
-57, 43 and 40 MB, and building the padded spectrum 86, 115 and 143 MB
-for one kernel, three and ``convolve_fields``.
+for two fields with two outputs and 35 MB for ``convolve_fields``.
 
 Spectrum ownership
 ------------------

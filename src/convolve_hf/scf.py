@@ -65,54 +65,42 @@ from .hf import (
 )
 from .kernels import CoulombKernel, Gaussian, sample
 
-__all__ = ["ScfConfig", "ScfIteration", "ScfResult", "solve"]
+__all__ = ["ScfIteration", "ScfResult", "solve"]
 
+# Each outer iteration takes 4 inner steps, the smallest count at which He
+# keeps the outer count of 12 steps on every grid.  Outer iterations at
+# mixing 0.6 for 12 / 6 / 4 / 3 / 2 steps:
+#
+#     He N = 48      11 / 11 / 11 / 12 / 14
+#     He N = 64      11 / 11 / 11 / 12 / 13
+#     He N = 96      11 / 11 / 11 / 12 / 13
+#     H2 N = 48, 64  12 / 12-13 / 14 / 15 / 21
+#
+# Energies agree with the 12-step ones to 2e-12 and the final residual
+# stays within 3e-7 to 2e-6.  Below 4 steps the outer count climbs and the
+# solve time stops falling steadily; BENCH_9.json holds the solve times of
+# this sweep.
 _INNER_STEPS = 4
 
+# Step of the semi-implicit imaginary-time flow, whatever the grid.  On He
+# (L = 12, N = 48/64/96) and H2 (N = 48), dt = 0.1 needs 13-19 outer
+# iterations and dt = 0.5, 1 and 2 all need 11-12, at the same energies:
+# past 0.5 the linear mixing, not the inner loop, sets the count.  0.5 is
+# the smallest step on that plateau, and it keeps the explicit factor
+# 1 - dt (v - eps - sigma) >= 1 + dt eps positive for eps > -2, so a
+# positive orbital stays positive.
+_TIME_STEP = 0.5
 
-@dataclass(frozen=True)
-class ScfConfig:
-    """Iteration controls.
+# Share of the new overlap-Coulomb field in the mixed one.  It sets the
+# outer count once the inner loop has reached the plateau above: 11-12
+# outer iterations for He at N = 48/64/96.
+_MIXING = 0.6
 
-    ``time_step`` is the step of the semi-implicit imaginary-time flow,
-    by default 0.5 whatever the grid (``auto`` in a config file).
-    Measured on He (L = 12, N = 48/64/96) and H2 (N = 48), dt = 0.1
-    needs 13-19 outer iterations and dt = 0.5, 1 and 2 all need 11-12,
-    at the same energies: past 0.5 the linear mixing, not the inner
-    loop, sets the count.  0.5 is the smallest step on that plateau, and
-    it keeps the explicit factor 1 - dt (v - eps - sigma) >= 1 + dt eps
-    positive for eps > -2, so a positive orbital stays positive.
-
-    Each outer iteration takes ``_INNER_STEPS`` = 4 inner steps, the
-    smallest count at which He keeps the outer count of 12 steps on every
-    grid.  Outer iterations at mixing 0.6 for 12 / 6 / 4 / 3 / 2 steps:
-
-        He N = 48      11 / 11 / 11 / 12 / 14
-        He N = 64      11 / 11 / 11 / 12 / 13
-        He N = 96      11 / 11 / 11 / 12 / 13
-        H2 N = 48, 64  12 / 12-13 / 14 / 15 / 21
-
-    Energies agree with the 12-step ones to 2e-12 and the final residual
-    stays within 3e-7 to 2e-6.  Below 4 steps the outer count climbs and
-    the solve time stops falling steadily; ``BENCH_9.json`` holds the
-    solve times of this sweep.
-    """
-
-    max_iterations: int = 200
-    mixing: float = 0.6
-    energy_tolerance: float = 1e-7
-    orbital_tolerance: float = 1e-6
-    time_step: float = 0.5
-
-    def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
-        if not (0.0 < self.mixing <= 1.0):
-            raise ValueError(f"mixing must lie in (0, 1], got {self.mixing}")
-        if self.energy_tolerance <= 0 or self.orbital_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.time_step <= 0:
-            raise ValueError("time_step must be positive")
+# Converged means the energy change and the L2 change of the orbital
+# between outer iterations both fell below these.  At the stop the masked
+# relative Fock residual is 3e-7 to 2e-6 on He and H2.
+_ENERGY_TOLERANCE = 1e-7
+_ORBITAL_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -134,18 +122,21 @@ class ScfResult:
     wall_seconds: float
 
 
-def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResult:
-    """Fixed-point loop for the n = 1 closed-shell ground state.
+def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) -> ScfResult:
+    """Fixed-point loop for the n = 1 closed-shell ground state, at most
+    ``max_iterations`` outer iterations.
 
     Each outer iteration freezes v_eff = -sum Z_c h_c + s_mixed, relaxes
     the lowest eigenpair (``_INNER_STEPS`` semi-implicit imaginary-time
     steps, see the module docstring), then mixes the overlap-Coulomb
     field linearly.  The mixing, not the inner relaxation, sets the outer
     count, so four inner steps reach the 12-step solution in as many
-    outer iterations for He (see :class:`ScfConfig`).  Converged means
+    outer iterations for He (see ``_INNER_STEPS``).  Converged means
     both the energy change and the orbital change fell below their
     tolerances.
     """
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
     system.require_inside(grid)
     t_start = time.perf_counter()
     h = grid.spacing
@@ -168,7 +159,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
         return plan.convolve_with_kernel(ScalarField(grid=grid, values=density), coulomb).values
 
     s_mix = s_of(psi * psi)
-    dt = config.time_step
+    dt = _TIME_STEP
     mult = _spectral_multiplier(grid)  # -|k|^2, cached per grid
     kinetic = -0.5 * (psi * spectral_laplacian(psi, grid)).sum() * h3
 
@@ -212,7 +203,8 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
                 mass = power.sum()
                 kinetic = -0.5 * np.einsum("ijk,ijk->", mult, power) / mass
             if not np.isfinite(mass) or mass == 0.0:
-                raise ScfDivergedError("imaginary-time propagation diverged; reduce time_step")
+                raise ScfDivergedError("imaginary-time propagation diverged: the orbital norm "
+                                      "is not a finite positive number")
             irfftn(spec, psi)
             psi /= np.sqrt(mass * h3 / psi.size)
         return kinetic
@@ -224,7 +216,7 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
     eps = 0.0
     iteration = 0
 
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, max_iterations + 1):
         kinetic = relax(psi, s_mix, kinetic)
         if psi.sum() < 0:  # fix the global sign for reproducible output
             np.negative(psi, out=psi)
@@ -250,11 +242,11 @@ def solve(system: MolecularSystem, grid: GridSpec, config: ScfConfig) -> ScfResu
 
         de = abs(energy - e_prev) if e_prev is not None else np.inf
         e_prev = energy
-        if de <= config.energy_tolerance and orbital_change <= config.orbital_tolerance:
+        if de <= _ENERGY_TOLERANCE and orbital_change <= _ORBITAL_TOLERANCE:
             converged = True
             break
-        s_mix = (1.0 - config.mixing) * s_mix
-        s_mix += config.mixing * s_new
+        s_mix = (1.0 - _MIXING) * s_mix
+        s_mix += _MIXING * s_new
 
     psi_field = ScalarField(grid=grid, values=psi)
     if history:  # eps is the Rayleigh quotient of psi with v_nuc + s_new

@@ -37,18 +37,11 @@ def he_result_96(he_system):
     this is the expensive fixture of the suite (about 5 s on a 2-core host).
     """
     grid = chf.GridSpec(points_per_axis=96, extent=12.0)
-    config = chf.ScfConfig(
-        max_iterations=200,
-        mixing=0.6,
-        energy_tolerance=1e-7,
-        orbital_tolerance=1e-6,
-    )
-    return chf.solve(he_system, grid, config)
+    return chf.solve(he_system, grid)
 
 
 @pytest.fixture(scope="session")
 def he_result_48(he_system):
     """Cheap converged He ground state for unit-level checks."""
     grid = chf.GridSpec(points_per_axis=48, extent=12.0)
-    config = chf.ScfConfig(max_iterations=200, mixing=0.6)
-    return chf.solve(he_system, grid, config)
+    return chf.solve(he_system, grid)

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from convolve_hf.cli import main
-from convolve_hf.config import _KEYS
+from convolve_hf.config import _FIXED, _KEYS
 
 # the files the README lists for each command's exit 0
 OUTPUTS = {
@@ -49,6 +49,12 @@ def _int(*values):
     return st.sampled_from(tuple(str(v) for v in values) + ("-1", "0"))
 
 
+def _fixed(value, *others):
+    """A fixed key's text: mostly its one accepted value, so that most runs
+    go on to the command, else another value, which exits 1."""
+    return st.sampled_from((value,) * 2 * len(others) + others)
+
+
 _nucleus = st.tuples(_float(1.0, 3.0), _float(-1.0, 1.0), _float(-1.0, 1.0),
                      _float(-1.0, 1.0)).map(", ".join)
 
@@ -57,13 +63,13 @@ VALUES = {
     "grid.n": st.sampled_from(("8", "10", "12", "14", "16", "7", "9", "0", "-8")),
     "grid.extent": _float(1.0, 12.0),
     "system.nuclei": st.lists(_nucleus, min_size=1, max_size=2).map("; ".join),
-    "system.pairs": _int(1, 2),
+    "system.pairs": _fixed("1", "2", "0"),
     "scf.max_iter": _int(1, 3, 30),
-    "scf.mixing": _float(0.1, 1.0),
-    "scf.tol_energy": _float(1e-8, 1e-2),
-    "scf.tol_orbital": _float(1e-8, 1e-2),
-    "scf.eigensolver": st.sampled_from(("imaginary_time", "inverse_iteration", "lobpcg")),
-    "scf.time_step": st.one_of(st.just("auto"), _float(0.05, 2.0)),
+    "scf.mixing": _fixed("0.6", "1.0", "nan"),
+    "scf.tol_energy": _fixed("1e-7", "1e-2", "-1"),
+    "scf.tol_orbital": _fixed("1e-6", "1e-8", "inf"),
+    "scf.eigensolver": _fixed("imaginary_time", "inverse_iteration", "lobpcg"),
+    "scf.time_step": _fixed("auto", "2.0", "1e300"),
     "poisson.t_values": _float_list(0.05, 4.0),
     "window.alpha": _float(0.05, 4.0),
     "basis.alpha0": _float(0.05, 2.0),
@@ -76,7 +82,7 @@ VALUES = {
 
 
 def test_every_config_key_has_a_strategy():
-    assert set(VALUES) == set(_KEYS) - {"output.dir"}
+    assert set(VALUES) == (set(_KEYS) | set(_FIXED)) - {"output.dir"}
 
 
 # a config every command completes on; each run overrides a few of its keys

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import json
 import os
 import random
@@ -13,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convolve_hf import cli, verify
+from convolve_hf import cli, scf, verify
 from convolve_hf.cli import main
-from convolve_hf.config import _KEYS, RunConfig, load_config, parse_config
+from convolve_hf.config import _FIXED, _KEYS, RunConfig, load_config, parse_config
 from convolve_hf.convolution import ConvolutionPlan, under_resolved
 from convolve_hf.errors import ConfigError, NonFiniteError
 from convolve_hf.extension import HarmonicExtension
@@ -28,9 +29,9 @@ from convolve_hf.kernels import (
     PoissonSecondDifference,
     sample,
 )
-from convolve_hf.scf import ScfConfig
 
 from support import peak_traced_bytes, record_sampled_kernels
+from test_trace_cli import HE_32
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -45,10 +46,6 @@ def write_config(tmp_path: Path, body: str, name="run.cfg") -> Path:
 FLOAT_KEYS = {
     "grid.extent": "{}",
     "system.nuclei": "1.0, {}, 0.0, 0.0",
-    "scf.mixing": "{}",
-    "scf.tol_energy": "{}",
-    "scf.tol_orbital": "{}",
-    "scf.time_step": "{}",
     "poisson.t_values": "0.8, {}",
     "window.alpha": "{}",
     "basis.alpha0": "{}",
@@ -82,7 +79,7 @@ class TestConfigParsing:
         cfg = parse_config("# only a comment\n\ngrid.n = 48  # inline\n")
         assert cfg.grid_n == 48
         assert cfg.grid_extent == 10.0
-        assert cfg.scf_eigensolver == "imaginary_time"
+        assert cfg.scf_max_iter == 200
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="grid.m"):
@@ -112,21 +109,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"^masking\.radius_cells must be positive$"):
             parse_config(f"masking.radius_cells = {radius}\n")
 
-    @pytest.mark.parametrize("value", ["lobpcg", "inverse_iteration"])
-    def test_unknown_eigensolver_rejected(self, value):
-        # imaginary time is the only eigensolver; the key stays because
-        # generated benchmark configs write it
-        with pytest.raises(ConfigError, match=r"^scf\.eigensolver must be imaginary_time "):
-            parse_config(f"scf.eigensolver = {value}\n")
+    @pytest.mark.parametrize("n", ["0", "1", "9"])
+    def test_grid_n_checked_before_the_bounds_that_use_it(self, n):
+        # masking.radius_cells <= grid.n would otherwise name a key not set
+        with pytest.raises(ConfigError, match=rf"^grid\.n must be even and at least 8, got {n}$"):
+            parse_config(f"grid.n = {n}\n")
 
-    @pytest.mark.parametrize("pairs", [0, 2, 3])
-    def test_pair_count_other_than_one_named(self, pairs):
-        with pytest.raises(ConfigError, match=rf"^system\.pairs must be 1 .*got {pairs}$"):
-            parse_config(f"system.pairs = {pairs}\n")
+    def test_grid_n_flag_checked_before_the_bounds_that_use_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "grid.n = 16\n")
+        assert main(["verify", "--config", str(cfg), "--grid-n", "1",
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: grid.n must be even and at least 8, got 1"
+        ]
 
-    def test_one_pair_accepted(self):
-        # the key stays: generated benchmark configs write it explicitly
-        assert parse_config("system.pairs = 1\n").pairs == 1
+    @pytest.mark.parametrize("value", ["-1", "-200"])
+    def test_negative_max_iter_named(self, value):
+        with pytest.raises(ConfigError, match=rf"^scf\.max_iter must be nonnegative, got {value}$"):
+            parse_config(f"scf.max_iter = {value}\n")
 
     def test_float_key_list_is_complete(self):
         types = {f.name: str(f.type) for f in dataclasses.fields(RunConfig)}
@@ -192,24 +192,25 @@ class TestConfigParsing:
         config = parse_config("basis.alpha0 = 1e300\nbasis.beta = 10\nbasis.count = 4\n")
         assert config.basis_alpha0 * config.basis_beta ** 3 == pytest.approx(1e303)
 
-    def test_time_step_auto(self):
-        assert parse_config("scf.time_step = auto\n").scf_time_step == 0.5
-        assert parse_config("scf.time_step = 0.004\n").scf_time_step == 0.004
-
-    def test_scf_defaults_are_those_of_scf_config(self):
-        assert RunConfig().scf() == ScfConfig()
+    def test_max_iter_default_is_that_of_solve(self):
+        cap = inspect.signature(scf.solve).parameters["max_iterations"].default
+        assert RunConfig().scf_max_iter == cap
 
     def test_readme_table_lists_every_key(self):
         text = (REPO / "README.md").read_text()
         table = text.split("### Config format", 1)[1].split("###", 1)[0]
         rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
         listed = [key for row in rows for key in re.findall(r"`([^`]+)`", row)]
-        assert sorted(listed) == sorted(_KEYS)
+        assert sorted(listed) == sorted([*_KEYS, *_FIXED])
 
     def test_orders_default_ladder(self):
         cfg = parse_config("basis.count = 8\n")
         assert cfg.orders() == (2, 4, 6, 8)
         assert parse_config("basis.count = 1\n").orders() == (1,)
+
+
+def _written_keys(text: str) -> set[str]:
+    return {line.split("=", 1)[0].strip() for line in text.splitlines() if "=" in line}
 
 
 class TestBenchmarkConfigs:
@@ -227,13 +228,66 @@ class TestBenchmarkConfigs:
             sys.path.remove(str(REPO / "perfbench"))
         return module
 
-    def test_generated_inputs_parse(self, bench, tmp_path):
-        # SCF_CONFIG, RESIDUALS_CONFIG, EXTEND_CONFIG and VERIFY_CONFIG,
-        # formatted with the values of seed 101
+    @pytest.fixture(scope="class")
+    def generated(self, bench, tmp_path_factory):
+        """SCF_CONFIG, RESIDUALS_CONFIG, EXTEND_CONFIG and VERIFY_CONFIG,
+        formatted with the values of seed 101."""
+        tmp_path = tmp_path_factory.mktemp("bench")
+        texts = []
         for make_inputs in (bench.scf_inputs, bench.transforms_inputs):
             commands, _ = make_inputs(random.Random(101), tmp_path)
-            for command in commands:
-                parse_config(command.config.read_text())
+            texts += [command.config.read_text() for command in commands]
+        return texts
+
+    def test_generated_inputs_parse(self, generated):
+        for text in generated:
+            parse_config(text)
+
+    def test_fixed_keys_are_those_only_generated_configs_write(self, generated):
+        # a benchmark change that stops writing a fixed key must drop it
+        # from the table, and no shipped config writes one
+        written = set().union(*map(_written_keys, generated))
+        assert set(_FIXED) == written - set(_KEYS)
+        for path in sorted((REPO / "configs").glob("*.cfg")):
+            assert not _written_keys(path.read_text()) & set(_FIXED), path.name
+
+    def test_fixed_keys_accept_their_value_as_written(self, bench):
+        lines = [line for text in (bench.SCF_CONFIG, HE_32) for line in text.splitlines()
+                 if _written_keys(line) & set(_FIXED)]
+        assert set().union(*map(_written_keys, lines)) == set(_FIXED)
+        for line in lines:
+            assert parse_config(line) == RunConfig()
+
+
+# values the fixed keys reject: each sets nothing, so only its one value parses
+REJECTED = {
+    "system.pairs": ("0", "2", "1.0"),
+    "scf.eigensolver": ("lobpcg", "inverse_iteration"),
+    "scf.mixing": ("0.5", "1.0", "nan"),
+    "scf.tol_energy": ("1e-6", "-1e-7", "inf"),
+    "scf.tol_orbital": ("3e-6", "1e-7"),
+    "scf.time_step": ("0.004", "1e300", "1", "never"),
+}
+
+
+class TestFixedKeys:
+    def test_every_fixed_key_has_rejected_values(self):
+        assert set(REJECTED) == set(_FIXED)
+
+    @pytest.mark.parametrize("key, value",
+                             [(key, value) for key in REJECTED for value in REJECTED[key]])
+    def test_other_value_is_one_error_line_naming_the_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, f"grid.n = 16\ngrid.extent = 8.0\n{key} = {value}\n")
+        assert main(["scf", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} accepts only ")
+        assert err[0].endswith(f", got {value!r}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", ["scf.time_step = AUTO", "scf.time_step = 0.5",
+                                      "scf.mixing = 6e-1", "scf.tol_energy = 1.0e-7"])
+    def test_other_spelling_of_the_value_accepted(self, line):
+        assert parse_config(line) == RunConfig()
 
 
 class TestShippedConfigs:
@@ -312,37 +366,15 @@ class TestScfCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["scf", "--config", str(tmp_path / "absent.cfg")]) == 1
 
-    def test_divergence_exit_code_single_error_line(self, tmp_path):
+    def test_divergence_exit_code_single_error_line(self, tmp_path, capsys, monkeypatch):
         # a huge explicit step overflows the imaginary-time norm
-        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 8.0\nscf.time_step = 1e300\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "convolve_hf.cli", "scf",
-             "--config", str(cfg), "--out", str(tmp_path / "o")],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [
-            "error: imaginary-time propagation diverged; reduce time_step"
-        ]
-
-    @pytest.mark.parametrize("command", ["scf", "residuals", "expand"])
-    def test_multi_pair_system_is_config_error(self, tmp_path, capsys, command):
-        # only the one-orbital SCF exists: exit 1 before any computation
-        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 8.0\nsystem.pairs = 2\n")
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: system.pairs must be 1")
-        assert not (tmp_path / "o").exists()
-
-    def test_inverse_iteration_is_one_error_line(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 8.0\n"
-                                     "scf.eigensolver = inverse_iteration\n")
-        assert main(["scf", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        monkeypatch.setattr(scf, "_TIME_STEP", 1e300)
+        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 8.0\n")
+        assert main(["scf", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: scf.eigensolver must be imaginary_time (the only eigensolver), "
-            "got 'inverse_iteration'"
+            "error: imaginary-time propagation diverged: the orbital norm "
+            "is not a finite positive number"
         ]
-        assert not (tmp_path / "o").exists()
 
     def test_non_finite_value_is_one_error_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 8.0\nwindow.alpha = nan\n")
@@ -691,6 +723,21 @@ class TestVerifyCommand:
         assert code == 3
         text = (out / "verify_results.csv").read_text()
         assert ",FAIL" in text
+
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a grid too large for the host, e.g. grid.n = 2048, fails its first
+        # grid-sized allocation; the command is replaced so nothing large is
+        # allocated here
+        def exhausted(config, out, quiet):
+            raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", exhausted)
+        cfg = write_config(tmp_path, "grid.n = 16\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out of memory (Unable to allocate 64.0 GiB for an array); "
+            "a smaller grid.n needs less"
+        ]
 
     # verify.cfg's lowest heights are below 2h, so its extension ladder warns
     @pytest.mark.filterwarnings("ignore::convolve_hf.errors.ResolutionWarning")

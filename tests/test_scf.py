@@ -133,23 +133,14 @@ class TestApplyFock:
         assert sampled == [chf.CoulombKernel()]
 
 
-class TestScfConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            chf.ScfConfig(mixing=0.0)
-        with pytest.raises(ValueError):
-            chf.ScfConfig(mixing=1.5)
-        with pytest.raises(ValueError):
-            chf.ScfConfig(energy_tolerance=-1.0)
-        with pytest.raises(ValueError):
-            chf.ScfConfig(time_step=0.0)
-
-
 class TestSolve:
+    def test_negative_cap_rejected(self, he_system, grid32):
+        with pytest.raises(ValueError, match="max_iterations must be nonnegative, got -1"):
+            chf.solve(he_system, grid32, max_iterations=-1)
+
     def test_degenerate_run_returns_initial_guess(self, he_system):
         grid = chf.GridSpec(points_per_axis=32, extent=12.0)
-        cfg = chf.ScfConfig(max_iterations=0, mixing=1.0)
-        result = chf.solve(he_system, grid, cfg)
+        result = chf.solve(he_system, grid, max_iterations=0)
         assert not result.converged
         assert result.iteration_count == 0
         guess = unit_gaussian_orbital(grid, 1.0)
@@ -159,7 +150,7 @@ class TestSolve:
     @pytest.mark.parametrize("max_iterations", [0, 2])
     def test_returned_fields_are_those_of_the_orbital(self, he_system, max_iterations):
         grid = chf.GridSpec(points_per_axis=32, extent=12.0)
-        result = chf.solve(he_system, grid, chf.ScfConfig(max_iterations=max_iterations))
+        result = chf.solve(he_system, grid, max_iterations)
         assert result.iteration_count == max_iterations
         _assert_fields_bitwise_equal(result.fields, chf.build_fields(he_system, result.orbitals))
 
@@ -167,7 +158,7 @@ class TestSolve:
         # one plan keeps the Coulomb spectrum for every outer iteration
         sampled = record_sampled_kernels(monkeypatch)
         grid = chf.GridSpec(points_per_axis=32, extent=12.0)
-        result = chf.solve(he_system, grid, chf.ScfConfig(max_iterations=3))
+        result = chf.solve(he_system, grid, max_iterations=3)
         assert result.iteration_count == 3
         assert sampled == [chf.CoulombKernel()]
 
@@ -201,7 +192,7 @@ class TestSolve:
         grid = he_result_48.orbitals.grid  # the fixture has warmed its caches
         tracemalloc.start()
         try:
-            result = chf.solve(he_system, grid, chf.ScfConfig(max_iterations=200, mixing=0.6))
+            result = chf.solve(he_system, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -249,7 +240,7 @@ class TestSolve:
     def test_nucleus_outside_box_rejected(self, grid32):
         system = chf.MolecularSystem(nuclei=((2.0, (50.0, 0.0, 0.0)),))
         with pytest.raises(ValueError, match="outside"):
-            chf.solve(system, grid32, chf.ScfConfig())
+            chf.solve(system, grid32)
 
     def test_kinetic_energy_needs_no_laplacian_per_iteration(self, he_system, monkeypatch):
         # each iteration's kinetic energy is its last inner step's Parseval
@@ -267,17 +258,17 @@ class TestSolve:
         counts = []
         for max_iterations in (1, 3):
             calls.clear()
-            chf.solve(he_system, grid, chf.ScfConfig(max_iterations=max_iterations))
+            chf.solve(he_system, grid, max_iterations)
             counts.append(len(calls))
         assert counts == [2, 2]
 
-    def test_divergence_guard(self, he_system):
+    def test_divergence_guard(self, he_system, monkeypatch):
         # per-step renormalization absorbs moderate instability, so only a
         # step large enough to overflow the norm trips the guard
+        monkeypatch.setattr(scf, "_TIME_STEP", 1e200)
         grid = chf.GridSpec(points_per_axis=32, extent=12.0)
-        cfg = chf.ScfConfig(max_iterations=5, time_step=1e200)
         with pytest.raises(ValueError, match="diverged"):
-            chf.solve(he_system, grid, cfg)
+            chf.solve(he_system, grid, max_iterations=5)
 
     def test_converged_orbital_strong_residual(self, he_result_96, he_system):
         # the transformed-equation residual of the converged orbital is
@@ -298,9 +289,7 @@ class TestSolve:
         eps = {}
         for n in (64, 96):
             grid = chf.GridSpec(points_per_axis=n, extent=10.0)
-            cfg = chf.ScfConfig(max_iterations=200, mixing=0.6,
-                                energy_tolerance=1e-6, orbital_tolerance=3e-6)
-            res = chf.solve(he_system, grid, cfg)
+            res = chf.solve(he_system, grid)
             assert res.converged
             eps[n] = res.orbitals.energies[0]
         assert abs(eps[96] - eps[64]) / abs(eps[96]) <= 0.02
@@ -308,7 +297,7 @@ class TestSolve:
     def test_hydrogen_molecule_geometry_converges(self):
         system = chf.MolecularSystem(nuclei=((1.0, (0.7, 0.0, 0.0)), (1.0, (-0.7, 0.0, 0.0))))
         grid = chf.GridSpec(points_per_axis=48, extent=12.0)
-        result = chf.solve(system, grid, chf.ScfConfig(max_iterations=200))
+        result = chf.solve(system, grid)
         assert result.converged
         # bonding orbital is symmetric under x -> -x
         vals = result.orbitals.orbitals[0].values.real
@@ -327,7 +316,7 @@ class TestSemiImplicitStep:
         grid = chf.GridSpec(points_per_axis=64, extent=12.0)
         center = tuple(s * grid.spacing for s in (2, -1, 2))
         system = chf.MolecularSystem(nuclei=((2.0, center),))
-        result = chf.solve(system, grid, chf.ScfConfig(max_iterations=200, mixing=0.6))
+        result = chf.solve(system, grid)
         return system, result
 
     def test_outer_iterations_flat_in_n(self, he_result_48, he_shifted_64, he_result_96):
@@ -349,7 +338,7 @@ class TestSemiImplicitStep:
         assert scf._INNER_STEPS < 12
         monkeypatch.setattr(scf, "_INNER_STEPS", 12)
         grid = chf.GridSpec(points_per_axis=48, extent=12.0)
-        twelve = chf.solve(he_system, grid, chf.ScfConfig(max_iterations=200, mixing=0.6))
+        twelve = chf.solve(he_system, grid)
         shipped = he_result_48
         assert shipped.converged and twelve.converged
         assert shipped.iteration_count <= twelve.iteration_count

@@ -221,7 +221,6 @@ def test_solve_runs_grid_transforms():
     # outside any convolution, here the imaginary-time steps
     grid = chf.GridSpec(points_per_axis=32, extent=12.0)
     system = chf.MolecularSystem(nuclei=((2.0, (0.0, 0.0, 0.0)),))
-    config = chf.ScfConfig(max_iterations=2)
-    _, ffts = _record_transforms(lambda: scf.solve(system, grid, config))
+    _, ffts = _record_transforms(lambda: scf.solve(system, grid, max_iterations=2))
     steps = [f.name for f in ffts if f.call is None and f.shape_in in ((32, 32, 32), (32, 32, 17))]
     assert steps.count("rfft") >= 2 * 4 and steps.count("irfft") >= 2 * 4  # 4 steps per iteration

@@ -5,8 +5,8 @@ study behind the energy band of acceptance criterion 11.
     PYTHONPATH=src python3 tools/he_reference.py           # write the file
     PYTHONPATH=src python3 tools/he_reference.py --check   # compare, write nothing
 
-He (Z = 2, nucleus at the origin, L = 12) is solved with the default
-``ScfConfig`` at N = 64, 96 and 128.  A power law E(h) = E_inf + C h^p is
+He (Z = 2, nucleus at the origin, L = 12) is solved with the shipped SCF
+settings at N = 64, 96 and 128.  A power law E(h) = E_inf + C h^p is
 fitted through the three total energies, and the band is the N = 128
 energy +- 1.6 |E(128) - E(96)|.  ``--check`` runs the same study and
 compares it with the committed file: the energies and the band must
@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from convolve_hf import GridSpec, MolecularSystem, ScfConfig, energies, norm, solve
+from convolve_hf import GridSpec, MolecularSystem, energies, norm, solve
 
 REFERENCE = Path(__file__).resolve().parents[1] / "src/convolve_hf/data/he_reference.json"
 EXTENT = 12.0
@@ -39,7 +39,7 @@ NOTE = (
 def solve_grid(n: int) -> dict:
     """One converged He solve at N = n, as a ``grids`` entry of the file."""
     system = MolecularSystem(nuclei=((2.0, (0.0, 0.0, 0.0)),))
-    result = solve(system, GridSpec(points_per_axis=n, extent=EXTENT), ScfConfig())
+    result = solve(system, GridSpec(points_per_axis=n, extent=EXTENT))
     report = energies(result.orbitals, result.fields)
     return {
         "total_energy": float(report.total),

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, _read_config
 from .convolution import ConvolutionPlan, under_resolved
 from .errors import (
     ConfigError,
@@ -110,8 +110,8 @@ def cmd_scf(config: RunConfig, out: Path, quiet: bool) -> int:
     result = solve(system, grid, config.scf_max_iter)
     _write_csv(
         out / "scf_history.csv",
-        ["iteration", "energy", "orbital_change", "epsilon"],
-        [(str(it.iteration), it.energy, it.orbital_change, it.epsilon) for it in result.history],
+        ["iteration", "energy", "residual", "epsilon"],
+        [(str(it.iteration), it.energy, it.residual, it.epsilon) for it in result.history],
     )
     x = grid.axis_coordinates().tolist()
     k0 = grid.points_per_axis // 2  # z = 0 plane
@@ -342,9 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
+        config = _read_config(args.config)
         if args.grid_n is not None:
-            config = replace(config, grid_n=args.grid_n).validated()
+            config = replace(config, grid_n=args.grid_n)
+        config = config.validated()
         out = Path(args.out or config.output_dir)
         with warnings.catch_warnings():
             if args.quiet:

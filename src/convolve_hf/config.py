@@ -162,14 +162,16 @@ _KEYS = {
     "residuals.t": ("residuals_t", float),
 }
 
-# keys that set nothing: each accepts only the value the program uses, and
-# stays only because generated benchmark configs write it
+# keys that set nothing and stay only because generated benchmark configs
+# write them: each accepts only one value.  The solver mixes nothing and
+# stops on its Fock residual, so scf.mixing, scf.tol_energy and
+# scf.tol_orbital name no setting and accept only what those configs write
 _FIXED = {
     "system.pairs": 1,  # the SCF solves one orbital
     "scf.eigensolver": "imaginary_time",
-    "scf.mixing": scf._MIXING,
-    "scf.tol_energy": scf._ENERGY_TOLERANCE,
-    "scf.tol_orbital": scf._ORBITAL_TOLERANCE,
+    "scf.mixing": 0.6,
+    "scf.tol_energy": 1e-7,
+    "scf.tol_orbital": 1e-6,
     "scf.time_step": scf._TIME_STEP,  # also written auto
 }
 
@@ -189,6 +191,15 @@ def _check_fixed(key: str, raw: str):
 
 
 def parse_config(text: str) -> RunConfig:
+    return _parse(text).validated()
+
+
+def load_config(path) -> RunConfig:
+    return _read_config(path).validated()
+
+
+def _parse(text: str) -> RunConfig:
+    """The config that ``text`` spells, not yet validated."""
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -207,11 +218,13 @@ def parse_config(text: str) -> RunConfig:
             updates[attr] = convert(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
-    return replace(RunConfig(), **updates).validated()
+    return replace(RunConfig(), **updates)
 
 
-def load_config(path) -> RunConfig:
+def _read_config(path) -> RunConfig:
+    """The config of the file at ``path``, not yet validated, so that a
+    command-line override is validated together with the file."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text())
+    return _parse(path.read_text())

@@ -1,12 +1,13 @@
 """Self-consistent field solver for one doubly occupied orbital.
 
-The outer loop rebuilds the mean field from the current density, the
-inner loop relaxes the lowest eigenpair of the frozen one-particle
-operator, and linear density mixing damps the feedback.  Because the
-overlap-Coulomb convolution is linear, mixing densities is implemented
-by mixing the convolved fields directly, so each outer iteration costs a
-single padded convolution plus the inner-loop transforms.  The loop works
-on plain real arrays; a diverging inner relaxation raises
+The outer loop rebuilds the mean field from the density of the latest
+orbital, unmixed, and the inner loop relaxes the lowest eigenpair of the
+frozen one-particle operator in that field.  The loop stops on the defect
+of the fixed point itself: the masked relative Fock residual
+||F psi - eps psi|| / ||F psi|| of the new orbital with its own field.
+Each outer iteration costs one padded convolution, the inner-loop
+transforms and the spectral Laplacian of that residual.  The loop works on
+plain real arrays; a diverging inner relaxation raises
 :class:`ScfDivergedError`.
 
 The eigensolver is the normalized gradient flow in imaginary time
@@ -23,8 +24,8 @@ H psi = eps psi for the same spectral operator.  A step costs one rfftn
 and one irfftn: the norm and the kinetic part of the next eps come from
 the same spectrum (Parseval), and the next eps adds <psi, v psi>.  The
 last step's Parseval sum is also the kinetic energy of the outer
-iteration's energy and eps, so no separate Laplacian is taken per
-iteration.
+iteration's energy and eps, so the only Laplacian per iteration is the
+residual's.
 
 The inner steps allocate nothing: each relaxation allocates two grid
 arrays (-dt v and u = -dt v psi), the real gain and one complex half
@@ -67,47 +68,37 @@ from .kernels import CoulombKernel, Gaussian, sample
 
 __all__ = ["ScfIteration", "ScfResult", "solve"]
 
-# Each outer iteration takes 4 inner steps, the smallest count at which He
-# keeps the outer count of 12 steps on every grid.  Outer iterations at
-# mixing 0.6 for 12 / 6 / 4 / 3 / 2 steps:
+# Each outer iteration takes 4 inner steps.  Outer iterations for
+# 12 / 6 / 4 / 3 / 2 steps (L = 12):
 #
-#     He N = 48      11 / 11 / 11 / 12 / 14
-#     He N = 64      11 / 11 / 11 / 12 / 13
-#     He N = 96      11 / 11 / 11 / 12 / 13
-#     H2 N = 48, 64  12 / 12-13 / 14 / 15 / 21
+#     He N = 48      10 / 7 / 7 / 10 / 15
+#     He N = 64      10 / 7 / 7 /  9 / 14
+#     He N = 96      10 / 7 / 7 /  9 / 13
+#     H2 N = 48, 64  10 / 8 / 12 / 15-16 / 23-24
 #
-# Energies agree with the 12-step ones to 2e-12 and the final residual
-# stays within 3e-7 to 2e-6.  Below 4 steps the outer count climbs and the
-# solve time stops falling steadily; BENCH_9.json holds the solve times of
-# this sweep.
+# Energies agree with the 12-step ones to 1.1e-12.  For He, the system of
+# the benchmark and of two of the three shipped SCF configs, 4 steps take
+# the fewest outer iterations and the least time within run-to-run noise;
+# H2 would prefer 6.  BENCH_25.json holds the solve times of this sweep.
 _INNER_STEPS = 4
 
-# Step of the semi-implicit imaginary-time flow, whatever the grid.  On He
-# (L = 12, N = 48/64/96) and H2 (N = 48), dt = 0.1 needs 13-19 outer
-# iterations and dt = 0.5, 1 and 2 all need 11-12, at the same energies:
-# past 0.5 the linear mixing, not the inner loop, sets the count.  0.5 is
-# the smallest step on that plateau, and it keeps the explicit factor
-# 1 - dt (v - eps - sigma) >= 1 + dt eps positive for eps > -2, so a
-# positive orbital stays positive.
+# Step of the semi-implicit imaginary-time flow, whatever the grid.  Outer
+# iterations for dt = 0.1 / 0.25 / 0.5 / 1 / 2 at 4 inner steps: He N = 64
+# 39 / 15 / 7 / 9 / 10, H2 N = 48 62 / 24 / 12 / 7 / 10, at energies equal
+# to 7e-13.  0.5 is the fastest step for He, and it keeps the explicit
+# factor 1 - dt (v - eps - sigma) >= 1 + dt eps positive for eps > -2, so
+# a positive orbital stays positive.
 _TIME_STEP = 0.5
 
-# Share of the new overlap-Coulomb field in the mixed one.  It sets the
-# outer count once the inner loop has reached the plateau above: 11-12
-# outer iterations for He at N = 48/64/96.
-_MIXING = 0.6
-
-# Converged means the energy change and the L2 change of the orbital
-# between outer iterations both fell below these.  At the stop the masked
-# relative Fock residual is 3e-7 to 2e-6 on He and H2.
-_ENERGY_TOLERANCE = 1e-7
-_ORBITAL_TOLERANCE = 1e-6
+# Converged means the masked relative Fock residual fell to this.
+_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
 class ScfIteration:
     iteration: int
     energy: float
-    orbital_change: float
+    residual: float
     epsilon: float
 
 
@@ -126,14 +117,13 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
     """Fixed-point loop for the n = 1 closed-shell ground state, at most
     ``max_iterations`` outer iterations.
 
-    Each outer iteration freezes v_eff = -sum Z_c h_c + s_mixed, relaxes
-    the lowest eigenpair (``_INNER_STEPS`` semi-implicit imaginary-time
-    steps, see the module docstring), then mixes the overlap-Coulomb
-    field linearly.  The mixing, not the inner relaxation, sets the outer
-    count, so four inner steps reach the 12-step solution in as many
-    outer iterations for He (see ``_INNER_STEPS``).  Converged means
-    both the energy change and the orbital change fell below their
-    tolerances.
+    Each outer iteration freezes v_eff = -sum Z_c h_c + s, with s the
+    overlap-Coulomb field of the latest density, relaxes the lowest
+    eigenpair (``_INNER_STEPS`` semi-implicit imaginary-time steps, see the
+    module docstring) and convolves the new density.  Converged means the
+    masked relative Fock residual of the new orbital with its new field
+    fell to ``_TOLERANCE``.  ``final_residual`` is the last iteration's
+    residual, inf when no iteration ran.
     """
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
@@ -158,14 +148,14 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
     def s_of(density):
         return plan.convolve_with_kernel(ScalarField(grid=grid, values=density), coulomb).values
 
-    s_mix = s_of(psi * psi)
+    s = s_of(psi * psi)
     dt = _TIME_STEP
     mult = _spectral_multiplier(grid)  # -|k|^2, cached per grid
     kinetic = -0.5 * (psi * spectral_laplacian(psi, grid)).sum() * h3
 
-    def relax(psi, s_mix, kinetic):
+    def relax(psi, s, kinetic):
         """``_INNER_STEPS`` semi-implicit imaginary-time steps on ``psi``, in
-        place, with v_eff = v_nuc + s_mix frozen; ``kinetic`` is that of
+        place, with v_eff = v_nuc + s frozen; ``kinetic`` is that of
         ``psi``.  Returns the new psi's kinetic energy, the last step's
         Parseval sum.
 
@@ -179,7 +169,7 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
         imag^2 in psi's; the inverse transform straight into psi.  The
         arrays are freed on return, before the padded convolution, which
         sets the solver's peak memory."""
-        w = v_nuc + s_mix
+        w = v_nuc + s
         sigma = max(0.0, float(w.max()))
         w *= -dt
         gain = 1.0 / (1.0 + dt * (sigma - 0.5 * mult))
@@ -209,64 +199,42 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
             psi /= np.sqrt(mass * h3 / psi.size)
         return kinetic
 
+    keep = nuclear_mask(grid, system)
     history: list[ScfIteration] = []
-    converged = False
-    e_prev = None
-    psi_prev = psi.copy()
     eps = 0.0
-    iteration = 0
+    residual = np.inf
 
     for iteration in range(1, max_iterations + 1):
-        kinetic = relax(psi, s_mix, kinetic)
+        kinetic = relax(psi, s, kinetic)
         if psi.sum() < 0:  # fix the global sign for reproducible output
             np.negative(psi, out=psi)
-        rho_new = psi * psi
-        s_new = s_of(rho_new)
+        rho = psi * psi
+        s = s_of(rho)
 
-        v_nuc_1 = 2.0 * np.einsum("ijk,ijk->", rho_new, v_nuc) * h3
-        hartree = np.einsum("ijk,ijk->", rho_new, s_new) * h3
+        v_nuc_1 = 2.0 * np.einsum("ijk,ijk->", rho, v_nuc) * h3
+        hartree = np.einsum("ijk,ijk->", rho, s) * h3
         energy = 2.0 * kinetic + v_nuc_1 + hartree
         eps = kinetic + 0.5 * v_nuc_1 + hartree  # Rayleigh quotient of the new field
 
-        psi_prev -= psi
-        orbital_change = l2(psi_prev)
-        np.copyto(psi_prev, psi)
-        history.append(
-            ScfIteration(
-                iteration=iteration,
-                energy=float(energy),
-                orbital_change=float(orbital_change),
-                epsilon=float(eps),
-            )
-        )
-
-        de = abs(energy - e_prev) if e_prev is not None else np.inf
-        e_prev = energy
-        if de <= _ENERGY_TOLERANCE and orbital_change <= _ORBITAL_TOLERANCE:
-            converged = True
-            break
-        s_mix = (1.0 - _MIXING) * s_mix
-        s_mix += _MIXING * s_new
-
-    psi_field = ScalarField(grid=grid, values=psi)
-    if history:  # eps is the Rayleigh quotient of psi with v_nuc + s_new
-        f_psi = -0.5 * spectral_laplacian(psi, grid) + (v_nuc + s_new) * psi
-        keep = nuclear_mask(grid, system)
-        resid = np.where(keep, f_psi - eps * psi, 0.0)
+        # masked relative Fock residual of psi with its own field
+        f_psi = -0.5 * spectral_laplacian(psi, grid) + (v_nuc + s) * psi
         den = l2(np.where(keep, f_psi, 0.0))
-        final_residual = l2(resid) / den if den > 0 else 0.0
-    else:
-        final_residual = np.inf
+        residual = l2(np.where(keep, f_psi - eps * psi, 0.0)) / den if den > 0 else 0.0
+        history.append(ScfIteration(iteration, float(energy), float(residual), float(eps)))
+        if residual <= _TOLERANCE:
+            break
+
     # the fields of the returned orbital from what the loop holds: -2 v_nuc
     # is p exactly, and s is the last convolution of this psi's density
-    s_final = ScalarField(grid=grid, values=s_new if history else s_mix)
-    final_fields = HfFields(p=ScalarField(grid=grid, values=-2.0 * v_nuc), s=((s_final,),))
+    final_fields = HfFields(p=ScalarField(grid=grid, values=-2.0 * v_nuc),
+                            s=((ScalarField(grid=grid, values=s),),))
     return ScfResult(
-        orbitals=OrbitalSet(orbitals=(psi_field,), energies=(float(eps),)),
-        converged=converged,
+        orbitals=OrbitalSet(orbitals=(ScalarField(grid=grid, values=psi),),
+                            energies=(float(eps),)),
+        converged=bool(residual <= _TOLERANCE),
         iteration_count=len(history),
         history=tuple(history),
-        final_residual=float(final_residual),
+        final_residual=float(residual),
         fields=final_fields,
         wall_seconds=time.perf_counter() - t_start,
     )

@@ -123,6 +123,21 @@ class TestConfigParsing:
             "error: grid.n must be even and at least 8, got 1"
         ]
 
+    @pytest.mark.parametrize("n, rest", [(6, ""), (16, "masking.radius_cells = 20\n")])
+    @pytest.mark.filterwarnings("ignore::convolve_hf.errors.ResolutionWarning")
+    def test_grid_n_flag_replaces_the_file_value_before_validation(self, tmp_path, n, rest):
+        # the file's grid.n fails on its own; under --grid-n 32 the run is
+        # the one of a file that says grid.n = 32
+        flagged = write_config(tmp_path, f"grid.n = {n}\n{rest}", name="flagged.cfg")
+        spelled = write_config(tmp_path, f"grid.n = 32\n{rest}", name="spelled.cfg")
+        codes = [main(["verify", "--config", str(flagged), "--grid-n", "32",
+                       "--out", str(tmp_path / "a"), "--quiet"]),
+                 main(["verify", "--config", str(spelled), "--out", str(tmp_path / "b"),
+                       "--quiet"])]
+        assert codes[0] == codes[1] != 1
+        csvs = [(tmp_path / d / "verify_results.csv").read_bytes() for d in "ab"]
+        assert csvs[0] == csvs[1]
+
     @pytest.mark.parametrize("value", ["-1", "-200"])
     def test_negative_max_iter_named(self, value):
         with pytest.raises(ConfigError, match=rf"^scf\.max_iter must be nonnegative, got {value}$"):
@@ -319,7 +334,7 @@ class TestScfCommand:
         code = main(["scf", "--config", str(cfg), "--quiet"])
         assert code == 0
         history = (out / "scf_history.csv").read_text().splitlines()
-        assert history[0] == "iteration,energy,orbital_change,epsilon"
+        assert history[0] == "iteration,energy,residual,epsilon"
         assert len(history) > 1
         plane = (out / "orbital_z0.csv").read_text().splitlines()
         assert plane[0] == "x,y,value"

@@ -39,17 +39,15 @@ def _assert_fields_bitwise_equal(got, want):
         assert g.values.tobytes() == w.values.tobytes()
 
 
-# per-iteration energy and eps of the he_result_48 solve with out-of-place
-# inner steps; the in-place steps reorder their roundoff only
+# per-iteration energy and eps of the he_result_48 solve, which stops at
+# iteration 7 on a Fock residual of 6.7e-7
 HE48_ENERGIES = (
-    -2.657842178333395, -2.659120793017156, -2.6592413784223323, -2.659291740713684,
-    -2.6592989395412463, -2.6592995613302826, -2.6592996107134987, -2.6592996165654457,
-    -2.659299617416268, -2.6592996175283923, -2.6592996175421266,
+    -2.657842178333384, -2.659274747050415, -2.659299029393956, -2.659299601957792,
+    -2.6592996171103516, -2.659299617531795, -2.659299617543819,
 )
 HE48_EPSILONS = (
-    -0.845427138479188, -0.8560624364594869, -0.8549298869660815, -0.8534459123464715,
-    -0.8528185127331247, -0.8526404768065075, -0.8526062422845117, -0.8526039282254498,
-    -0.8526053330370097, -0.852606065116216, -0.85260625009506,
+    -0.8454271384791846, -0.8518476197522528, -0.8525082377871168, -0.8525915681226661,
+    -0.8526039573816343, -0.8526058613043578, -0.852606167174395,
 )
 # traced peak of that solve with out-of-place inner steps, bytes
 HE48_PEAK_BYTES = 13_450_605
@@ -227,7 +225,25 @@ class TestSolve:
         resid = np.linalg.norm(np.where(keep, f_psi - eps * psi.values, 0.0))
         rel = resid / np.linalg.norm(np.where(keep, f_psi, 0.0))
         assert rel == pytest.approx(result.final_residual, abs=1e-12)
+        assert rel == pytest.approx(result.history[-1].residual, abs=1e-12)
         assert rel <= 1e-5
+
+    @pytest.mark.parametrize("name", ["he_result_48", "he_result_96"])
+    def test_converged_solve_stops_on_its_residual(self, request, name):
+        result = request.getfixturevalue(name)
+        assert result.converged
+        assert result.final_residual <= scf._TOLERANCE
+        assert result.final_residual == result.history[-1].residual
+
+    def test_solve_one_iteration_short_is_not_converged(self, he_system, he_result_48):
+        # the stop rule reads the residual, so the iteration before the stop
+        # is above the tolerance and its history is the converged one's
+        cap = he_result_48.iteration_count - 1
+        result = chf.solve(he_system, he_result_48.orbitals.grid, max_iterations=cap)
+        assert not result.converged
+        assert result.iteration_count == cap
+        assert result.history == he_result_48.history[:cap]
+        assert result.history[-1].residual > scf._TOLERANCE
 
     def test_rayleigh_quotient_is_real(self, he_system, he_result_48):
         # eps takes its kinetic part from the last inner step's Parseval sum;
@@ -244,8 +260,8 @@ class TestSolve:
 
     def test_kinetic_energy_needs_no_laplacian_per_iteration(self, he_system, monkeypatch):
         # each iteration's kinetic energy is its last inner step's Parseval
-        # sum: one Laplacian for the guess and one for the closing residual,
-        # however many iterations run
+        # sum: one Laplacian for the guess and one per iteration for the
+        # residual the stop rule reads
         calls = []
         laplacian = scf.spectral_laplacian
 
@@ -258,9 +274,10 @@ class TestSolve:
         counts = []
         for max_iterations in (1, 3):
             calls.clear()
-            chf.solve(he_system, grid, max_iterations)
+            result = chf.solve(he_system, grid, max_iterations)
+            assert result.iteration_count == max_iterations
             counts.append(len(calls))
-        assert counts == [2, 2]
+        assert counts == [2, 4]
 
     def test_divergence_guard(self, he_system, monkeypatch):
         # per-step renormalization absorbs moderate instability, so only a
@@ -333,8 +350,8 @@ class TestSemiImplicitStep:
         assert report.total == pytest.approx(reference, abs=1e-7)
 
     def test_shipped_step_count_matches_twelve_steps(self, he_system, he_result_48, monkeypatch):
-        # the linear mixing, not the inner relaxation, sets the outer count:
-        # the shipped inner-step count reaches the 12-step solution no later
+        # past 4 inner steps more steps per outer iteration do not cut the
+        # outer count: the shipped count reaches the 12-step solution no later
         assert scf._INNER_STEPS < 12
         monkeypatch.setattr(scf, "_INNER_STEPS", 12)
         grid = chf.GridSpec(points_per_axis=48, extent=12.0)

@@ -51,12 +51,6 @@ class HarmonicExtension:
         if any(lo >= hi for lo, hi in zip(self.heights, self.heights[1:])):
             raise ValueError("heights must be strictly increasing")
 
-    def slice_at(self, t: float) -> ScalarField:
-        for ti, s in zip(self.heights, self.slices):
-            if abs(ti - t) <= 1e-12 * max(1.0, abs(t)):
-                return s
-        raise KeyError(f"no slice stored at t={t}")
-
 
 def extend(f: ScalarField, heights) -> HarmonicExtension:
     """Poisson extension of ``f`` at the given heights, all from one

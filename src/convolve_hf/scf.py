@@ -3,8 +3,11 @@
 The outer loop rebuilds the mean field from the density of the latest
 orbital, unmixed, and the inner loop relaxes the lowest eigenpair of the
 frozen one-particle operator in that field.  The loop stops on the defect
-of the fixed point itself: the masked relative Fock residual
-||F psi - eps psi|| / ||F psi|| of the new orbital with its own field.
+of the fixed point itself: the relative Fock residual
+||F psi - eps psi|| / ||F psi|| of the new orbital with its own field,
+over the whole grid.  The discrete equations are finite at every node,
+since p carries the cell mean of 1/r at the nuclear node, so the stop
+rule reads only the grid and the nuclei.
 Each outer iteration costs one padded convolution, the inner-loop
 transforms and the spectral Laplacian of that residual.  The loop works on
 plain real arrays; a diverging inner relaxation raises
@@ -57,13 +60,7 @@ from .fields import (
     rfftn,
     spectral_laplacian,
 )
-from .hf import (
-    HfFields,
-    MolecularSystem,
-    OrbitalSet,
-    build_p,
-    nuclear_mask,
-)
+from .hf import HfFields, MolecularSystem, OrbitalSet, build_p
 from .kernels import CoulombKernel, Gaussian, sample
 
 __all__ = ["ScfIteration", "ScfResult", "solve"]
@@ -71,26 +68,26 @@ __all__ = ["ScfIteration", "ScfResult", "solve"]
 # Each outer iteration takes 4 inner steps.  Outer iterations for
 # 12 / 6 / 4 / 3 / 2 steps (L = 12):
 #
-#     He N = 48      10 / 7 / 7 / 10 / 15
-#     He N = 64      10 / 7 / 7 /  9 / 14
-#     He N = 96      10 / 7 / 7 /  9 / 13
-#     H2 N = 48, 64  10 / 8 / 12 / 15-16 / 23-24
+#     He N = 48      10 / 8 / 7 / 9 / 14
+#     He N = 64      10 / 7 / 7 / 9 / 14
+#     He N = 96      10 / 7 / 7 / 9 / 13
+#     H2 N = 48, 64  10 / 7-8 / 11-12 / 15-16 / 23
 #
-# Energies agree with the 12-step ones to 1.1e-12.  For He, the system of
+# Energies agree with the 12-step ones to 1.2e-12.  For He, the system of
 # the benchmark and of two of the three shipped SCF configs, 4 steps take
 # the fewest outer iterations and the least time within run-to-run noise;
-# H2 would prefer 6.  BENCH_25.json holds the solve times of this sweep.
+# H2 would prefer 6.  BENCH_28.json holds this sweep.
 _INNER_STEPS = 4
 
 # Step of the semi-implicit imaginary-time flow, whatever the grid.  Outer
 # iterations for dt = 0.1 / 0.25 / 0.5 / 1 / 2 at 4 inner steps: He N = 64
-# 39 / 15 / 7 / 9 / 10, H2 N = 48 62 / 24 / 12 / 7 / 10, at energies equal
-# to 7e-13.  0.5 is the fastest step for He, and it keeps the explicit
+# 38 / 15 / 7 / 9 / 10, H2 N = 48 60 / 24 / 11 / 7 / 10, at energies equal
+# to 1.6e-12.  0.5 is the fastest step for He, and it keeps the explicit
 # factor 1 - dt (v - eps - sigma) >= 1 + dt eps positive for eps > -2, so
 # a positive orbital stays positive.
 _TIME_STEP = 0.5
 
-# Converged means the masked relative Fock residual fell to this.
+# Converged means the whole-grid relative Fock residual fell to this.
 _TOLERANCE = 1e-6
 
 
@@ -121,9 +118,10 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
     overlap-Coulomb field of the latest density, relaxes the lowest
     eigenpair (``_INNER_STEPS`` semi-implicit imaginary-time steps, see the
     module docstring) and convolves the new density.  Converged means the
-    masked relative Fock residual of the new orbital with its new field
-    fell to ``_TOLERANCE``.  ``final_residual`` is the last iteration's
-    residual, inf when no iteration ran.
+    relative Fock residual ||F psi - eps psi|| / ||F psi|| of the new
+    orbital with its new field, over the whole grid, fell to
+    ``_TOLERANCE``.  ``final_residual`` is the last iteration's residual,
+    inf when no iteration ran.
     """
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
@@ -199,7 +197,6 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
             psi /= np.sqrt(mass * h3 / psi.size)
         return kinetic
 
-    keep = nuclear_mask(grid, system)
     history: list[ScfIteration] = []
     eps = 0.0
     residual = np.inf
@@ -216,10 +213,11 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
         energy = 2.0 * kinetic + v_nuc_1 + hartree
         eps = kinetic + 0.5 * v_nuc_1 + hartree  # Rayleigh quotient of the new field
 
-        # masked relative Fock residual of psi with its own field
+        # relative Fock residual of psi with its own field
         f_psi = -0.5 * spectral_laplacian(psi, grid) + (v_nuc + s) * psi
-        den = l2(np.where(keep, f_psi, 0.0))
-        residual = l2(np.where(keep, f_psi - eps * psi, 0.0)) / den if den > 0 else 0.0
+        den = l2(f_psi)
+        f_psi -= eps * psi
+        residual = l2(f_psi) / den if den > 0 else 0.0
         history.append(ScfIteration(iteration, float(energy), float(residual), float(eps)))
         if residual <= _TOLERANCE:
             break

@@ -19,7 +19,8 @@ class TestExtend:
         base = chf.sample(chf.PoissonKernel(t=0.5), g)
         ext = chf.extend(base, (0.5,))
         target = chf.sample(chf.PoissonKernel(t=1.0), g)
-        rel = chf.norm(ext.slice_at(0.5) - target, np.inf) / chf.norm(target, np.inf)
+        u = ext.slices[ext.heights.index(0.5)]
+        rel = chf.norm(u - target, np.inf) / chf.norm(target, np.inf)
         assert rel <= 0.02
 
     def test_zero_base(self, grid48):
@@ -31,7 +32,7 @@ class TestExtend:
         base = chf.sample(chf.Gaussian(alpha=1.0), g)  # unit mass
         with pytest.warns(ResolutionWarning):
             ext = chf.extend(base, (0.05,))
-        assert integral(ext.slice_at(0.05)).real == pytest.approx(1.0, abs=0.01)
+        assert integral(ext.slices[ext.heights.index(0.05)]).real == pytest.approx(1.0, abs=0.01)
 
     def test_heights_sorted_and_validated(self, grid48):
         base = wide_gaussian(grid48)
@@ -55,9 +56,10 @@ class TestExtend:
         eb = chf.extend(g, heights)
         combo = chf.extend(2.5 * f + g, heights)
         for t in heights:
-            expected = 2.5 * ea.slice_at(t) + eb.slice_at(t)
+            i = combo.heights.index(t)
+            expected = 2.5 * ea.slices[ea.heights.index(t)] + eb.slices[eb.heights.index(t)]
             scale = chf.norm(expected, np.inf)
-            assert chf.norm(combo.slice_at(t) - expected, np.inf) <= 1e-12 * scale
+            assert chf.norm(combo.slices[i] - expected, np.inf) <= 1e-12 * scale
 
 
 def three_slice_defect(f, t, delta):
@@ -132,7 +134,7 @@ class TestBoundaryConvergence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
             ext = chf.extend(base, (0.8, 0.4, 0.2))
-        dists = [chf.norm(ext.slice_at(t) - base, np.inf) for t in (0.8, 0.4, 0.2)]
+        dists = [chf.norm(ext.slices[ext.heights.index(t)] - base, np.inf) for t in (0.8, 0.4, 0.2)]
         assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
 
     def test_richardson_extrapolation_hits_base(self):
@@ -141,7 +143,7 @@ class TestBoundaryConvergence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
             ext = chf.extend(base, (0.2, 0.1))
-        u1, u2 = ext.slice_at(0.2), ext.slice_at(0.1)
+        u1, u2 = ext.slices[ext.heights.index(0.2)], ext.slices[ext.heights.index(0.1)]
         extrapolated = 2.0 * u2 - u1  # linear in t toward t = 0
         rel = chf.norm(extrapolated - base, 2) / chf.norm(base, 2)
         assert rel <= 0.01
@@ -191,7 +193,7 @@ class TestSupBounds:
         # base is negligible in the outer corner region
         base = wide_gaussian(grid48, 0.3)
         ext = chf.extend(base, (1.0,))
-        vals = np.abs(ext.slice_at(1.0).values)
+        vals = np.abs(ext.slices[ext.heights.index(1.0)].values)
         corner = vals[:3, :3, :3].max()
         assert corner <= 1e-3 * vals.max()
 

@@ -15,6 +15,7 @@ from support import (
     normalized_field,
     random_smooth_orbital,
     record_sampled_kernels,
+    roothaan_hall_1s2,
     unit_gaussian_orbital,
 )
 
@@ -215,15 +216,13 @@ class TestSolve:
         assert second >= eps + 0.5
 
     def test_final_residual_is_certified(self, he_system, he_result_48):
-        # the masked relative residual of the full Fock operator, recomputed
-        # here, is the reported one, and the orbital is an eigenvector to it
+        # the whole-grid relative residual of the full Fock operator,
+        # recomputed here, is the reported one, and the orbital is an
+        # eigenvector to it
         result = he_result_48
         psi, eps = result.orbitals.orbitals[0], result.orbitals.energies[0]
         f_psi = apply_fock(psi, he_system, result.fields, result.orbitals).values
-        grid = psi.grid
-        keep = grid.radius_squared() > (2.0 * grid.spacing) ** 2  # the default margin
-        resid = np.linalg.norm(np.where(keep, f_psi - eps * psi.values, 0.0))
-        rel = resid / np.linalg.norm(np.where(keep, f_psi, 0.0))
+        rel = np.linalg.norm(f_psi - eps * psi.values) / np.linalg.norm(f_psi)
         assert rel == pytest.approx(result.final_residual, abs=1e-12)
         assert rel == pytest.approx(result.history[-1].residual, abs=1e-12)
         assert rel <= 1e-5
@@ -244,6 +243,19 @@ class TestSolve:
         assert result.iteration_count == cap
         assert result.history == he_result_48.history[:cap]
         assert result.history[-1].residual > scf._TOLERANCE
+
+    def test_nuclear_margin_leaves_the_solve_alone(self, he_system):
+        # the stop rule reads the whole grid, so the margin that masks the
+        # residual reports (masking.radius_cells) moves no bit of the solve
+        grid = chf.GridSpec(points_per_axis=32, extent=8.0)
+        results = [chf.solve(replace(he_system, regular_set_margin=cells * grid.spacing), grid)
+                   for cells in (2.0, 4.0, 7.5)]
+        first = results[0]
+        assert first.converged
+        for result in results[1:]:
+            assert result.history == first.history
+            assert (result.orbitals.orbitals[0].values.tobytes()
+                    == first.orbitals.orbitals[0].values.tobytes())
 
     def test_rayleigh_quotient_is_real(self, he_system, he_result_48):
         # eps takes its kinetic part from the last inner step's Parseval sum;
@@ -362,3 +374,40 @@ class TestSemiImplicitStep:
         totals = [chf.energies(r.orbitals, r.fields).total for r in (shipped, twelve)]
         assert totals[0] == pytest.approx(totals[1], abs=1e-9)
         assert shipped.final_residual <= 2.0 * twelve.final_residual
+
+
+@pytest.fixture(scope="module")
+def he_roothaan_hall():
+    return roothaan_hall_1s2(2.0, 0.03)
+
+
+class TestRoothaanHallOracle:
+    """The closed-shell Roothaan-Hall solve in 28 even-tempered Gaussians
+    reaches the published Hartree-Fock limits (Clementi & Roetti 1974), so
+    it is an absolute reference for the grid SCF."""
+
+    def test_helium_reaches_the_hartree_fock_limit(self, he_roothaan_hall):
+        energy, eps, _ = he_roothaan_hall
+        assert energy == pytest.approx(-2.8616799956, abs=1e-8)
+        assert eps == pytest.approx(-0.917956, abs=1e-6)
+
+    # these limits are published to 7 decimals
+    @pytest.mark.parametrize("z, alpha0, limit", [(3.0, 0.0675, -7.2364152),
+                                                  (4.0, 0.12, -13.6112993)])
+    def test_helium_like_ions_reach_their_limits(self, z, alpha0, limit):
+        energy, _, _ = roothaan_hall_1s2(z, alpha0)
+        assert energy == pytest.approx(limit, abs=2e-7)
+
+    def test_grid_solves_lie_above_the_reference_and_approach_it(
+            self, he_roothaan_hall, he_result_48, he_result_96):
+        # the grid energies and eps are above the limit, by 202 and 93.5 mEh
+        # at N = 48 and 96, and the finer grid is the closer
+        energy_rh, eps_rh, _ = he_roothaan_hall
+        gaps = []
+        for result in (he_result_48, he_result_96):
+            energy = chf.energies(result.orbitals, result.fields).total
+            eps = result.orbitals.energies[0]
+            assert energy > energy_rh and eps > eps_rh
+            gaps.append((energy - energy_rh, eps - eps_rh))
+        assert gaps[1][0] < gaps[0][0]
+        assert gaps[1][1] < gaps[0][1]

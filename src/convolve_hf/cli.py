@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, _read_config
-from .convolution import ConvolutionPlan, under_resolved
+from .convolution import under_resolved
 from .errors import (
     ConfigError,
     IllConditionedBasisError,
@@ -207,10 +207,8 @@ def cmd_residuals(config: RunConfig, out: Path, quiet: bool) -> int:
     t = config.residuals_t
     w = Gaussian(alpha=config.window_alpha, amplitude=1.0)
     a = 0
-    plan = ConvolutionPlan(orbitals.grid)  # keeps the P_t spectrum for the crosscheck
-    thm4, thm5 = transformed_residuals(a, orbitals, fields, t, w, plan)
-    cross = poisson_crosscheck(thm4, orbitals, fields, system, plan=plan)
-    del plan
+    thm4, thm5 = transformed_residuals(a, orbitals, fields, t, w)
+    cross = poisson_crosscheck(thm4, orbitals, fields, system)
     # the strong terms last, so that their fields are not alive at the
     # command's peak, which is inside transformed_residuals
     strong = ResidualReport.from_terms(

@@ -126,20 +126,17 @@ Spectrum ownership
 A spectrum belongs to the plan that computed it: a plan keeps the
 spectrum of each distinct kernel it has convolved with, 8 (n+1)^3 bytes
 apiece, and they are freed with the plan.  There is no process-wide
-spectrum state.  Code that reuses a kernel holds one plan: ``scf.solve``
-keeps one Coulomb spectrum for all its outer iterations, and the
-``expand`` ladder four spectra (d2t P_t, P_t, lap w and w; also 1/r for
-the r_n of an SCF source) for all its orders.  Every convolution is a
-method call on the plan that keeps its spectra, so a function that
-convolves once (each height of an extension sweep) holds its plan only
-for that call, and one that reuses a kernel (``build_overlap_fields``
-over the orbital pairs, ``run_verify`` for its Coulomb oracle and
-overlap bound) samples it once.  ``keep_only`` frees every spectrum of a
-plan but the named ones: the ``residuals`` command keeps the P_t
-spectrum of its transformed residuals for the crosscheck, and frees the
-other three before the reports are built.  A reused spectrum is bit-identical to a
-fresh one because sampling is deterministic.  Two threads that miss the
-same kernel on one plan both compute it, and the plan keeps the first.
+spectrum state, and a plan lives inside the one function that convolves
+on it: no function takes or returns one.  A function that reuses a
+kernel samples it once: ``scf.solve`` keeps one Coulomb spectrum for all
+its outer iterations, the ``expand`` ladder four (d2t P_t, P_t, lap w
+and w) for all its orders, ``build_overlap_fields`` one Coulomb spectrum
+for all its orbital pairs, and ``run_verify`` one for its Coulomb oracle
+and overlap bound.  A function that convolves once (each height of an
+extension sweep, the crosscheck of the ``residuals`` command) holds its
+plan only for that call.  A reused spectrum is bit-identical to a fresh
+one because sampling is deterministic.  Two threads that miss the same
+kernel on one plan both compute it, and the plan keeps the first.
 
 Kernel sampling flavors
 -----------------------
@@ -481,10 +478,6 @@ class ConvolutionPlan:
             # a thread that missed meanwhile may have stored its own: keep the first
             spec = self._spectra.setdefault(kernel, spec)
         return spec
-
-    def keep_only(self, *kernels: AnalyticFunction) -> None:
-        """Free every kept spectrum but those of ``kernels``."""
-        self._spectra = {k: s for k, s in self._spectra.items() if k in kernels}
 
     # -- plane-blocked zero-padded transforms ---------------------------
 

@@ -28,11 +28,10 @@ from .hf import HfFields, OrbitalSet, build_overlap_fields, equation_terms
 from .kernels import Gaussian, PoissonDt2Kernel, PoissonKernel, sample
 from .residuals import (
     ResidualReport,
-    _poisson_report,
-    _transformed_terms,
-    _window_report,
+    poisson_transformed_residual,
     require_gaussian_window,
     require_resolved,
+    window_transformed_residual,
 )
 
 __all__ = ["ExpansionState", "LadderTotals", "project_orbitals", "expansion_poisson_residuals",
@@ -109,35 +108,23 @@ def project_orbitals(
     )
 
 
-def _truncated_inputs(state: ExpansionState, orbitals: OrbitalSet, fields: HfFields,
-                      plan: ConvolutionPlan):
+def _truncated_inputs(state: ExpansionState, orbitals: OrbitalSet, fields: HfFields):
     """(order, truncated orbital set, truncated fields) per projected order,
     one order at a time, so that one order's r_n and q_n are alive at once
     if the caller drops each order's fields before it asks for the next.
-    r_n is built from the truncations on ``plan``, unless every s of
+    r_n is built from the truncations by :func:`build_overlap_fields`,
+    which samples the Coulomb kernel once per order, unless every s of
     ``fields`` is zero (a source without two-electron terms): then every
     order takes ``fields`` itself, whose zero s is r_n and zero q is q_n."""
     two_electron = any(s_ac.values.any() for row in fields.s for s_ac in row)
     for n in state.orders:
         trunc = OrbitalSet(state.truncations[n], orbitals.energies, validate=False)
-        yield n, trunc, (HfFields(p=fields.p, s=build_overlap_fields(trunc, plan))
+        yield n, trunc, (HfFields(p=fields.p, s=build_overlap_fields(trunc))
                          if two_electron else fields)
 
 
 def _with_order(report: ResidualReport, order: int) -> ResidualReport:
     return replace(report, params={**report.params, "order": order})
-
-
-def _per_term_ladder(state, a, orbitals, fields, psi_kernel, term_kernel, report):
-    """``report(*terms)`` of each truncation's transformed terms (T[n,a] *
-    ``psi_kernel``, local and exchange * ``term_kernel``), all orders on one
-    plan, so that each kernel's spectrum is computed once."""
-    plan = ConvolutionPlan(orbitals.grid)
-    rows = []
-    for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, plan):
-        (terms,) = _transformed_terms(a, trunc, trunc_fields, (psi_kernel,), (term_kernel,), plan)
-        rows.append(_with_order(report(*terms), n))
-    return rows
 
 
 def expansion_poisson_residuals(
@@ -156,8 +143,8 @@ def expansion_poisson_residuals(
     surrogates in place of the exact orbitals and fields.
     """
     require_resolved(t, orbitals.grid)
-    return _per_term_ladder(state, a, orbitals, fields, PoissonDt2Kernel(t=t), PoissonKernel(t=t),
-                            lambda *terms: _poisson_report(a, t, *terms))
+    return [_with_order(poisson_transformed_residual(a, trunc, trunc_fields, t), n)
+            for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields)]
 
 
 def expansion_window_residuals(
@@ -177,8 +164,8 @@ def expansion_window_residuals(
     alongside the sup norms.
     """
     require_gaussian_window(w)
-    return _per_term_ladder(state, a, orbitals, fields, w.laplacian(), w,
-                            lambda *terms: _window_report(a, w, *terms))
+    return [_with_order(window_transformed_residual(a, trunc, trunc_fields, w), n)
+            for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields)]
 
 
 @dataclass(frozen=True)
@@ -215,7 +202,7 @@ def expansion_transformed_residuals(
     require_gaussian_window(w)
     plan = ConvolutionPlan(orbitals.grid)  # one spectrum per kernel for every order
     rows = []
-    for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields, plan):
+    for n, trunc, trunc_fields in _truncated_inputs(state, orbitals, fields):
         psi_a, local, exchange = equation_terms(a, trunc, trunc_fields)
         combined = local + 2.0 * exchange if exchange.values.any() else local
         thm6, thm7 = plan.convolve_with_kernel(

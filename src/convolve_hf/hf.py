@@ -188,13 +188,12 @@ def build_p(system: MolecularSystem, grid: GridSpec) -> ScalarField:
     return ScalarField(grid=grid, values=total)
 
 
-def build_overlap_fields(
-    orbitals: OrbitalSet, plan: ConvolutionPlan
-) -> tuple[tuple[ScalarField, ...], ...]:
-    """The n x n matrix of s fields s[a,c] = [(psi_c psi_a) * h] on
-    ``plan``, which keeps its Coulomb spectrum for a caller that builds
-    the fields of several orbital sets; s[a,c] = s[c,a] by construction
-    (only the upper triangle is convolved)."""
+def build_overlap_fields(orbitals: OrbitalSet) -> tuple[tuple[ScalarField, ...], ...]:
+    """The n x n matrix of s fields s[a,c] = [(psi_c psi_a) * h], on one
+    plan that samples the Coulomb kernel once for all orbital pairs;
+    s[a,c] = s[c,a] by construction (only the upper triangle is
+    convolved)."""
+    plan = ConvolutionPlan(orbitals.grid)
     n = len(orbitals)
     s = [[None] * n for _ in range(n)]
     for a in range(n):
@@ -208,8 +207,7 @@ def build_overlap_fields(
 
 def build_fields(system: MolecularSystem, orbitals: OrbitalSet) -> HfFields:
     """Assemble p and all s fields (see :func:`build_overlap_fields`)."""
-    return HfFields(p=build_p(system, orbitals.grid),
-                    s=build_overlap_fields(orbitals, ConvolutionPlan(orbitals.grid)))
+    return HfFields(p=build_p(system, orbitals.grid), s=build_overlap_fields(orbitals))
 
 
 def nuclear_mask(grid: GridSpec, system: MolecularSystem) -> np.ndarray:

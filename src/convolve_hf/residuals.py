@@ -113,11 +113,10 @@ def require_gaussian_window(w):
         raise ValueError("window must be centered at the origin")
 
 
-def _transformed_terms(a, orbitals, fields, psi_kernels, term_kernels, plan=None):
+def _transformed_terms(a, orbitals, fields, psi_kernels, term_kernels):
     """Per kernel pair (k_psi, k): psi_a * k_psi, local * k and exchange * k,
-    one grouped convolution per term field of one equation-term assembly,
-    on ``plan`` (a caller that reuses the kernels holds one) or a new plan."""
-    plan = plan or ConvolutionPlan(orbitals.grid)
+    one grouped convolution per term field of one equation-term assembly."""
+    plan = ConvolutionPlan(orbitals.grid)
     psi_a, local, exchange = equation_terms(a, orbitals, fields)
     return tuple(zip(
         plan.convolve_with_kernel(psi_a, psi_kernels),
@@ -186,26 +185,19 @@ def transformed_residuals(
     fields: HfFields,
     t: float,
     w: Gaussian,
-    plan: ConvolutionPlan | None = None,
 ) -> tuple[ResidualReport, ResidualReport]:
     """:func:`poisson_transformed_residual` at height t and
     :func:`window_transformed_residual` with window w, byte-identical to
     the two calls, from one assembly of the equation terms: each term
     field is forward-transformed once for its P_t-family kernel and its
-    window kernel together.  The convolutions run on ``plan`` if given,
-    which afterwards keeps only the P_t spectrum, for
-    :func:`poisson_crosscheck`: the other three are freed before the
-    reports are assembled, as they are with the new plan of a call
-    without one.
+    window kernel together.  The plan of the four kernel spectra is freed
+    before the reports are assembled.
     """
     require_resolved(t, orbitals.grid)
     require_gaussian_window(w)
     poisson_terms, window_terms = _transformed_terms(
         a, orbitals, fields, (PoissonDt2Kernel(t=t), w.laplacian()), (PoissonKernel(t=t), w),
-        plan,
     )
-    if plan is not None:
-        plan.keep_only(PoissonKernel(t=t))
     return _poisson_report(a, t, *poisson_terms), _window_report(a, w, *window_terms)
 
 
@@ -259,23 +251,21 @@ def poisson_crosscheck(
     fields: HfFields,
     system: MolecularSystem,
     method: str = "finite_difference_2nd",
-    plan: ConvolutionPlan | None = None,
 ) -> CrosscheckReport:
     """Compare a height-transformed residual with -(strong residual * P_t).
 
     ``transformed`` is the report of :func:`poisson_transformed_residual`
     (or the first of :func:`transformed_residuals`); the orbital and the
     height t are read from its params, so the two routes always compare
-    the same equation.  The convolution runs on ``plan`` (which may keep
-    the P_t spectrum already) or on a new plan.  The relative measure
-    divides by max(largest transformed term, ||convolved strong
-    residual||): for exact solutions both routes are residual-sized and a
-    ratio of the two alone would be noise over noise.
+    the same equation.  The convolution samples P_t on a plan of its own,
+    so after :func:`transformed_residuals` P_t is sampled a second time.
+    The relative measure divides by max(largest transformed term,
+    ||convolved strong residual||): for exact solutions both routes are
+    residual-sized and a ratio of the two alone would be noise over noise.
     """
     a, t = transformed.params["orbital"], transformed.params["t"]
     strong = strong_residual(a, orbitals, fields, system, method=method)
-    plan = plan or ConvolutionPlan(strong.grid)
-    cross = -1.0 * plan.convolve_with_kernel(strong, PoissonKernel(t=t))
+    cross = -1.0 * ConvolutionPlan(strong.grid).convolve_with_kernel(strong, PoissonKernel(t=t))
     diff_field = transformed.total_field - cross
     cross_l2 = norm(cross, 2)
     diff = norm(diff_field, 2)

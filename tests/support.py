@@ -3,7 +3,8 @@
 Oracles here are deliberately independent of the library's convolution
 and quadrature paths: 1-D radial quadrature via scipy, closed-form
 Gaussian integrals, a direct O(N^6) convolution sum, SciPy's LOBPCG
-eigensolver and a Roothaan-Hall solve in even-tempered Gaussians.
+eigensolver and a Roothaan-Hall solve in even-tempered Gaussians, with
+the band-limited grid projection of its orbital.
 ``apply_fock`` is the full non-local Fock operator that the solver's local
 form is checked against.
 """
@@ -196,6 +197,29 @@ def roothaan_hall_1s2(z, alpha0):
         if abs(energy - last) <= 1e-12:
             return float(energy), float(eps), c
     raise RuntimeError("Roothaan-Hall iteration did not settle in 100 steps")
+
+
+def projected_roothaan_hall_orbital(grid, alpha0, coefficients):
+    """The band-limited grid projection of the orbital sum_a c_a phi_a in
+    the even-tempered Gaussians ``chf.basis_function(k, alpha0, 1.9)``
+    (the basis of :func:`roothaan_hall_1s2`), signed so that its sum is
+    positive.
+
+    The spectrum of N e^{-a r^2} is N (pi/a)^{3/2} e^{-k^2/4a}, a function
+    of |m|^2 = m1^2 + m2^2 + m3^2 at the DFT frequencies k = 2 pi m / (n h),
+    so it is evaluated once per |m|^2 and gathered.  The origin sits at node
+    n/2, which multiplies the spectrum by (-1)^{m1+m2+m3}; one inverse FFT
+    divided by h^3 gives the values at the nodes."""
+    n, h = grid.points_per_axis, grid.spacing
+    basis = [chf.basis_function(k, alpha0, 1.9) for k in range(len(coefficients))]
+    m = np.rint(np.fft.fftfreq(n) * n).astype(np.intp)
+    m2 = m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2
+    k2 = (2.0 * np.pi / (n * h)) ** 2 * np.arange(m2.max() + 1)
+    radial = sum(c * g.amplitude * (np.pi / g.alpha) ** 1.5 * np.exp(-k2 / (4.0 * g.alpha))
+                 for c, g in zip(coefficients, basis))
+    sign = 1.0 - 2.0 * ((m[:, None, None] + m[None, :, None] + m[None, None, :]) % 2)
+    values = np.fft.ifftn(np.take(radial, m2) * sign).real / h**3
+    return chf.ScalarField(grid=grid, values=values if values.sum() > 0 else -values)
 
 
 def hydrogen_identity(n, extent, margin=0.75):

@@ -563,14 +563,15 @@ class TestResidualsCommand:
             "error: Poisson height t=0.5 below resolution floor 2h=0.666667"
         ]
 
-    def test_four_spectra(self, tmp_path, monkeypatch):
-        # the crosscheck reuses the P_t spectrum of the transformed residuals
+    def test_five_spectra_p_t_twice(self, tmp_path, monkeypatch):
+        # the transformed residuals sample their four kernels on one plan,
+        # and the crosscheck samples P_t again on its own
         sampled = record_sampled_kernels(monkeypatch)
         cfg = write_config(tmp_path, HYDROGEN_32)
         assert main(["residuals", "--config", str(cfg), "--out", str(tmp_path / "out"),
                      "--quiet"]) == 0
-        assert len(sampled) == len(set(sampled)) == 4
-        assert PoissonKernel(t=1.5) in sampled
+        assert len(sampled) == 5 and len(set(sampled)) == 4
+        assert sampled.count(PoissonKernel(t=1.5)) == 2
 
     def test_poisson_residual_computed_once(self, tmp_path, monkeypatch):
         # d2t P_t enters only the height-transformed residual, so one Poisson

@@ -109,25 +109,27 @@ class TestResidualLadders:
         ladder7 = chf.expansion_window_residuals(state, 0, orbitals, fields, w)
         for n, r6, r7 in zip(state.orders, ladder6, ladder7):
             trunc = chf.OrbitalSet(state.truncations[n], orbitals.energies, validate=False)
-            trunc_fields = chf.HfFields(fields.p, build_overlap_fields(trunc, ConvolutionPlan(grid)))
+            trunc_fields = chf.HfFields(fields.p, build_overlap_fields(trunc))
             assert r6.total_l2 == chf.poisson_transformed_residual(0, trunc, trunc_fields, t).total_l2
             assert r7.total_l2 == chf.window_transformed_residual(0, trunc, trunc_fields, w).total_l2
             assert r6.params["order"] == r7.params["order"] == n
 
-    def test_each_ladder_computes_one_spectrum_per_kernel(self, monkeypatch):
-        # a ladder's one plan keeps its kernels for every order, the Coulomb
-        # kernel of each order's r_n included
+    def test_only_the_combined_ladder_keeps_its_spectra_across_orders(self, monkeypatch):
+        # the combined ladder of the expand command samples each of its four
+        # kernels once for all orders; the per-term ladders evaluate each
+        # order's transformed residuals on their own plans, and each order's
+        # r_n samples the Coulomb kernel on a plan of its own
         grid, system, orbitals, fields, basis = gaussian_orbital_setup(n=32)
         state = chf.project_orbitals(orbitals, basis, orders=(1, 2, 3))
         t, w = 1.2, chf.Gaussian(alpha=1.0, amplitude=1.0)
         coulomb, dt2, poisson = chf.CoulombKernel(), chf.PoissonDt2Kernel(t=t), chf.PoissonKernel(t=t)
         sampled = record_sampled_kernels(monkeypatch)
         chf.expansion_poisson_residuals(state, 0, orbitals, fields, t)
-        assert sampled == [coulomb, dt2, poisson]
+        assert sampled == [coulomb, dt2, poisson] * 3
         chf.expansion_window_residuals(state, 0, orbitals, fields, w)
-        assert sampled[3:] == [coulomb, w.laplacian(), w]
+        assert sampled[9:] == [coulomb, w.laplacian(), w] * 3
         chf.expansion_transformed_residuals(state, 0, orbitals, fields, t, w)
-        assert sampled[6:] == [coulomb, dt2, w.laplacian(), poisson, w]
+        assert sampled[18:] == [coulomb, dt2, w.laplacian(), poisson, w, coulomb, coulomb]
 
     def test_source_without_two_electron_terms_is_reproduced(self):
         # the fields of such a source (hydrogen_identity, zero) set s to zero:

@@ -102,7 +102,7 @@ class TestOverlapFields:
         alpha = 1.0
         psi = unit_gaussian_orbital(g, alpha)
         orb = chf.OrbitalSet(orbitals=(psi,), energies=(0.0,))
-        s00 = build_overlap_fields(orb, chf.ConvolutionPlan(g))[0][0].values
+        s00 = build_overlap_fields(orb)[0][0].values
         # |psi|^2 is the unit-mass density with exponent 2 alpha
         r = np.sqrt(g.radius_squared())
         with np.errstate(invalid="ignore"):
@@ -127,7 +127,7 @@ class TestOverlapFields:
         a = unit_gaussian_orbital(g, 4.0, center=(-4.0, 0, 0))
         b = unit_gaussian_orbital(g, 4.0, center=(4.0, 0, 0))
         orb = chf.OrbitalSet(orbitals=(a, b), energies=(0.0, 0.0))
-        s01 = build_overlap_fields(orb, chf.ConvolutionPlan(g))[0][1]
+        s01 = build_overlap_fields(orb)[0][1]
         assert chf.norm(s01, np.inf) <= 1e-8
 
     def test_q_is_derived_from_s(self, grid32, rng):

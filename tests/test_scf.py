@@ -13,6 +13,7 @@ from support import (
     apply_fock,
     lowest_eigenvalues,
     normalized_field,
+    projected_roothaan_hall_orbital,
     random_smooth_orbital,
     record_sampled_kernels,
     roothaan_hall_1s2,
@@ -397,6 +398,36 @@ class TestRoothaanHallOracle:
     def test_helium_like_ions_reach_their_limits(self, z, alpha0, limit):
         energy, _, _ = roothaan_hall_1s2(z, alpha0)
         assert energy == pytest.approx(limit, abs=2e-7)
+
+    def test_hydride_reaches_its_limit(self):
+        # H- in the basis scaled as alpha0 = 0.0075 Z^2 (from alpha0 <= 0.005
+        # the plain iteration collapses to an unbound state); its limit is
+        # published to 7 decimals
+        energy, eps, _ = roothaan_hall_1s2(1.0, 0.0075)
+        assert energy == pytest.approx(-0.4879297, abs=1e-6)
+        assert eps == pytest.approx(-0.0462222, abs=1e-6)
+
+    def test_grid_projection_keeps_the_norm_in_band(self, he_roothaan_hall, he_result_48,
+                                                    he_result_96):
+        # the band-limited projection loses the spectrum beyond the grid's
+        # Nyquist frequency: its squared norm is 1 - 1.6e-3 at N = 48 and
+        # 1 - 6.2e-5 at N = 96 (L = 12)
+        _, _, c = he_roothaan_hall
+        defects = [chf.norm(projected_roothaan_hall_orbital(r.orbitals.grid, 0.03, c), 2) ** 2 - 1
+                   for r in (he_result_48, he_result_96)]
+        assert defects[0] == pytest.approx(-1.6e-3, rel=0.05)
+        assert defects[1] == pytest.approx(-6.2e-5, rel=0.05)
+
+    def test_grid_orbitals_approach_the_projected_reference(self, he_roothaan_hall,
+                                                            he_result_48, he_result_96):
+        # ||psi_SCF - P psi_RH||_2 falls from 4.84e-2 at N = 48 to 2.49e-2 at
+        # N = 96
+        _, _, c = he_roothaan_hall
+        errors = [chf.norm(r.orbitals.orbitals[0]
+                           - projected_roothaan_hall_orbital(r.orbitals.grid, 0.03, c), 2)
+                  for r in (he_result_48, he_result_96)]
+        assert errors[1] < errors[0] < 0.06
+        assert errors[1] < 0.03
 
     def test_grid_solves_lie_above_the_reference_and_approach_it(
             self, he_roothaan_hall, he_result_48, he_result_96):

@@ -75,15 +75,25 @@ def _write_atomic(path: Path, text: str):
 
 
 def _write_csv(path: Path, header, rows):
-    """Write ``rows`` under ``header``; a NaN or infinite number raises
-    NonFiniteError before anything is written."""
+    """Write ``rows`` under ``header``, numbers as :func:`_fmt` writes them;
+    a NaN or infinite number raises NonFiniteError before anything is
+    written.  A row of numbers takes one %.17g format, which spells only
+    inf and nan with an n (the orbital plane has 4096 rows at N = 64); a
+    row with text, or with an n, is checked and formatted cell by cell."""
+    numbers = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
     for row in rows:
-        bad = [name for name, cell in zip(header, row)
-               if not (isinstance(cell, str) or math.isfinite(cell))]
-        if bad:
-            raise NonFiniteError(f"{path.name}, row {row[0]}: not finite in {', '.join(bad)}")
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+        try:
+            line = numbers % tuple(row)
+        except TypeError:  # a text cell
+            line = None
+        if line is None or "n" in line:
+            bad = [name for name, cell in zip(header, row)
+                   if not (isinstance(cell, str) or math.isfinite(cell))]
+            if bad:
+                raise NonFiniteError(f"{path.name}, row {row[0]}: not finite in {', '.join(bad)}")
+            line = ",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row)
+        lines.append(line)
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

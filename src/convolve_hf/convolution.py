@@ -54,12 +54,13 @@ Workers
 Every pass transforms independent lines, so each is shared among worker
 threads: the forward and inverse z passes by x rows, the plane blocks by
 contiguous shares of the kz blocks, and each pass of a spectrum's DCT-I
-by lines.  The calling thread runs the first share and a module-level
-pool, created on first use, the others; numpy's transforms and copies of
-large arrays release the GIL.  There is one worker per CPU the process
-may run on (``os.sched_getaffinity``), the calling thread counting as
-one, at most 8 // (arrays per worker), so that every block keeps a kz
-plane.  On one CPU, and on grids below ``_THREADED_N`` = 48 nodes, whose
+by lines.  The workers are those of the grid transforms (see "Workers"
+in ``fields``): the calling thread runs the first share and a pool,
+created on first use, the others; numpy's transforms and copies of large
+arrays release the GIL.  There is one worker per CPU the process may run
+on (``os.sched_getaffinity``), the calling thread counting as one, and
+the plane blocks take at most 8 // (arrays per worker), so that every
+block keeps a kz plane.  On one CPU, and on grids below 48 nodes, whose
 numpy calls are too short to gain over the handoffs between threads,
 every pass runs inline and no pool is made.  A worker writes only its own
 lines or kz planes, and every line is transformed alone, so the output
@@ -171,14 +172,12 @@ value.
 
 from __future__ import annotations
 
-import os
-import threading
 import warnings
 
 import numpy as np
 
 from .errors import GridMismatchError, ResolutionError, ResolutionWarning
-from .fields import GridSpec, ScalarField
+from .fields import GridSpec, ScalarField, _run, _split, _workers
 from .kernels import (
     AnalyticFunction,
     CoulombKernel,
@@ -390,69 +389,6 @@ def _dct1_kz_first(octant: np.ndarray) -> np.ndarray:
 _PLANES = 8  # kz frequency planes in flight in the padded x and y passes of one call
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# smallest grid whose passes are shared among threads: below it the numpy
-# calls are too short to gain over the handoffs between threads (at N = 32
-# a convolution took 5.8-7.8 ms inline and 8.1-9.0 ms on two threads of a
-# 2-core host; at N = 48 about the same either way)
-_THREADED_N = 48
-
-
-def _workers(n: int, fields: int = 1) -> int:
-    """Threads that share a pass on a grid of n nodes per axis, the calling
-    thread counting as one: one per CPU, at most ``_PLANES`` // ``fields``,
-    so that every worker's block of each of ``fields`` fields keeps at
-    least one kz plane; one below ``_THREADED_N``."""
-    if n < _THREADED_N:
-        return 1
-    return max(1, min(_cpus(), _PLANES // fields))
-
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor():
-    """The module's worker pool, created on first use (so importing the
-    package starts no thread and imports no ``concurrent.futures``)."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_PLANES - 1, thread_name_prefix="convolve_hf")
-        return _pool
-
-
-def _split(count: int, parts: int) -> list[slice]:
-    """0..count-1 in at most ``parts`` contiguous, nonempty, near-equal slices."""
-    parts = min(parts, count)
-    bounds = [count * i // parts for i in range(parts + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _run(task, shares: list[slice]) -> None:
-    """``task(w, shares[w])`` for every worker w: w = 0 on the calling
-    thread, the others on the pool.  Returns when all have finished, and
-    raises the first exception any of them raised.  With one share the
-    task runs inline and no pool is created."""
-    futures = [_executor().submit(task, w, s) for w, s in enumerate(shares) if w]
-    try:
-        task(0, shares[0])
-    finally:
-        errors = [f.exception() for f in futures]
-    for error in errors:
-        if error is not None:
-            raise error
-
-
 class ConvolutionPlan:
     """Zero-padded convolutions on one grid.
 
@@ -527,7 +463,7 @@ class ConvolutionPlan:
         n = self.grid.points_per_axis
         m = 2 * n
         arrays = len(zspecs) + (len(planes) > 1)  # blocks and spare per worker
-        workers = _workers(n, arrays)
+        workers = _workers(n, _PLANES // arrays)
         k = max(1, _PLANES // (workers * arrays))
         kzs = [slice(k0, min(k0 + k, n + 1)) for k0 in range(0, n + 1, k)]
         shares = _split(len(kzs), workers)

@@ -30,13 +30,24 @@ last step's Parseval sum is also the kinetic energy of the outer
 iteration's energy and eps, so the only Laplacian per iteration is the
 residual's.
 
-The inner steps allocate nothing: each relaxation allocates two grid
-arrays (-dt v and u = -dt v psi), the real gain and one complex half
-spectrum, and every step runs in them and in psi, one pass per quantity
-(u, eps, the explicit half step in place, the gain, the Parseval power
-in a buffer the forward transform has freed), with the inverse transform
-written straight into psi.  Those arrays are freed before the outer
-iteration's padded convolution, which sets the solver's peak memory.
+The inner steps allocate no array: each relaxation allocates two grid
+arrays (-dt v and u = -dt v psi), the real gain, one complex half
+spectrum and three partial sums of n floats, and every step runs in them
+and in psi, one pass per quantity (u, eps, the explicit half step in
+place, the gain, the Parseval power in a buffer the forward transform has
+freed), with the inverse transform written straight into psi.  Those
+arrays are freed before the outer iteration's padded convolution, which
+sets the solver's peak memory.
+
+A step runs as slab phases on the workers of the grid transforms (see
+"Workers" in ``fields``): u and <psi, u> by x rows; the explicit half step
+with the z pass by x rows; the x pass by y columns; the y pass, the gain
+and the Parseval power by x rows; the inverse x pass by y columns; the
+inverse y and z passes with the renormalization by x rows.  Each reduction
+(<psi, u>, the mass, the kinetic sum) is one partial sum per x plane, and
+the calling thread adds the n partials, so the bytes do not depend on the
+number of workers.  The Fock residual is assembled and squared the same
+way, by x slabs with per-plane partial sums of its two norms.
 
 For a single orbital the exchange acting on the occupied orbital itself
 collapses onto the local field s[0,0], so the frozen operator is local:
@@ -55,9 +66,13 @@ from .errors import ScfDivergedError
 from .fields import (
     GridSpec,
     ScalarField,
+    _fft_x,
+    _fft_y,
+    _irfft_yz,
+    _rfft_z,
+    _run,
+    _slabs,
     _spectral_multiplier,
-    irfftn,
-    rfftn,
     spectral_laplacian,
 )
 from .hf import HfFields, MolecularSystem, OrbitalSet, build_p
@@ -151,22 +166,22 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
     mult = _spectral_multiplier(grid)  # -|k|^2, cached per grid
     kinetic = -0.5 * (psi * spectral_laplacian(psi, grid)).sum() * h3
 
+    slabs = _slabs(shape[0])  # x rows, or y columns, per worker
+    interior = slice(1, (shape[-1] + 1) // 2)  # rFFT columns that count twice
+
     def relax(psi, s, kinetic):
         """``_INNER_STEPS`` semi-implicit imaginary-time steps on ``psi``, in
         place, with v_eff = v_nuc + s frozen; ``kinetic`` is that of
         ``psi``.  Returns the new psi's kinetic energy, the last step's
         Parseval sum.
 
-        A call allocates two grid arrays, w = -dt v_eff and u, the real
-        gain and one complex half spectrum, and each step runs in them and
-        in psi, one pass per quantity: u = w psi; eps = kinetic +
-        h^3 <psi, v_eff psi> from one reduction of psi against u; the
-        explicit half step psi <- (1 + dt (eps + sigma)) psi + u in place;
-        the forward transform of psi into the spectrum and the gain; the
-        Parseval power in u's buffer, which the transform has freed, with
-        imag^2 in psi's; the inverse transform straight into psi.  The
-        arrays are freed on return, before the padded convolution, which
-        sets the solver's peak memory."""
+        Each step runs as the slab phases of the module docstring, in w =
+        -dt v_eff, u, the real gain, one complex half spectrum and the
+        per-plane partial sums, with eps = kinetic + h^3 <psi, v_eff psi>
+        from the partials of <psi, u>, the Parseval power in u's buffer,
+        which the z pass has freed, and imag^2 in psi's.  The arrays are
+        freed on return, before the padded convolution, which sets the
+        solver's peak memory."""
         w = v_nuc + s
         sigma = max(0.0, float(w.max()))
         w *= -dt
@@ -175,27 +190,82 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
         spec = np.empty(mult.shape, np.complex128)
         power = u.reshape(-1)[: mult.size].reshape(mult.shape)
         imag2 = psi.reshape(-1)[: mult.size].reshape(mult.shape)
+        dot, mass, kin = np.empty((3, shape[0]))
+
+        def potential(_, x):
+            np.multiply(w[x], psi[x], out=u[x])
+            np.einsum("ijk,ijk->i", psi[x], u[x], out=dot[x])
+
+        def explicit(x):
+            p = psi[x]
+            p *= factor
+            p += u[x]
+            _rfft_z(psi, spec, x)
+
+        def gain_and_power(x):
+            # norm and kinetic energy by Parseval on the rFFT half spectrum
+            _fft_y(spec, x)
+            sp, pw = spec[x], power[x]
+            sp *= gain[x]
+            np.square(sp.real, out=pw)
+            pw += np.square(sp.imag, out=imag2[x])
+            pw[..., interior] *= 2.0
+            pw.sum(axis=(1, 2), out=mass[x])
+            np.einsum("ijk,ijk->i", mult[x], pw, out=kin[x])
+
+        def forward(phase):
+            def task(_, share):
+                with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                    phase(share)
+            _run(task, slabs)
+
+        def renormalize(_, x):
+            _irfft_yz(spec, psi, x)
+            p = psi[x]
+            p /= scale
+
         for _ in range(_INNER_STEPS):
-            np.multiply(w, psi, out=u)
-            eps = kinetic - np.einsum("ijk,ijk->", psi, u) / dt * h3
-            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                psi *= 1.0 + dt * (eps + sigma)
-                psi += u
-                rfftn(psi, spec)
-                spec *= gain
-                # norm and kinetic energy by Parseval on the rFFT half
-                # spectrum, whose interior columns count twice
-                np.square(spec.real, out=power)
-                power += np.square(spec.imag, out=imag2)
-                power[..., 1 : (shape[-1] + 1) // 2] *= 2.0
-                mass = power.sum()
-                kinetic = -0.5 * np.einsum("ijk,ijk->", mult, power) / mass
-            if not np.isfinite(mass) or mass == 0.0:
+            _run(potential, slabs)
+            eps = kinetic - dot.sum() / dt * h3
+            factor = 1.0 + dt * (eps + sigma)
+            forward(explicit)
+            forward(lambda y: _fft_x(spec, y))
+            forward(gain_and_power)
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = mass.sum()
+                kinetic = -0.5 * kin.sum() / total
+            if not np.isfinite(total) or total == 0.0:
                 raise ScfDivergedError("imaginary-time propagation diverged: the orbital norm "
                                       "is not a finite positive number")
-            irfftn(spec, psi)
-            psi /= np.sqrt(mass * h3 / psi.size)
+            _run(lambda _, y: _fft_x(spec, y, inverse=True), slabs)
+            scale = np.sqrt(total * h3 / psi.size)
+            _run(renormalize, slabs)
         return kinetic
+
+    def fock_residual(psi, s, eps):
+        """Relative Fock residual ||F psi - eps psi|| / ||F psi|| of ``psi``
+        with its own field, assembled and squared by x slabs: per x plane,
+        |F psi|^2 and |F psi - eps psi|^2.  The calling thread allocates
+        every array (one a worker allocates comes from its own glibc arena
+        and raises the RSS), and all are freed on return, before the next
+        padded convolution."""
+        f_psi = spectral_laplacian(psi, grid)
+        products = np.empty(shape)
+        norms = np.empty((2, shape[0]))
+
+        def assemble(_, x):
+            f, v = f_psi[x], products[x]
+            f *= -0.5
+            np.add(v_nuc[x], s[x], out=v)
+            v *= psi[x]
+            f += v
+            np.einsum("ijk,ijk->i", f, f, out=norms[0, x])
+            f -= np.multiply(psi[x], eps, out=v)
+            np.einsum("ijk,ijk->i", f, f, out=norms[1, x])
+
+        _run(assemble, slabs)
+        den = np.sqrt(norms[0].sum() * h3)
+        return np.sqrt(norms[1].sum() * h3) / den if den > 0 else 0.0
 
     history: list[ScfIteration] = []
     eps = 0.0
@@ -213,11 +283,7 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
         energy = 2.0 * kinetic + v_nuc_1 + hartree
         eps = kinetic + 0.5 * v_nuc_1 + hartree  # Rayleigh quotient of the new field
 
-        # relative Fock residual of psi with its own field
-        f_psi = -0.5 * spectral_laplacian(psi, grid) + (v_nuc + s) * psi
-        den = l2(f_psi)
-        f_psi -= eps * psi
-        residual = l2(f_psi) / den if den > 0 else 0.0
+        residual = fock_residual(psi, s, eps)
         history.append(ScfIteration(iteration, float(energy), float(residual), float(eps)))
         if residual <= _TOLERANCE:
             break

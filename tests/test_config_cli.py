@@ -628,6 +628,24 @@ def test_non_finite_csv_cell_writes_nothing(tmp_path, value):
     assert not path.parent.exists() or list(path.parent.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_number_row_writes_nothing(tmp_path, value):
+    # a row of numbers only takes the one-format path, with the same message
+    path = tmp_path / "out" / "plane.csv"
+    with pytest.raises(NonFiniteError, match=r"^plane\.csv, row -0\.5: not finite in y, value$"):
+        cli._write_csv(path, ["x", "y", "value"], [(-1.0, 0.25, 2.0), (-0.5, value, value)])
+    assert not path.parent.exists() or list(path.parent.iterdir()) == []
+
+
+def test_number_rows_keep_the_cell_format(tmp_path):
+    # one %.17g format per row writes what _fmt writes cell by cell
+    path = tmp_path / "plane.csv"
+    rows = [(-0.0, 1e-320, 0.1), (1.0 / 3.0, -2.5e300, 7), (np.float64(1e17), True, 5e-324)]
+    cli._write_csv(path, ["x", "y", "value"], rows)
+    want = ["x,y,value"] + [",".join(cli._fmt(cell) for cell in row) for row in rows]
+    assert path.read_text() == "\n".join(want) + "\n"
+
+
 class TestExpandCommand:
     def test_zero_source_ladder_vanishes(self, tmp_path):
         out = tmp_path / "out"

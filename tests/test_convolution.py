@@ -14,6 +14,7 @@ from scipy import fft as sfft
 from scipy.special import erf
 
 import convolve_hf as chf
+import convolve_hf.fields as fields_mod
 from convolve_hf import convolution, extension, verify
 from convolve_hf.convolution import ConvolutionPlan, _sample_kernel_octant
 from convolve_hf.errors import GridMismatchError, ResolutionError, ResolutionWarning
@@ -708,14 +709,14 @@ class TestCombinedConvolutions:
 
 
 # run in a child process pinned to one CPU: the engine's outputs there, and
-# whether it made the worker pool or any thread
+# whether it made the worker pool (which lives in ``fields``) or any thread
 _PINNED_CHILD = """
 import json, os, sys, threading
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from convolve_hf import convolution
+from convolve_hf import fields
 from support import engine_digests
 digests = engine_digests(int(sys.argv[1]))
-print(json.dumps([digests, convolution._pool is None, threading.active_count()]))
+print(json.dumps([digests, fields._pool is None, threading.active_count()]))
 """
 
 
@@ -768,7 +769,7 @@ class TestWorkers:
         assert failures == []
         assert results == [[s] * 4 for s in serial]
 
-    @pytest.mark.skipif(convolution._cpus() < 2, reason="on one CPU every pass runs inline")
+    @pytest.mark.skipif(fields_mod._cpus() < 2, reason="on one CPU every pass runs inline")
     def test_worker_error_reaches_the_caller(self, grid48, rng, monkeypatch):
         f = _random(grid48, rng)
         coulomb = chf.CoulombKernel()

@@ -193,11 +193,12 @@ class TestGridTransforms:
         assert irfftn(spec, out) is out
         assert out.tobytes() == want.tobytes()
 
-    def test_consuming_inverse_writes_only_its_spectrum_and_out(self, rng):
+    @pytest.mark.parametrize("n", [16, 48])  # inline, and shared among the workers
+    def test_consuming_inverse_writes_only_its_spectrum_and_out(self, rng, n):
         # the spectrum and the output sit in one byte buffer between guard
         # bands that must come through untouched, and the call allocates no
         # array of their size
-        n, guard = 16, 4096
+        guard = 4096
         spec_bytes, out_bytes = n * n * (n // 2 + 1) * 16, n**3 * 8
         buf = np.full(3 * guard + spec_bytes + out_bytes, 0xA5, np.uint8)
         spec = buf[guard : guard + spec_bytes].view(np.complex128).reshape(n, n, n // 2 + 1)

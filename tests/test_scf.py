@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -333,6 +337,35 @@ class TestSolve:
         vals = result.orbitals.orbitals[0].values.real
         flipped = np.roll(vals[::-1, :, :], 1, axis=0)
         assert np.abs((vals - flipped)[1:, :, :]).max() <= 1e-4
+
+
+# run in a child process pinned to one CPU, where every pass runs inline:
+# the He N = 48 solve's history and the SHA-256 of its orbital
+_PINNED_SOLVE = """
+import hashlib, json, os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import convolve_hf as chf
+system = chf.MolecularSystem(nuclei=((2.0, (0.0, 0.0, 0.0)),))
+result = chf.solve(system, chf.GridSpec(points_per_axis=48, extent=12.0))
+print(json.dumps([[list(vars(it).values()) for it in result.history],
+                  hashlib.sha256(result.orbitals.orbitals[0].values.tobytes()).hexdigest()]))
+"""
+
+
+class TestWorkers:
+    def test_solve_does_not_depend_on_the_workers(self, he_result_48):
+        # every slab phase writes its own planes and every reduction is
+        # summed from per-plane partials, so a one-CPU process gives the
+        # bytes of the pooled solve
+        src = os.path.dirname(os.path.dirname(scf.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _PINNED_SOLVE], capture_output=True,
+                              text=True, timeout=300, env={**os.environ, "PYTHONPATH": pythonpath})
+        assert proc.returncode == 0, proc.stderr
+        history, digest = json.loads(proc.stdout)
+        assert history == [list(vars(it).values()) for it in he_result_48.history]
+        orbital = he_result_48.orbitals.orbitals[0].values
+        assert digest == hashlib.sha256(orbital.tobytes()).hexdigest()
 
 
 class TestSemiImplicitStep:

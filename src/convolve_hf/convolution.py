@@ -177,7 +177,7 @@ import warnings
 import numpy as np
 
 from .errors import GridMismatchError, ResolutionError, ResolutionWarning
-from .fields import GridSpec, ScalarField, _run, _split, _workers
+from .fields import GridSpec, ScalarField, _run, _slabs, _split, _workers
 from .kernels import (
     AnalyticFunction,
     CoulombKernel,
@@ -423,7 +423,7 @@ class ConvolutionPlan:
         across the workers."""
         n = self.grid.points_per_axis
         zspec = np.empty((n, n, n + 1), dtype=complex)
-        _run(lambda _, x: np.fft.rfft(values[x], n=2 * n, out=zspec[x]), _split(n, _workers(n)))
+        _run(lambda _, x: np.fft.rfft(values[x], n=2 * n, out=zspec[x]), _slabs(n))
         return zspec
 
     @staticmethod
@@ -494,7 +494,7 @@ class ConvolutionPlan:
         scale = self.grid.spacing**3
         zspec = planes.pop(0)
         out = np.empty((n, n, n))
-        shares = _split(n, _workers(n))
+        shares = _slabs(n)
         lines = [np.empty((n, m)) for _ in shares]
 
         def task(w, xs):

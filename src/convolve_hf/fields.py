@@ -12,23 +12,27 @@ arrays, so the SCF's inner steps transform in place.
 
 Workers
 -------
-A one-axis pass transforms independent lines, so it is shared among
-worker threads by slabs: the z passes and the y pass by x rows, the x pass
-(axis 0) by y columns.  The calling thread runs the first share and a
-module-level pool, created on first use, the others; numpy's transforms
-release the GIL.  There is one worker per CPU the process may run on, the
-calling thread counting as one, at most ``_MAX_WORKERS``; on one CPU, and
-on grids below ``_THREADED_N`` = 48 nodes, every pass runs inline and no
-pool is made.  Every line is transformed alone and a worker writes only
-its own slab, so the bytes do not depend on the number of workers.  The
-padded convolution engine and the SCF's inner steps share these workers
-(``_split``, ``_workers``, ``_run``); a reduction over a slab-split array
-is taken as one partial sum per x plane, which the calling thread adds up,
+A pass over a grid of n rows is shared among worker threads by slabs,
+one contiguous share of the rows per worker (``_slabs(n)``): the one-axis
+passes of ``rfftn``/``irfftn`` by x rows, or by y columns for the x pass,
+which transform independent lines.  The calling thread runs the first
+share and a module-level pool, created on first use, the others, each in
+a copy of the calling thread's context (so an ``np.errstate`` around a
+pooled call holds in every share); numpy's transforms release the GIL.
+There is one worker per CPU the process may run on, the calling thread
+counting as one, at most ``_MAX_WORKERS``; on one CPU, and on grids below
+``_THREADED_N`` = 48 nodes, every pass runs inline and no pool is made.
+Every line is transformed alone and a worker writes only its own slab,
+so the bytes do not depend on the number of workers.  The padded
+convolution engine and the SCF's pointwise inner-step phases share these
+workers (``_slabs``, ``_run``); a reduction over a slab-split array is
+taken as one partial sum per x plane, which the calling thread adds up,
 so its bytes do not depend on the workers either.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 import warnings
@@ -248,10 +252,13 @@ def _split(count: int, parts: int) -> list[slice]:
 
 def _run(task, shares: list[slice]) -> None:
     """``task(w, shares[w])`` for every worker w: w = 0 on the calling
-    thread, the others on the pool.  Returns when all have finished, and
-    raises the first exception any of them raised.  With one share the
-    task runs inline and no pool is created."""
-    futures = [_executor().submit(task, w, s) for w, s in enumerate(shares) if w]
+    thread, the others on the pool, each in a copy of the calling thread's
+    context, so that an ``np.errstate`` around the call holds in every
+    share.  Returns when all have finished, and raises the first exception
+    any of them raised.  With one share the task runs inline and no pool
+    is created."""
+    futures = [_executor().submit(contextvars.copy_context().run, task, w, s)
+               for w, s in enumerate(shares) if w]
     try:
         task(0, shares[0])
     finally:
@@ -268,30 +275,8 @@ def _slabs(n: int) -> list[slice]:
 
 # -- grid transforms ----------------------------------------------------
 #
-# The one-axis passes of the rfftn/irfftn pair on one slab each; every
-# line is transformed alone, in place in the half spectrum.
-
-
-def _rfft_z(values: np.ndarray, spec: np.ndarray, x: slice) -> None:
-    np.fft.rfft(values[x], out=spec[x])
-
-
-def _fft_x(spec: np.ndarray, y: slice, inverse: bool = False) -> None:
-    if inverse:
-        np.fft.ifft(spec[:, y], axis=0, norm="forward", out=spec[:, y])
-    else:
-        np.fft.fft(spec[:, y], axis=0, out=spec[:, y])
-
-
-def _fft_y(spec: np.ndarray, x: slice) -> None:
-    np.fft.fft(spec[x], axis=1, out=spec[x])
-
-
-def _irfft_yz(spec: np.ndarray, out: np.ndarray, x: slice) -> None:
-    """Inverse y pass, then the real z pass, scaled by 1/n^3, of x rows x."""
-    np.fft.ifft(spec[x], axis=1, norm="forward", out=spec[x])
-    np.fft.irfft(spec[x], n=out.shape[-1], norm="forward", out=out[x])
-    out[x] *= 1.0 / out.size
+# The only code that sequences the one-axis passes of the grid pair; the
+# SCF's inner steps call them between their pointwise phases.
 
 
 def rfftn(values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -300,11 +285,13 @@ def rfftn(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     allocated.  A real transform along z, then complex ones along x and y,
     the passes of ``scipy.fft.rfftn``, so the result is its bits
     (``numpy.fft.rfftn`` takes y before x and differs in the last bits).
-    Each pass is split by slabs across the workers."""
+    Every line is transformed alone, in place in ``out``; the z and y
+    passes are split by x rows across the workers, the x pass by y
+    columns."""
     slabs = _slabs(values.shape[0])
-    _run(lambda _, x: _rfft_z(values, out, x), slabs)
-    _run(lambda _, y: _fft_x(out, y), slabs)
-    _run(lambda _, x: _fft_y(out, x), slabs)
+    _run(lambda _, x: np.fft.rfft(values[x], out=out[x]), slabs)
+    _run(lambda _, y: np.fft.fft(out[:, y], axis=0, out=out[:, y]), slabs)
+    _run(lambda _, x: np.fft.fft(out[x], axis=1, out=out[x]), slabs)
     return out
 
 
@@ -317,8 +304,14 @@ def irfftn(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
     no other array is allocated.  The x pass is split by y columns, the
     rest by x rows, across the workers."""
     slabs = _slabs(out.shape[0])
-    _run(lambda _, y: _fft_x(spec, y, inverse=True), slabs)
-    _run(lambda _, x: _irfft_yz(spec, out, x), slabs)
+    _run(lambda _, y: np.fft.ifft(spec[:, y], axis=0, norm="forward", out=spec[:, y]), slabs)
+
+    def yz(_, x):
+        np.fft.ifft(spec[x], axis=1, norm="forward", out=spec[x])
+        np.fft.irfft(spec[x], n=out.shape[-1], norm="forward", out=out[x])
+        out[x] *= 1.0 / out.size
+
+    _run(yz, slabs)
     return out
 
 

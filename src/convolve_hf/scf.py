@@ -34,16 +34,14 @@ The inner steps allocate no array: each relaxation allocates two grid
 arrays (-dt v and u = -dt v psi), the real gain, one complex half
 spectrum and three partial sums of n floats, and every step runs in them
 and in psi, one pass per quantity (u, eps, the explicit half step in
-place, the gain, the Parseval power in a buffer the forward transform has
-freed), with the inverse transform written straight into psi.  Those
-arrays are freed before the outer iteration's padded convolution, which
-sets the solver's peak memory.
+place, the gain, the Parseval power in u's buffer), with the inverse
+transform written straight into psi.  Those arrays are freed before the
+outer iteration's padded convolution, which sets the solver's peak memory.
 
-A step runs as slab phases on the workers of the grid transforms (see
-"Workers" in ``fields``): u and <psi, u> by x rows; the explicit half step
-with the z pass by x rows; the x pass by y columns; the y pass, the gain
-and the Parseval power by x rows; the inverse x pass by y columns; the
-inverse y and z passes with the renormalization by x rows.  Each reduction
+A step runs as pointwise phases by x slabs on the workers of the grid
+transforms (see "Workers" in ``fields``), around one ``rfftn`` and one
+``irfftn``: u and <psi, u>; the explicit half step; ``rfftn``; the gain
+and the Parseval power; ``irfftn``; the renormalization.  Each reduction
 (<psi, u>, the mass, the kinetic sum) is one partial sum per x plane, and
 the calling thread adds the n partials, so the bytes do not depend on the
 number of workers.  The Fock residual is assembled and squared the same
@@ -66,13 +64,11 @@ from .errors import ScfDivergedError
 from .fields import (
     GridSpec,
     ScalarField,
-    _fft_x,
-    _fft_y,
-    _irfft_yz,
-    _rfft_z,
     _run,
     _slabs,
     _spectral_multiplier,
+    irfftn,
+    rfftn,
     spectral_laplacian,
 )
 from .hf import HfFields, MolecularSystem, OrbitalSet, build_p
@@ -166,7 +162,7 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
     mult = _spectral_multiplier(grid)  # -|k|^2, cached per grid
     kinetic = -0.5 * (psi * spectral_laplacian(psi, grid)).sum() * h3
 
-    slabs = _slabs(shape[0])  # x rows, or y columns, per worker
+    slabs = _slabs(shape[0])  # x rows per worker
     interior = slice(1, (shape[-1] + 1) // 2)  # rFFT columns that count twice
 
     def relax(psi, s, kinetic):
@@ -175,12 +171,13 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
         ``psi``.  Returns the new psi's kinetic energy, the last step's
         Parseval sum.
 
-        Each step runs as the slab phases of the module docstring, in w =
-        -dt v_eff, u, the real gain, one complex half spectrum and the
-        per-plane partial sums, with eps = kinetic + h^3 <psi, v_eff psi>
-        from the partials of <psi, u>, the Parseval power in u's buffer,
-        which the z pass has freed, and imag^2 in psi's.  The arrays are
-        freed on return, before the padded convolution, which sets the
+        Each step runs as the slab phases of the module docstring around
+        ``rfftn`` and ``irfftn``, in w = -dt v_eff, u, the real gain, one
+        complex half spectrum and the per-plane partial sums, with eps =
+        kinetic + h^3 <psi, v_eff psi> from the partials of <psi, u>, the
+        Parseval power in u's buffer, which the explicit half step has
+        freed, and imag^2 in psi's, which ``rfftn`` has freed.  The arrays
+        are freed on return, before the padded convolution, which sets the
         solver's peak memory."""
         w = v_nuc + s
         sigma = max(0.0, float(w.max()))
@@ -196,15 +193,13 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
             np.multiply(w[x], psi[x], out=u[x])
             np.einsum("ijk,ijk->i", psi[x], u[x], out=dot[x])
 
-        def explicit(x):
+        def explicit(_, x):
             p = psi[x]
             p *= factor
             p += u[x]
-            _rfft_z(psi, spec, x)
 
-        def gain_and_power(x):
+        def gain_and_power(_, x):
             # norm and kinetic energy by Parseval on the rFFT half spectrum
-            _fft_y(spec, x)
             sp, pw = spec[x], power[x]
             sp *= gain[x]
             np.square(sp.real, out=pw)
@@ -213,14 +208,7 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
             pw.sum(axis=(1, 2), out=mass[x])
             np.einsum("ijk,ijk->i", mult[x], pw, out=kin[x])
 
-        def forward(phase):
-            def task(_, share):
-                with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                    phase(share)
-            _run(task, slabs)
-
         def renormalize(_, x):
-            _irfft_yz(spec, psi, x)
             p = psi[x]
             p /= scale
 
@@ -228,17 +216,17 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
             _run(potential, slabs)
             eps = kinetic - dot.sum() / dt * h3
             factor = 1.0 + dt * (eps + sigma)
-            forward(explicit)
-            forward(lambda y: _fft_x(spec, y))
-            forward(gain_and_power)
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                _run(explicit, slabs)
+                rfftn(psi, spec)
+                _run(gain_and_power, slabs)
                 total = mass.sum()
                 kinetic = -0.5 * kin.sum() / total
             if not np.isfinite(total) or total == 0.0:
                 raise ScfDivergedError("imaginary-time propagation diverged: the orbital norm "
                                       "is not a finite positive number")
-            _run(lambda _, y: _fft_x(spec, y, inverse=True), slabs)
             scale = np.sqrt(total * h3 / psi.size)
+            irfftn(spec, psi)
             _run(renormalize, slabs)
         return kinetic
 

@@ -381,10 +381,11 @@ class TestScfCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["scf", "--config", str(tmp_path / "absent.cfg")]) == 1
 
-    def test_divergence_exit_code_single_error_line(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("n", [16, 48])  # inline and pooled transforms
+    def test_divergence_exit_code_single_error_line(self, tmp_path, capsys, monkeypatch, n):
         # a huge explicit step overflows the imaginary-time norm
         monkeypatch.setattr(scf, "_TIME_STEP", 1e300)
-        cfg = write_config(tmp_path, "grid.n = 16\ngrid.extent = 8.0\n")
+        cfg = write_config(tmp_path, f"grid.n = {n}\ngrid.extent = 8.0\n")
         assert main(["scf", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: imaginary-time propagation diverged: the orbital norm "

@@ -787,3 +787,15 @@ class TestWorkers:
         monkeypatch.undo()
         out = ConvolutionPlan(grid48).convolve_with_kernel(f, coulomb)
         assert out.values.tobytes() == expected  # the pool still works
+
+    @pytest.mark.skipif(fields_mod._cpus() < 2, reason="on one CPU every pass runs inline")
+    def test_callers_errstate_holds_in_every_share(self, grid48):
+        # the SCF's inner step ignores overflow around its pooled phases and
+        # grid transforms, and reports a diverged norm itself
+        n = grid48.points_per_axis
+        spec = np.empty((n, n, n // 2 + 1), complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                fields_mod.rfftn(np.full(grid48.shape, 1e308), spec)
+        assert not np.isfinite(spec).all()  # the passes overflowed

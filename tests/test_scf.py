@@ -55,8 +55,9 @@ HE48_EPSILONS = (
     -0.8454271384791846, -0.8518476197522528, -0.8525082377871168, -0.8525915681226661,
     -0.8526039573816343, -0.8526058613043578, -0.852606167174395,
 )
-# traced peak of that solve with out-of-place inner steps, bytes
-HE48_PEAK_BYTES = 13_450_605
+# traced peak of that solve, 9,648,902 B, plus 5 %, bytes: one more N = 48
+# grid array (884,736 B) alive through a padded convolution exceeds it
+HE48_PEAK_BYTES = 10_130_000
 
 
 class TestApplyFock:
@@ -296,6 +297,26 @@ class TestSolve:
             counts.append(len(calls))
         assert counts == [2, 4]
 
+    def test_one_transform_pair_per_inner_step(self, he_system, monkeypatch):
+        # the inner step's only grid transforms are one rfftn and one
+        # irfftn; the residual's Laplacian makes its own pair in fields
+        calls = []
+        for name in ("rfftn", "irfftn"):
+            transform = getattr(scf, name)
+
+            def counted(a, out, name=name, transform=transform):
+                calls.append(name)
+                return transform(a, out)
+
+            monkeypatch.setattr(scf, name, counted)
+        grid = chf.GridSpec(points_per_axis=16, extent=8.0)
+        for max_iterations in (1, 3):
+            calls.clear()
+            result = chf.solve(he_system, grid, max_iterations)
+            assert result.iteration_count == max_iterations
+            steps = max_iterations * scf._INNER_STEPS
+            assert (calls.count("rfftn"), calls.count("irfftn")) == (steps, steps)
+
     def test_divergence_guard(self, he_system, monkeypatch):
         # per-step renormalization absorbs moderate instability, so only a
         # step large enough to overflow the norm trips the guard
@@ -354,9 +375,10 @@ print(json.dumps([[list(vars(it).values()) for it in result.history],
 
 class TestWorkers:
     def test_solve_does_not_depend_on_the_workers(self, he_result_48):
-        # every slab phase writes its own planes and every reduction is
-        # summed from per-plane partials, so a one-CPU process gives the
-        # bytes of the pooled solve
+        # every pointwise slab phase writes its own planes, rfftn and irfftn
+        # transform every line alone, and every reduction is summed from
+        # per-plane partials, so a one-CPU process gives the bytes of the
+        # pooled solve
         src = os.path.dirname(os.path.dirname(scf.__file__))
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", _PINNED_SOLVE], capture_output=True,

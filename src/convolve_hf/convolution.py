@@ -149,11 +149,15 @@ correction elsewhere), which keeps the discrete kernel mass bounded by
 the true mass and preserves the approximate-identity inequalities at the
 price of first-order smoothing; every convolution of a nonzero field
 with one warns (``under_resolved`` is the one test of t < 2h).  The
-height derivative d2t P_t has no under-resolved flavour: a convolution
-with it below 2h raises :class:`ResolutionError`.  The
-Coulomb kernel is pointwise with the analytic cell mean at the singular
-node; away from the singularity 1/r is harmonic, so pointwise values
-equal cell averages to O(h^4).  The second difference of P_t in the
+two Gauss-Legendre rules, 8 nodes per axis for the cell averages and 16
+for the central cell mean, are computed by the functions that use them,
+so that importing the package does not load ``numpy.polynomial`` (about
+1.7 MB of RSS), which only an under-resolved sampling needs.  The height
+derivative d2t P_t has no under-resolved flavour: a convolution with it
+below 2h raises :class:`ResolutionError`.  The Coulomb kernel is
+pointwise with the analytic cell mean at the singular node; away from
+the singularity 1/r is harmonic, so pointwise values equal cell averages
+to O(h^4).  The second difference of P_t in the
 height, (P_{t+d} - 2 P_t + P_{t-d}) / d^2, combines the octants of its
 three heights, each sampled in its own flavour, before its one DCT-I; it
 warns when t - d is below 2h.
@@ -194,8 +198,6 @@ __all__ = [
     "under_resolved",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
 _CONVOLVABLE = (CoulombKernel, PoissonKernel, PoissonDt2Kernel, PoissonSecondDifference,
                 Gaussian, GaussianLaplacian)
 
@@ -220,17 +222,15 @@ def _lowest_height(kernel: AnalyticFunction) -> float | None:
     return None
 
 
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 def _poisson_central_cell_mean(t: float, h: float) -> float:
     """Mean of P_t over the cell centered on its peak, exact in the radial
     direction (six-pyramid decomposition; each face leaves a smooth 2-D
     integral).  Valid for every t, including t << h where the kernel is a
     near-delta inside the cell."""
     a = 0.5 * h
-    g = a * _GL16_NODES
-    w = a * _GL16_WEIGHTS
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    g = a * nodes
+    w = a * weights
     u = g[:, None]
     v = g[None, :]
     r = np.sqrt(a * a + u * u + v * v)
@@ -248,8 +248,9 @@ def _cell_average_near_origin(kernel, vals, off, h, radius):
         [c.ravel() for c in np.meshgrid(off[ii], off[ii], off[ii], indexing="ij")],
         axis=1,
     )
-    g = 0.5 * h * _GL_NODES
-    w = 0.5 * _GL_WEIGHTS
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    g = 0.5 * h * nodes
+    w = 0.5 * weights
     gx, gy, gz = np.meshgrid(g, g, g, indexing="ij")
     sub = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     ww = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()

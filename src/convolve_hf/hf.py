@@ -28,7 +28,7 @@ import numpy as np
 
 from .convolution import ConvolutionPlan
 from .errors import GridMismatchError
-from .fields import GridSpec, ScalarField, inner, laplacian, norm
+from .fields import GridSpec, ScalarField, _run, _slabs, inner, laplacian, norm
 from .kernels import CoulombKernel, sample
 
 __all__ = [
@@ -60,6 +60,26 @@ L2_SQUARE_BOUND = 4.0 * np.pi + 1.0
 # 3 * Int_{[-1/2,1/2]^2} du dv / (u^2+v^2+1/4); used by the fallback
 # quadrature of coulomb_square_integral.
 _INV_SQUARE_CELL_MEAN = 7.674124222443732
+
+# x planes per chunk of coulomb_square_integral, summed over the workers;
+# with two chunk buffers per worker they hold 16 planes in all, 1/3 of a
+# grid array at N = 48.
+_CHUNK_PLANES = 8
+
+# np.random.default_rng(2026).random(30), the unit draws behind the ten
+# points of check_orbital_bounds.
+_BOUND_POINT_DRAWS = (
+    0.17893481367543618, 0.6399131657151546, 0.4672684011434851,
+    0.37050052710804804, 0.3549173343096512, 0.790518245853265,
+    0.9051438366771739, 0.17735319182304865, 0.652784802685132,
+    0.29830276735556926, 0.9669622001623905, 0.9198501605372782,
+    0.6358708041446514, 0.7527320970790866, 0.5151536963223518,
+    0.82589525837557, 0.4483805454001032, 0.33881245331376186,
+    0.27789921550015906, 0.22633305684340344, 0.5258168433452484,
+    0.43091206068443144, 0.6631806204725954, 0.012840482366806572,
+    0.4477019015387208, 0.3651808011323914, 0.19539759987155403,
+    0.5948658710060528, 0.43531315595064457, 0.2999915037451498,
+)
 
 
 @dataclass(frozen=True)
@@ -317,42 +337,76 @@ def coulomb_square_integral(psi: ScalarField, eta) -> float:
     the remainder vanishes identically.  Falls back to a plain mollified
     sum when no usable local fit exists (tiny density, non-decaying
     profile, eta outside the box).
+
+    Memory: one grid array, the integrand, which the grid transforms'
+    workers fill by x chunks (see "Workers" in ``fields``) in two chunk
+    buffers each, all allocated on the calling thread, before one
+    whole-array sum.  Each node's integrand is computed by the operations
+    of the whole-grid formula, in its order, so the result keeps its bits.
     """
     grid = psi.grid
     h = grid.spacing
-    dens = psi.values**2
-    r2 = grid.radius_squared(tuple(float(c) for c in eta))
-    r = np.sqrt(r2)
+    n = grid.points_per_axis
+    # squared offsets per axis; r^2 at (i, j, k) is (sx[i] + sy[j]) + sz[k],
+    # summed in the order of GridSpec.radius_squared
+    sx, sy, sz = ((grid.axis_coordinates() - float(c)) ** 2 for c in eta)
     j0 = grid.nearest_node(eta)
-    with np.errstate(divide="ignore"):
-        w = 1.0 / r2
-    w[j0] = 0.0
 
-    A = float(dens[j0])
+    def dens_r(node):
+        """|psi|^2 and r at a node."""
+        i, j, k = node
+        return float(np.square(psi.values[node])), float(np.sqrt((sx[i] + sy[j]) + sz[k]))
+
+    A, r0 = dens_r(j0)
     kappa = None
-    nmax = grid.points_per_axis - 1
+    nmax = n - 1
     if A > 1e-280 and all(0 < i < nmax for i in j0):
         slopes = []
-        r0 = float(r[j0])
         for ax in range(3):
             for step in (-1, 1):
                 jn = list(j0)
                 jn[ax] += step
-                jn = tuple(jn)
-                v, rn = float(dens[jn]), float(r[jn])
+                v, rn = dens_r(tuple(jn))
                 if v > 1e-280 and rn > r0:
                     slopes.append(np.log(A / v) / (2.0 * (rn - r0)))
         if slopes:
             k = float(np.mean(slopes))
             if np.isfinite(k) and 1e-3 <= k <= 1e3:
                 kappa = k
+
+    integrand = np.empty(grid.shape)
+    shares = _slabs(n)
+    planes = max(1, _CHUNK_PLANES // len(shares))
+    buffers = np.empty((len(shares), 2, planes, n, n))
+
+    def fill(worker, rows):
+        r, dens = buffers[worker]
+        for start in range(rows.start, rows.stop, planes):
+            x = slice(start, min(start + planes, rows.stop))
+            count = x.stop - x.start
+            r2, d, out = r[:count], dens[:count], integrand[x]
+            np.add(sx[x, None, None], sy[None, :, None], out=r2)
+            r2 += sz
+            with np.errstate(divide="ignore"):
+                np.divide(1.0, r2, out=out)  # the weight w = 1/r^2
+            if x.start <= j0[0] < x.stop:
+                out[(j0[0] - x.start,) + j0[1:]] = 0.0
+            np.square(psi.values[x], out=d)
+            if kappa is not None:  # remainder = dens - A e^{-2 kappa r}
+                np.sqrt(r2, out=r2)
+                r2 *= -2.0 * kappa
+                np.exp(r2, out=r2)
+                r2 *= A
+                d -= r2
+            out *= d
+
+    _run(fill, shares)
     if kappa is None:
         # plain mollified sum: cell mean of 1/r^2 at the singular node
-        total = float((dens * w).sum() * h**3)
+        total = float(integrand.sum() * h**3)
         total += A * _INV_SQUARE_CELL_MEAN / (h * h) * h**3
         return total
-    remainder = dens - A * np.exp(-2.0 * kappa * r)
-    return float((remainder * w).sum() * h**3 + A * 2.0 * np.pi / kappa)
+    return float(integrand.sum() * h**3 + A * 2.0 * np.pi / kappa)
 
 
 @dataclass(frozen=True)
@@ -385,11 +439,14 @@ def check_orbital_bounds(
 ) -> BoundCheckReport:
     """Verify the overlap-field sup bound on ``fields`` (those of
     ``orbitals``) and the weighted-L2 bound at the nuclei plus 10
-    deterministic pseudo-random points."""
-    grid = orbitals.grid
-    rng = np.random.default_rng(2026)
+    deterministic pseudo-random points of the central half of the box,
+    low + (high - low) u for the 30 draws u of ``_BOUND_POINT_DRAWS``: the
+    bits of ``np.random.default_rng(2026).uniform(low, high, 3)`` taken 10
+    times, without importing ``numpy.random``."""
+    low, high = -0.5 * orbitals.grid.extent, 0.5 * orbitals.grid.extent
     points = [pos for _, pos in system.nuclei]
-    points += [tuple(rng.uniform(-0.5 * grid.extent, 0.5 * grid.extent, 3)) for _ in range(10)]
+    points += [tuple(low + (high - low) * np.array(_BOUND_POINT_DRAWS[i:i + 3]))
+               for i in range(0, 30, 3)]
     normalized = all(abs(norm(o, 2) - 1.0) < 1e-3 for o in orbitals.orbitals)
     rows = []
     for a, psi in enumerate(orbitals.orbitals):

@@ -241,6 +241,47 @@ def assert_overlap_bound(fields):
     assert fields.s_sup_max() <= S_SUP_BOUND
 
 
+def full_grid_coulomb_square_integral(psi, eta):
+    """Reference for ``coulomb_square_integral``: its formula on whole-grid
+    arrays, as it was before the integrand was filled by chunks.  Returns
+    the integral and whether the cusp fit was used (False for the plain
+    mollified sum)."""
+    grid = psi.grid
+    h = grid.spacing
+    dens = psi.values**2
+    r2 = grid.radius_squared(tuple(float(c) for c in eta))
+    r = np.sqrt(r2)
+    j0 = grid.nearest_node(eta)
+    with np.errstate(divide="ignore"):
+        w = 1.0 / r2
+    w[j0] = 0.0
+
+    A = float(dens[j0])
+    kappa = None
+    nmax = grid.points_per_axis - 1
+    if A > 1e-280 and all(0 < i < nmax for i in j0):
+        slopes = []
+        r0 = float(r[j0])
+        for ax in range(3):
+            for step in (-1, 1):
+                jn = list(j0)
+                jn[ax] += step
+                jn = tuple(jn)
+                v, rn = float(dens[jn]), float(r[jn])
+                if v > 1e-280 and rn > r0:
+                    slopes.append(np.log(A / v) / (2.0 * (rn - r0)))
+        if slopes:
+            k = float(np.mean(slopes))
+            if np.isfinite(k) and 1e-3 <= k <= 1e3:
+                kappa = k
+    if kappa is None:
+        total = float((dens * w).sum() * h**3)
+        total += A * chf.hf._INV_SQUARE_CELL_MEAN / (h * h) * h**3
+        return total, False
+    remainder = dens - A * np.exp(-2.0 * kappa * r)
+    return float((remainder * w).sum() * h**3 + A * 2.0 * np.pi / kappa), True
+
+
 def peak_traced_bytes(fn):
     """Peak bytes traced by tracemalloc while ``fn()`` runs, over what was
     allocated before it started."""

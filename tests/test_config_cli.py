@@ -911,6 +911,28 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1"
 
+    def test_cli_import_leaves_numpy_polynomial_unloaded(self):
+        # the Gauss-Legendre rules are computed by the functions that use them
+        assert self._loaded_by_cli_import("numpy.polynomial") == "False"
+
+    def test_scf_command_leaves_numpy_random_and_polynomial_unloaded(self, tmp_path):
+        # the bound check's ten points are stored draws, and a He solve
+        # samples no under-resolved kernel
+        helium = write_config(tmp_path, (
+            "grid.n = 16\ngrid.extent = 8.0\nsystem.nuclei = 2.0, 0.0, 0.0, 0.0\n"))
+        script = (
+            "import sys\n"
+            "import convolve_hf.cli as cli\n"
+            "code = cli.main(['scf', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet'])\n"
+            "print(code, 'numpy.random' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(helium), str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False"]
+
     def test_no_scipy_module_on_the_default_paths(self, tmp_path):
         # FFTs, the Cholesky solve and erf come from numpy and math, and the
         # SCF's eigensolver is imaginary time: no command imports scipy

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,8 +13,10 @@ from convolve_hf.hf import build_overlap_fields, equation_terms
 
 from support import (
     assert_overlap_bound,
+    full_grid_coulomb_square_integral,
     hydrogen_identity,
     normalized_field,
+    peak_traced_bytes,
     random_smooth_orbital,
     unit_gaussian_orbital,
 )
@@ -252,6 +259,18 @@ class TestEnergies:
         assert rep2.kinetic == pytest.approx(rep1.kinetic, abs=1e-10)
 
 
+# run in a child process pinned to one CPU, where every chunk is filled
+# inline: coulomb_square_integral of a Slater orbital at N = 48, as hex
+_PINNED_INTEGRALS = """
+import json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import convolve_hf as chf
+psi = chf.sample(chf.Slater1s(), chf.GridSpec(points_per_axis=48, extent=12.0))
+print(json.dumps([chf.coulomb_square_integral(psi, eta).hex()
+                  for eta in json.loads(sys.argv[1])]))
+"""
+
+
 class TestBoundChecks:
     def test_slater_radial_oracle(self):
         # independent radial oracle: int e^{-2r}/(pi r^2) * 4 pi r^2 dr = 2
@@ -289,3 +308,53 @@ class TestBoundChecks:
         assert report.max_l2_square <= chf.L2_SQUARE_BOUND
         assert report.max_s_sup <= chf.S_SUP_BOUND
         assert len(report.l2_square_values) == 11  # 1 nucleus + 10 random
+
+    @pytest.mark.parametrize("case", ["on a node", "between nodes", "outside the box",
+                                      "tiny density"])
+    def test_streamed_integral_keeps_the_full_grid_bits(self, he_result_48, case):
+        # the integrand is filled by x chunks on the workers, each node by
+        # the whole-grid formula's operations in its order, and summed whole
+        psi = he_result_48.orbitals.orbitals[0]
+        grid = psi.grid
+        eta = {"on a node": (0.0, 0.0, 0.0), "between nodes": (0.3, -1.1, 0.7),
+               "outside the box": (20.0, 0.0, -3.0), "tiny density": (-11.0, 11.0, -11.0)}[case]
+        if case == "tiny density":
+            psi = unit_gaussian_orbital(grid, 4.0)
+            assert psi.values[grid.nearest_node(eta)] ** 2 <= 1e-280
+        want, used_fit = full_grid_coulomb_square_integral(psi, eta)
+        assert used_fit == (case in ("on a node", "between nodes"))
+        assert chf.coulomb_square_integral(psi, eta).hex() == want.hex()
+
+    def test_streamed_integral_does_not_depend_on_the_workers(self):
+        points = [(0.0, 0.0, 0.0), (0.3, -1.1, 0.7), (20.0, 0.0, -3.0), (5.0, 5.0, -4.0)]
+        psi = chf.sample(chf.Slater1s(), chf.GridSpec(points_per_axis=48, extent=12.0))
+        src = os.path.dirname(os.path.dirname(chf.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _PINNED_INTEGRALS, json.dumps(points)],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": pythonpath})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            chf.coulomb_square_integral(psi, eta).hex() for eta in points]
+
+    def test_bound_check_holds_at_most_two_grid_arrays(self, he_system, he_result_48):
+        # the integrand plus the chunk buffers; the whole-grid formula held
+        # about 7 grid arrays at once
+        result = he_result_48
+        peak = peak_traced_bytes(
+            lambda: chf.check_orbital_bounds(result.orbitals, he_system, result.fields))
+        assert peak <= 2 * result.orbitals.orbitals[0].values.nbytes
+
+    @pytest.mark.parametrize("extent", [0.001, 6.0, 7.3, 9.0, 10.0, 12.0, 123.456])
+    def test_points_are_the_seeded_uniform_draws(self, extent):
+        # the ten points the check took from np.random.default_rng(2026),
+        # now computed from its stored unit draws
+        grid = chf.GridSpec(points_per_axis=8, extent=extent)
+        zero = chf.ScalarField.zeros(grid)
+        orbitals = chf.OrbitalSet(orbitals=(zero,), energies=(0.0,), validate=False)
+        system = chf.MolecularSystem(nuclei=((1.0, (0.0, 0.0, 0.0)),))
+        report = chf.check_orbital_bounds(orbitals, system, chf.HfFields(p=zero, s=((zero,),)))
+        rng = np.random.default_rng(2026)
+        want = [rng.uniform(-0.5 * extent, 0.5 * extent, 3) for _ in range(10)]
+        got = [eta for _, eta, _ in report.l2_square_values[1:]]
+        assert np.array(got).tobytes() == np.array(want).tobytes()

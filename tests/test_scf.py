@@ -55,9 +55,9 @@ HE48_EPSILONS = (
     -0.8454271384791846, -0.8518476197522528, -0.8525082377871168, -0.8525915681226661,
     -0.8526039573816343, -0.8526058613043578, -0.852606167174395,
 )
-# traced peak of that solve, 9,648,902 B, plus 5 %, bytes: one more N = 48
+# traced peak of that solve, 8,269,979 B, plus 5 %, bytes: one more N = 48
 # grid array (884,736 B) alive through a padded convolution exceeds it
-HE48_PEAK_BYTES = 10_130_000
+HE48_PEAK_BYTES = 8_683_000
 
 
 class TestApplyFock:
@@ -191,9 +191,11 @@ class TestSolve:
             assert it.epsilon == pytest.approx(eps, rel=1e-12, abs=0)
 
     def test_step_buffers_do_not_outlive_the_relaxation(self, he_system, he_result_48):
-        # the padded convolution sets the solver's peak; an inner-step
-        # buffer still alive during it would lift the peak above the one
-        # of out-of-place steps
+        # the first convolution sets the solver's peak while it takes the
+        # Coulomb kernel's spectrum (its DCT-I), the plane blocks of every
+        # convolution lie 0.4 MB below it; an inner-step buffer, or the
+        # previous s, still alive during a convolution lifts the peak past
+        # the bound
         grid = he_result_48.orbitals.grid  # the fixture has warmed its caches
         tracemalloc.start()
         try:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .convolution import ConvolutionPlan
 from .errors import GridMismatchError
-from .fields import GridSpec, ScalarField, _run, _slabs, inner, laplacian, norm
+from .fields import GridSpec, ScalarField, inner, laplacian, norm
 from .kernels import CoulombKernel, sample
 
 __all__ = [
@@ -61,9 +61,8 @@ L2_SQUARE_BOUND = 4.0 * np.pi + 1.0
 # quadrature of coulomb_square_integral.
 _INV_SQUARE_CELL_MEAN = 7.674124222443732
 
-# x planes per chunk of coulomb_square_integral, summed over the workers;
-# with two chunk buffers per worker they hold 16 planes in all, 1/3 of a
-# grid array at N = 48.
+# x planes per chunk of coulomb_square_integral; its two chunk buffers
+# hold 16 planes, 1/3 of a grid array at N = 48.
 _CHUNK_PLANES = 8
 
 # np.random.default_rng(2026).random(30), the unit draws behind the ten
@@ -338,11 +337,10 @@ def coulomb_square_integral(psi: ScalarField, eta) -> float:
     sum when no usable local fit exists (tiny density, non-decaying
     profile, eta outside the box).
 
-    Memory: one grid array, the integrand, which the grid transforms'
-    workers fill by x chunks (see "Workers" in ``fields``) in two chunk
-    buffers each, all allocated on the calling thread, before one
-    whole-array sum.  Each node's integrand is computed by the operations
-    of the whole-grid formula, in its order, so the result keeps its bits.
+    Memory: one grid array, the integrand, filled by chunks of
+    ``_CHUNK_PLANES`` x planes in two chunk buffers, before one whole-array
+    sum.  Each node's integrand is computed by the operations of the
+    whole-grid formula, in its order, so the result keeps its bits.
     """
     grid = psi.grid
     h = grid.spacing
@@ -375,32 +373,26 @@ def coulomb_square_integral(psi: ScalarField, eta) -> float:
                 kappa = k
 
     integrand = np.empty(grid.shape)
-    shares = _slabs(n)
-    planes = max(1, _CHUNK_PLANES // len(shares))
-    buffers = np.empty((len(shares), 2, planes, n, n))
+    r2_chunk, dens_chunk = np.empty((2, _CHUNK_PLANES, n, n))
+    for start in range(0, n, _CHUNK_PLANES):
+        x = slice(start, min(start + _CHUNK_PLANES, n))
+        count = x.stop - x.start
+        r2, d, out = r2_chunk[:count], dens_chunk[:count], integrand[x]
+        np.add(sx[x, None, None], sy[None, :, None], out=r2)
+        r2 += sz
+        with np.errstate(divide="ignore"):
+            np.divide(1.0, r2, out=out)  # the weight w = 1/r^2
+        if x.start <= j0[0] < x.stop:
+            out[(j0[0] - x.start,) + j0[1:]] = 0.0
+        np.square(psi.values[x], out=d)
+        if kappa is not None:  # remainder = dens - A e^{-2 kappa r}
+            np.sqrt(r2, out=r2)
+            r2 *= -2.0 * kappa
+            np.exp(r2, out=r2)
+            r2 *= A
+            d -= r2
+        out *= d
 
-    def fill(worker, rows):
-        r, dens = buffers[worker]
-        for start in range(rows.start, rows.stop, planes):
-            x = slice(start, min(start + planes, rows.stop))
-            count = x.stop - x.start
-            r2, d, out = r[:count], dens[:count], integrand[x]
-            np.add(sx[x, None, None], sy[None, :, None], out=r2)
-            r2 += sz
-            with np.errstate(divide="ignore"):
-                np.divide(1.0, r2, out=out)  # the weight w = 1/r^2
-            if x.start <= j0[0] < x.stop:
-                out[(j0[0] - x.start,) + j0[1:]] = 0.0
-            np.square(psi.values[x], out=d)
-            if kappa is not None:  # remainder = dens - A e^{-2 kappa r}
-                np.sqrt(r2, out=r2)
-                r2 *= -2.0 * kappa
-                np.exp(r2, out=r2)
-                r2 *= A
-                d -= r2
-            out *= d
-
-    _run(fill, shares)
     if kappa is None:
         # plain mollified sum: cell mean of 1/r^2 at the singular node
         total = float(integrand.sum() * h**3)

@@ -49,12 +49,14 @@ transforms (see "Workers" in ``fields``), around one ``rfftn`` and one
 and the Parseval power; ``irfftn``; the renormalization.  Each reduction
 (<psi, u>, the mass, the kinetic sum) is one partial sum per x plane, and
 the calling thread adds the n partials, so the bytes do not depend on the
-number of workers.  The Fock residual is assembled and squared the same
-way, by x slabs with per-plane partial sums of its two norms; so are the
-relaxation's setup (v_eff, its per-plane maxima, -dt v_eff and the gain),
-the sign test of the new orbital, its sign fix and rho = psi^2.  The
-calling thread allocates every array the slabs write.  The two energy
-sums of an iteration stay whole-array ``einsum`` reductions.
+number of workers.  The calling thread allocates every array the slabs
+write.  Work done once per outer iteration runs on the calling thread
+alone, as whole-array numpy in place: the relaxation's setup (v_eff,
+sigma, -dt v_eff and the gain), the sign fix, rho = psi^2, the two energy
+sums and the Fock residual.  The sign test and the residual's two norms
+are summed from one partial per x plane, the energy sums as one
+``einsum`` each.  Split over the workers, this work gained nothing
+measurable at N = 64, where the four per-step phases do gain.
 
 For a single orbital the exchange acting on the occupied orbital itself
 collapses onto the local field s[0,0], so the frozen operator is local:
@@ -153,12 +155,9 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
 
     v_nuc = -0.5 * build_p(system, grid).values  # -sum_c Z_c h_c, mollified
 
-    def l2(arr):
-        return np.sqrt(np.einsum("ijk,ijk->", arr, arr) * h3)
-
     # initial guess: normalized Gaussian at the charge barycenter
     psi = sample(Gaussian(alpha=1.0, center=tuple(system.charge_barycenter())), grid).values.copy()
-    psi /= l2(psi)
+    psi /= np.sqrt(np.einsum("ijk,ijk->", psi, psi) * h3)
 
     plan, coulomb = ConvolutionPlan(grid), CoulombKernel()  # one spectrum for every iteration
 
@@ -186,26 +185,19 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
         Parseval power in u's buffer, which the explicit half step has
         freed, and imag^2 in psi's, which ``rfftn`` has freed.  The arrays
         are freed on return, before the padded convolution."""
-        w = np.empty(shape)
-        gain = np.empty(mult.shape)
+        w = np.add(v_nuc, s)
+        sigma = max(0.0, float(w.max()))
+        w *= -dt
+        gain = np.multiply(mult, 0.5)  # 1 / (1 + dt (sigma - mult / 2))
+        np.subtract(sigma, gain, out=gain)
+        gain *= dt
+        gain += 1.0
+        np.divide(1.0, gain, out=gain)
         u = np.empty(shape)
         spec = np.empty(mult.shape, np.complex128)
         power = u.reshape(-1)[: mult.size].reshape(mult.shape)
         imag2 = psi.reshape(-1)[: mult.size].reshape(mult.shape)
         dot, mass, kin = np.empty((3, shape[0]))
-
-        def field(_, x):
-            np.add(v_nuc[x], s[x], out=w[x])
-            np.max(w[x], axis=(1, 2), out=dot[x])  # dot's buffer holds them until step 1
-
-        def scale_and_gain(_, x):
-            w[x] *= -dt
-            g = gain[x]  # 1 / (1 + dt (sigma - mult / 2))
-            np.multiply(mult[x], 0.5, out=g)
-            np.subtract(sigma, g, out=g)
-            g *= dt
-            g += 1.0
-            np.divide(1.0, g, out=g)
 
         def potential(_, x):
             np.multiply(w[x], psi[x], out=u[x])
@@ -230,9 +222,6 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
             p = psi[x]
             p /= scale
 
-        _run(field, slabs)
-        sigma = max(0.0, float(dot.max()))
-        _run(scale_and_gain, slabs)
         for _ in range(_INNER_STEPS):
             _run(potential, slabs)
             eps = kinetic - dot.sum() / dt * h3
@@ -253,46 +242,26 @@ def solve(system: MolecularSystem, grid: GridSpec, max_iterations: int = 200) ->
 
     def fock_residual(psi, s, eps):
         """Relative Fock residual ||F psi - eps psi|| / ||F psi|| of ``psi``
-        with its own field, assembled and squared by x slabs: per x plane,
-        |F psi|^2 and |F psi - eps psi|^2.  The calling thread allocates
-        every array (one a worker allocates comes from its own glibc arena
-        and raises the RSS), and all are freed on return, before the next
-        padded convolution."""
+        with its own field; each squared norm is summed from one partial
+        per x plane.  Its two grid arrays are freed on return, before the
+        next padded convolution."""
         f_psi = spectral_laplacian(psi, grid)
-        products = np.empty(shape)
-        norms = np.empty((2, shape[0]))
-
-        def assemble(_, x):
-            f, v = f_psi[x], products[x]
-            f *= -0.5
-            np.add(v_nuc[x], s[x], out=v)
-            v *= psi[x]
-            f += v
-            np.einsum("ijk,ijk->i", f, f, out=norms[0, x])
-            f -= np.multiply(psi[x], eps, out=v)
-            np.einsum("ijk,ijk->i", f, f, out=norms[1, x])
-
-        _run(assemble, slabs)
-        den = np.sqrt(norms[0].sum() * h3)
-        return np.sqrt(norms[1].sum() * h3) / den if den > 0 else 0.0
+        f_psi *= -0.5
+        v = np.add(v_nuc, s)
+        v *= psi
+        f_psi += v
+        den = np.sqrt(np.einsum("ijk,ijk->i", f_psi, f_psi).sum() * h3)
+        f_psi -= np.multiply(psi, eps, out=v)
+        num = np.sqrt(np.einsum("ijk,ijk->i", f_psi, f_psi).sum() * h3)
+        return num / den if den > 0 else 0.0
 
     def density(psi):
-        """rho = psi^2 by x slabs, after fixing the global sign of ``psi``
-        in place (sum psi >= 0, for reproducible output); the sign test adds
-        one partial sum per x plane."""
-        rho = np.empty(shape)
-        sums = np.empty(shape[0])
-        _run(lambda _, x: np.sum(psi[x], axis=(1, 2), out=sums[x]), slabs)
-        flip = sums.sum() < 0
-
-        def square(_, x):
-            p = psi[x]
-            if flip:
-                np.negative(p, out=p)
-            np.multiply(p, p, out=rho[x])
-
-        _run(square, slabs)
-        return rho
+        """rho = psi^2, after fixing the global sign of ``psi`` in place (sum
+        psi >= 0, summed from one partial per x plane, for reproducible
+        output)."""
+        if np.sum(psi, axis=(1, 2)).sum() < 0:
+            np.negative(psi, out=psi)
+        return psi * psi
 
     history: list[ScfIteration] = []
     eps = 0.0

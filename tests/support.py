@@ -16,6 +16,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.integrate import quad
 from scipy.sparse import linalg as spla
+from scipy.special import erf
 
 import convolve_hf as chf
 from convolve_hf import ConvolutionPlan, CoulombKernel, convolution, laplacian
@@ -220,6 +221,31 @@ def projected_roothaan_hall_orbital(grid, alpha0, coefficients):
     sign = 1.0 - 2.0 * ((m[:, None, None] + m[None, :, None] + m[None, None, :]) % 2)
     values = np.fft.ifftn(np.take(radial, m2) * sign).real / h**3
     return chf.ScalarField(grid=grid, values=values if values.sum() > 0 else -values)
+
+
+def roothaan_hall_hartree_field(grid, alpha0, coefficients):
+    """The Hartree field s_RH = rho * 1/|.| of the density rho = psi^2 of
+    the orbital sum_a c_a phi_a in the even-tempered Gaussians
+    ``chf.basis_function(k, alpha0, 1.9)`` centred at the origin, at the
+    nodes of ``grid``.
+
+    With p = a + b, each product N_a N_b e^{-p r^2} has the potential
+    N_a N_b (pi/p)^{3/2} erf(sqrt(p) r) / r, whose value at r = 0 is
+    N_a N_b 2 pi / p.  The radius of a node is h sqrt(m) for an integer m,
+    so the sum is evaluated once per m and gathered."""
+    h = grid.spacing
+    basis = [chf.basis_function(k, alpha0, 1.9) for k in range(len(coefficients))]
+    a = np.array([g.alpha for g in basis])
+    weights = np.array([c * g.amplitude for c, g in zip(coefficients, basis)])
+    p = (a[:, None] + a[None, :]).ravel()
+    w = (weights[:, None] * weights[None, :]).ravel() * (np.pi / p) ** 1.5
+    m = np.rint(grid.axis_coordinates() / h).astype(np.intp)
+    m2 = m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2
+    r = h * np.sqrt(np.arange(1, m2.max() + 1))
+    radial = np.empty(m2.max() + 1)
+    radial[0] = w @ (2.0 * np.sqrt(p / np.pi))
+    radial[1:] = w @ (erf(np.sqrt(p)[:, None] * r[None, :]) / r[None, :])
+    return chf.ScalarField(grid=grid, values=np.take(radial, m2))
 
 
 def hydrogen_identity(n, extent, margin=0.75):

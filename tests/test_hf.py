@@ -1,7 +1,3 @@
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -259,18 +255,6 @@ class TestEnergies:
         assert rep2.kinetic == pytest.approx(rep1.kinetic, abs=1e-10)
 
 
-# run in a child process pinned to one CPU, where every chunk is filled
-# inline: coulomb_square_integral of a Slater orbital at N = 48, as hex
-_PINNED_INTEGRALS = """
-import json, os, sys
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-import convolve_hf as chf
-psi = chf.sample(chf.Slater1s(), chf.GridSpec(points_per_axis=48, extent=12.0))
-print(json.dumps([chf.coulomb_square_integral(psi, eta).hex()
-                  for eta in json.loads(sys.argv[1])]))
-"""
-
-
 class TestBoundChecks:
     def test_slater_radial_oracle(self):
         # independent radial oracle: int e^{-2r}/(pi r^2) * 4 pi r^2 dr = 2
@@ -312,8 +296,8 @@ class TestBoundChecks:
     @pytest.mark.parametrize("case", ["on a node", "between nodes", "outside the box",
                                       "tiny density"])
     def test_streamed_integral_keeps_the_full_grid_bits(self, he_result_48, case):
-        # the integrand is filled by x chunks on the workers, each node by
-        # the whole-grid formula's operations in its order, and summed whole
+        # the integrand is filled by x chunks, each node by the whole-grid
+        # formula's operations in its order, and summed whole
         psi = he_result_48.orbitals.orbitals[0]
         grid = psi.grid
         eta = {"on a node": (0.0, 0.0, 0.0), "between nodes": (0.3, -1.1, 0.7),
@@ -324,18 +308,6 @@ class TestBoundChecks:
         want, used_fit = full_grid_coulomb_square_integral(psi, eta)
         assert used_fit == (case in ("on a node", "between nodes"))
         assert chf.coulomb_square_integral(psi, eta).hex() == want.hex()
-
-    def test_streamed_integral_does_not_depend_on_the_workers(self):
-        points = [(0.0, 0.0, 0.0), (0.3, -1.1, 0.7), (20.0, 0.0, -3.0), (5.0, 5.0, -4.0)]
-        psi = chf.sample(chf.Slater1s(), chf.GridSpec(points_per_axis=48, extent=12.0))
-        src = os.path.dirname(os.path.dirname(chf.__file__))
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", _PINNED_INTEGRALS, json.dumps(points)],
-                              capture_output=True, text=True, timeout=300,
-                              env={**os.environ, "PYTHONPATH": pythonpath})
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [
-            chf.coulomb_square_integral(psi, eta).hex() for eta in points]
 
     def test_bound_check_holds_at_most_two_grid_arrays(self, he_system, he_result_48):
         # the integrand plus the chunk buffers; the whole-grid formula held

@@ -21,6 +21,7 @@ from support import (
     random_smooth_orbital,
     record_sampled_kernels,
     roothaan_hall_1s2,
+    roothaan_hall_hartree_field,
     unit_gaussian_orbital,
 )
 
@@ -205,6 +206,37 @@ class TestSolve:
             tracemalloc.stop()
         assert result.iteration_count == he_result_48.iteration_count
         assert peak <= HE48_PEAK_BYTES
+
+    def test_no_dead_grid_array_is_kept_alive(self, he_system, he_result_48, monkeypatch):
+        # traced live bytes, in N = 48 grid arrays, when an inner step enters
+        # rfftn (7.64; 8.64 when rho outlives its energy sums) and when a
+        # convolution after the first starts (4.07; 5.07 when the previous
+        # s outlives it)
+        grid = he_result_48.orbitals.grid  # the fixture has warmed its caches
+        live = {"rfftn": [], "convolve": []}
+        rfftn, convolve = scf.rfftn, scf.ConvolutionPlan.convolve_with_kernel
+
+        def at_rfftn(values, out):
+            live["rfftn"].append(tracemalloc.get_traced_memory()[0])
+            return rfftn(values, out)
+
+        def at_convolve(plan, *args, **kwargs):
+            live["convolve"].append(tracemalloc.get_traced_memory()[0])
+            return convolve(plan, *args, **kwargs)
+
+        monkeypatch.setattr(scf, "rfftn", at_rfftn)
+        monkeypatch.setattr(scf.ConvolutionPlan, "convolve_with_kernel", at_convolve)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = chf.solve(he_system, grid)
+        finally:
+            tracemalloc.stop()
+        assert result.iteration_count == he_result_48.iteration_count
+        array = he_result_48.orbitals.orbitals[0].values.nbytes
+        assert len(live["convolve"]) == result.iteration_count + 1
+        assert (max(live["rfftn"]) - base) / array <= 8.1
+        assert (max(live["convolve"][1:]) - base) / array <= 4.5
 
     def test_helium_virial_ratio(self, he_result_48):
         report = chf.energies(he_result_48.orbitals, he_result_48.fields)
@@ -485,6 +517,23 @@ class TestRoothaanHallOracle:
                   for r in (he_result_48, he_result_96)]
         assert errors[1] < errors[0] < 0.06
         assert errors[1] < 0.03
+
+    def test_grid_fields_approach_the_reference_hartree_field(self, he_roothaan_hall,
+                                                              he_result_48, he_result_96):
+        # relative to the closed-form s_RH, the SCF's s falls from 9.0e-3
+        # at N = 48 to 3.8e-3 at N = 96 in L2, and from 1.0e-1 to 5.1e-2
+        # at its worst node (L = 12)
+        _, _, c = he_roothaan_hall
+        errors = []
+        for result in (he_result_48, he_result_96):
+            s = result.fields.s[0][0].values
+            want = roothaan_hall_hartree_field(result.orbitals.grid, 0.03, c).values
+            errors.append((np.linalg.norm(s - want) / np.linalg.norm(want),
+                           np.abs(s - want).max() / np.abs(want).max()))
+        assert errors[1][0] < errors[0][0] < 0.01
+        assert errors[1][1] < errors[0][1] < 0.11
+        assert errors[1][0] < 0.0045
+        assert errors[1][1] < 0.06
 
     def test_grid_solves_lie_above_the_reference_and_approach_it(
             self, he_roothaan_hall, he_result_48, he_result_96):

@@ -51,22 +51,14 @@ the order of the axes (z, y, x forward; x, y, z inverse) are those of
 
 Workers
 -------
-Every pass transforms independent lines, so each is shared among worker
-threads: the forward and inverse z passes by x rows, the plane blocks by
-contiguous shares of the kz blocks, and each pass of a spectrum's DCT-I
-by lines.  The workers are those of the grid transforms (see "Workers"
-in ``fields``): the calling thread runs the first share and a pool,
-created on first use, the others; numpy's transforms and copies of large
-arrays release the GIL.  There is one worker per CPU the process may run
-on (``os.sched_getaffinity``), the calling thread counting as one, and
-the plane blocks take at most 8 // (arrays per worker), so that every
-block keeps a kz plane.  On one CPU, and on grids below 48 nodes, whose
-numpy calls are too short to gain over the handoffs between threads,
-every pass runs inline and no pool is made.  A worker writes only its own
-lines or kz planes, and every line is transformed alone, so the output
-bytes do not depend on the number of workers.  A DCT-I pass reads the
-previous pass's output from the buffer it writes, so all of its lines
-are gathered before any of them is transformed.
+The passes run on the workers of the grid transforms (see "Workers" in
+``fields``): the forward and inverse z passes by x rows, each pass of a
+spectrum's DCT-I by lines, and the plane blocks by contiguous shares of
+the kz blocks, each worker writing only its own kz planes.  The plane
+blocks take at most 8 // (arrays per worker) workers, so that every
+block keeps a kz plane.  A DCT-I pass reads the previous pass's output
+from the buffer it writes, so all of its lines are gathered before any
+of them is transformed.
 
 A worker allocates nothing larger than pocketfft's line scratch.  The
 calling thread allocates each worker's buffers once per call: rows

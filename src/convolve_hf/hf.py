@@ -65,20 +65,17 @@ _INV_SQUARE_CELL_MEAN = 7.674124222443732
 # hold 16 planes, 1/3 of a grid array at N = 48.
 _CHUNK_PLANES = 8
 
-# np.random.default_rng(2026).random(30), the unit draws behind the ten
-# points of check_orbital_bounds.
-_BOUND_POINT_DRAWS = (
-    0.17893481367543618, 0.6399131657151546, 0.4672684011434851,
-    0.37050052710804804, 0.3549173343096512, 0.790518245853265,
-    0.9051438366771739, 0.17735319182304865, 0.652784802685132,
-    0.29830276735556926, 0.9669622001623905, 0.9198501605372782,
-    0.6358708041446514, 0.7527320970790866, 0.5151536963223518,
-    0.82589525837557, 0.4483805454001032, 0.33881245331376186,
-    0.27789921550015906, 0.22633305684340344, 0.5258168433452484,
-    0.43091206068443144, 0.6631806204725954, 0.012840482366806572,
-    0.4477019015387208, 0.3651808011323914, 0.19539759987155403,
-    0.5948658710060528, 0.43531315595064457, 0.2999915037451498,
-)
+
+def _kronecker(count: int, dim: int) -> np.ndarray:
+    """The (count, dim) array of u_i = frac(1/2 + i a), i = 1..count: Roberts'
+    closed-form low-discrepancy sequence in [0, 1)^dim, a_k = phi^-k, where
+    phi^(dim + 1) = phi + 1 (the golden ratio for dim = 1)."""
+    phi = 2.0
+    for _ in range(64):  # a contraction onto the root
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    # in plain floats: as numpy arrays, these raised the scf peak RSS by 0.1 MB
+    return np.array([[(0.5 + i * phi**-k) % 1.0 for k in range(1, dim + 1)]
+                     for i in range(1, count + 1)])
 
 
 @dataclass(frozen=True)
@@ -332,10 +329,12 @@ def coulomb_square_integral(psi: ScalarField, eta) -> float:
     The integrable 1/r^2 singularity is handled by subtracting a
     cusp-matched profile A e^{-2 kappa r} whose integral against 1/r^2 is
     2 pi A / kappa exactly; kappa is the radial log-slope of |psi|^2
-    measured from the nodes adjacent to eta.  For a Slater-type orbital
-    the remainder vanishes identically.  Falls back to a plain mollified
-    sum when no usable local fit exists (tiny density, non-decaying
-    profile, eta outside the box).
+    measured from the nodes adjacent to eta, and A is |psi|^2 at the
+    nearest node, a distance r0 from eta, times e^{2 kappa r0}.  For a
+    Slater-type orbital centred at eta the remainder vanishes identically.
+    Falls back to a plain mollified sum when no usable local fit exists
+    (tiny density, non-decaying profile, eta outside the box, or an
+    amplitude beyond the float range).
 
     Memory: one grid array, the integrand, filled by chunks of
     ``_CHUNK_PLANES`` x planes in two chunk buffers, before one whole-array
@@ -370,7 +369,10 @@ def coulomb_square_integral(psi: ScalarField, eta) -> float:
         if slopes:
             k = float(np.mean(slopes))
             if np.isfinite(k) and 1e-3 <= k <= 1e3:
-                kappa = k
+                with np.errstate(over="ignore"):
+                    peak = A * np.exp(2.0 * k * r0)  # the profile at eta, not at r0
+                    if np.isfinite(peak * 2.0 * np.pi / k):
+                        kappa, A = k, peak
 
     integrand = np.empty(grid.shape)
     r2_chunk, dens_chunk = np.empty((2, _CHUNK_PLANES, n, n))
@@ -430,15 +432,12 @@ def check_orbital_bounds(
     fields: HfFields,
 ) -> BoundCheckReport:
     """Verify the overlap-field sup bound on ``fields`` (those of
-    ``orbitals``) and the weighted-L2 bound at the nuclei plus 10
-    deterministic pseudo-random points of the central half of the box,
-    low + (high - low) u for the 30 draws u of ``_BOUND_POINT_DRAWS``: the
-    bits of ``np.random.default_rng(2026).uniform(low, high, 3)`` taken 10
-    times, without importing ``numpy.random``."""
+    ``orbitals``) and the weighted-L2 bound at the nuclei plus 10 points
+    of the central half of the box, low + (high - low) u for the first 10
+    points u of the three-dimensional ``_kronecker`` sequence."""
     low, high = -0.5 * orbitals.grid.extent, 0.5 * orbitals.grid.extent
     points = [pos for _, pos in system.nuclei]
-    points += [tuple(low + (high - low) * np.array(_BOUND_POINT_DRAWS[i:i + 3]))
-               for i in range(0, 30, 3)]
+    points += [tuple(low + (high - low) * u) for u in _kronecker(10, 3)]
     normalized = all(abs(norm(o, 2) - 1.0) < 1e-3 for o in orbitals.orbitals)
     rows = []
     for a, psi in enumerate(orbitals.orbitals):

@@ -300,6 +300,7 @@ def full_grid_coulomb_square_integral(psi, eta):
             k = float(np.mean(slopes))
             if np.isfinite(k) and 1e-3 <= k <= 1e3:
                 kappa = k
+                A *= np.exp(2.0 * kappa * r0)
     if kappa is None:
         total = float((dens * w).sum() * h**3)
         total += A * chf.hf._INV_SQUARE_CELL_MEAN / (h * h) * h**3
@@ -388,3 +389,17 @@ def engine_digests(n):
         for i, field in enumerate(out if isinstance(out, tuple) else (out,)):
             arrays[f"{name}{i}"] = field.values
     return {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+
+
+def under_resolved_octant_digests():
+    """SHA-256 of the octants of Poisson kernels below 2h (t = h and 1.9h)
+    at N = 48 and 96 (L = 10), whose cell averages near the origin are one
+    matrix-vector product.  A module-level function, so that a child
+    process can run it too."""
+    digests = []
+    for n in (48, 96):
+        grid = chf.GridSpec(points_per_axis=n, extent=10.0)
+        for t in (grid.spacing, 1.9 * grid.spacing):
+            octant = convolution._sample_kernel_octant(chf.PoissonKernel(t=t), grid)
+            digests.append(hashlib.sha256(octant.tobytes()).hexdigest())
+    return digests

@@ -915,27 +915,13 @@ class TestStartup:
         # the Gauss-Legendre rules are computed by the functions that use them
         assert self._loaded_by_cli_import("numpy.polynomial") == "False"
 
-    def test_scf_command_leaves_numpy_random_and_polynomial_unloaded(self, tmp_path):
-        # the bound check's ten points are stored draws, and a He solve
-        # samples no under-resolved kernel
-        helium = write_config(tmp_path, (
-            "grid.n = 16\ngrid.extent = 8.0\nsystem.nuclei = 2.0, 0.0, 0.0, 0.0\n"))
-        script = (
-            "import sys\n"
-            "import convolve_hf.cli as cli\n"
-            "code = cli.main(['scf', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet'])\n"
-            "print(code, 'numpy.random' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(helium), str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False", "False"]
-
-    def test_no_scipy_module_on_the_default_paths(self, tmp_path):
-        # FFTs, the Cholesky solve and erf come from numpy and math, and the
-        # SCF's eigensolver is imaginary time: no command imports scipy
+    def test_commands_load_neither_scipy_nor_numpy_random(self, tmp_path):
+        # FFTs, the Cholesky solve and erf come from numpy and math, the
+        # SCF's eigensolver is imaginary time, and the bound points and
+        # verify's test fields are a closed-form sequence: no command imports
+        # scipy or numpy.random.  The Gauss-Legendre rule of an under-resolved
+        # kernel loads numpy.polynomial, and no height of scf, residuals or
+        # expand here is below 2h, so those three run first and leave it out.
         hydrogen = write_config(tmp_path, (
             "grid.n = 16\ngrid.extent = 8.0\nsystem.nuclei = 1.0, 0.0, 0.0, 0.0\n"
             "residuals.source = hydrogen_identity\nresiduals.t = 2.5\nbasis.count = 4\n"),
@@ -944,23 +930,24 @@ class TestStartup:
             "grid.n = 16\ngrid.extent = 8.0\nsystem.nuclei = 2.0, 0.0, 0.0, 0.0\n"
             "scf.eigensolver = imaginary_time\n"), name="he16.cfg")
         runs = [
+            ["scf", "--config", str(helium)],
             ["residuals", "--config", str(hydrogen)],
             ["expand", "--config", str(hydrogen)],
             ["extend-sweep", "--config", str(REPO / "configs" / "extend_sweep.cfg"),
              "--grid-n", "16"],
             # every check runs; on this coarse grid some fail (exit 3)
             ["verify", "--config", str(REPO / "configs" / "verify.cfg"), "--grid-n", "16"],
-            ["scf", "--config", str(helium)],
         ]
         script = (
             "import json, sys\n"
             "import convolve_hf.cli as cli\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
-            "seen = {'import': [0, scipy_modules()]}\n"
+            "def loaded():\n"
+            "    return [sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'),\n"
+            "            'numpy.random' in sys.modules, 'numpy.polynomial' in sys.modules]\n"
+            "seen = {'import': [0] + loaded()}\n"
             "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
             "    code = cli.main(argv + ['--out', sys.argv[2] + str(i), '--quiet'])\n"
-            "    seen[argv[0]] = [code, scipy_modules()]\n"
+            "    seen[argv[0]] = [code] + loaded()\n"
             "print(json.dumps(seen))\n"
         )
         proc = subprocess.run(
@@ -969,5 +956,7 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen == {"import": [0, []], "residuals": [0, []], "expand": [0, []],
-                        "extend-sweep": [0, []], "verify": [3, []], "scf": [0, []]}
+        assert {command: row[:3] for command, row in seen.items()} == {
+            "import": [0, [], False], "scf": [0, [], False], "residuals": [0, [], False],
+            "expand": [0, [], False], "extend-sweep": [0, [], False], "verify": [3, [], False]}
+        assert [seen[c][3] for c in ("import", "scf", "residuals", "expand")] == [False] * 4

@@ -27,6 +27,7 @@ from support import (
     pointwise_octant,
     radial_coulomb_potential,
     record_sampled_kernels,
+    under_resolved_octant_digests,
 )
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -719,6 +720,15 @@ digests = engine_digests(int(sys.argv[1]))
 print(json.dumps([digests, fields._pool is None, threading.active_count()]))
 """
 
+# the octants of under-resolved Poisson kernels in a child pinned to one
+# CPU with one BLAS thread
+_PINNED_OCTANTS = """
+import json, os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from support import under_resolved_octant_digests
+print(json.dumps(under_resolved_octant_digests()))
+"""
+
 
 class TestWorkers:
     def test_outputs_do_not_depend_on_the_workers(self):
@@ -734,6 +744,19 @@ class TestWorkers:
                               env={**os.environ, "PYTHONPATH": pythonpath})
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [runs[0], True, 1]
+
+    def test_cell_averages_do_not_depend_on_blas_threads(self):
+        # the engine's one BLAS call, the GEMV over the Gauss-Legendre
+        # weights of the cell averages, gives the default process's bytes
+        pythonpath = os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(convolution.__file__)), TESTS,
+                          os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _PINNED_OCTANTS],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": pythonpath,
+                                   "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == under_resolved_octant_digests()
 
     def test_two_callers_share_the_pool(self):
         # a grouped and a field convolution on N = 48 and N = 64 at once

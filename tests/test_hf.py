@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 from scipy.special import erf
 
 import convolve_hf as chf
@@ -264,6 +264,13 @@ class TestBoundChecks:
         value = chf.coulomb_square_integral(psi, (0.0, 0.0, 0.0))
         assert value == pytest.approx(2.0, rel=0.005)
 
+    def test_inverse_square_cell_mean_is_its_integral(self):
+        # the mean of 1/|s|^2 over a unit cube centred on the singularity,
+        # the fallback quadrature's value at the singular node
+        mean, _ = dblquad(lambda v, u: 3.0 / (u * u + v * v + 0.25), -0.5, 0.5, -0.5, 0.5,
+                          epsabs=1e-13, epsrel=1e-13)
+        assert chf.hf._INV_SQUARE_CELL_MEAN == pytest.approx(mean, abs=1e-12)
+
     def test_gaussian_value_below_bound(self, grid64):
         psi = unit_gaussian_orbital(grid64, 1.0)
         value = chf.coulomb_square_integral(psi, (0.0, 0.0, 0.0))
@@ -316,16 +323,45 @@ class TestBoundChecks:
             lambda: chf.check_orbital_bounds(result.orbitals, he_system, result.fields))
         assert peak <= 2 * result.orbitals.orbitals[0].values.nbytes
 
-    @pytest.mark.parametrize("extent", [0.001, 6.0, 7.3, 9.0, 10.0, 12.0, 123.456])
-    def test_points_are_the_seeded_uniform_draws(self, extent):
-        # the ten points the check took from np.random.default_rng(2026),
-        # now computed from its stored unit draws
+    @pytest.mark.parametrize("extent", [0.001, 7.3, 12.0, 123.456])
+    def test_points_are_distinct_and_in_the_central_half(self, extent):
         grid = chf.GridSpec(points_per_axis=8, extent=extent)
         zero = chf.ScalarField.zeros(grid)
         orbitals = chf.OrbitalSet(orbitals=(zero,), energies=(0.0,), validate=False)
         system = chf.MolecularSystem(nuclei=((1.0, (0.0, 0.0, 0.0)),))
         report = chf.check_orbital_bounds(orbitals, system, chf.HfFields(p=zero, s=((zero,),)))
-        rng = np.random.default_rng(2026)
-        want = [rng.uniform(-0.5 * extent, 0.5 * extent, 3) for _ in range(10)]
-        got = [eta for _, eta, _ in report.l2_square_values[1:]]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        points = np.array([eta for _, eta, _ in report.l2_square_values[1:]])
+        assert points.shape == (10, 3)
+        assert np.all(np.abs(points) <= 0.5 * extent)
+        assert len({tuple(p) for p in points} | {(0.0, 0.0, 0.0)}) == 11
+
+    @pytest.mark.parametrize("zeta", [1.0, 1.6875])
+    @pytest.mark.parametrize("n", [48, 64])
+    @pytest.mark.parametrize("offset", [0.13, 0.25, 0.5])
+    def test_slater_cusp_between_nodes_reads_its_radial_value(self, zeta, n, offset):
+        # zeta^3/pi e^{-2 zeta r} against 1/r^2 integrates to 2 zeta^2; the
+        # subtracted profile is matched at eta, not at the nearest node
+        grid = chf.GridSpec(points_per_axis=n, extent=10.0)
+        eta = (offset * grid.spacing, 0.0, 0.0)
+        r = np.sqrt(grid.radius_squared(eta))
+        psi = chf.ScalarField(grid=grid, values=zeta**1.5 / np.sqrt(np.pi) * np.exp(-zeta * r))
+        assert chf.coulomb_square_integral(psi, eta) == pytest.approx(2 * zeta**2, rel=1e-3)
+
+    @pytest.mark.parametrize("spacing", [0.25, 1.0])
+    def test_cusp_fit_stays_finite_at_its_extremes(self, spacing):
+        # |psi|^2 falls from 1 at the nearest node with a log-slope of
+        # kappa = 999 towards the three neighbours beyond eta, which is
+        # near a cell centre (r0 = 0.998 sqrt(3) h / 2): the amplitude at eta,
+        # e^{2 kappa r0}, is e^{432} at h = 0.25 and beyond the float range
+        # at h = 1
+        grid = chf.GridSpec(points_per_axis=16, extent=8.0 * spacing)
+        eta = (0.499 * spacing,) * 3
+        j0 = grid.nearest_node(eta)
+        r = np.sqrt(grid.radius_squared(eta))
+        dens = np.zeros(grid.shape)
+        dens[j0] = 1.0
+        for ax in range(3):
+            jn = tuple(j + (i == ax) for i, j in enumerate(j0))
+            dens[jn] = np.exp(-2.0 * 999.0 * (r[jn] - r[j0]))
+        psi = chf.ScalarField(grid=grid, values=np.sqrt(dens))
+        assert np.isfinite(chf.coulomb_square_integral(psi, eta))

@@ -94,6 +94,11 @@ class TestSample:
         i, j, k = center
         assert f.values.real[i + 1, j, k] == pytest.approx(1.0 / g.spacing)
 
+    def test_coulomb_cell_mean_is_its_closed_form(self):
+        # the mean of 1/|s| over a unit cube centred on the singularity
+        closed_form = 3.0 * np.log(2.0 + np.sqrt(3.0)) - np.pi / 2.0
+        assert abs(chf.COULOMB_CELL_MEAN - closed_form) <= np.spacing(closed_form)
+
 
 class TestEvenTemperedBasis:
     def test_exponent_progression(self):

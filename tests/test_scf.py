@@ -548,3 +548,25 @@ class TestRoothaanHallOracle:
             gaps.append((energy - energy_rh, eps - eps_rh))
         assert gaps[1][0] < gaps[0][0]
         assert gaps[1][1] < gaps[0][1]
+
+    def test_transformed_residuals_of_the_reference_fall_with_h(self, he_roothaan_hall,
+                                                                he_system):
+        # P psi_RH, normalized, with eps_RH and its own grid fields: the
+        # relative thm4 residual at t = 2.4h reads 5.5e-2 / 4.1e-2 / 2.8e-2
+        # and the thm5 residual (alpha = 1) 6.8e-2 / 4.3e-2 / 2.2e-2 at
+        # N = 48 / 64 / 96 (L = 12); the SCF's own residuals stay near 1e-3
+        # on every grid, as they measure it against its own discretization
+        _, eps, c = he_roothaan_hall
+        relative = []
+        for n in (48, 64, 96):
+            grid = chf.GridSpec(points_per_axis=n, extent=12.0)
+            psi = projected_roothaan_hall_orbital(grid, 0.03, c)
+            orbitals = chf.OrbitalSet(orbitals=(psi * (1.0 / chf.norm(psi, 2)),), energies=(eps,))
+            thm4, thm5 = chf.transformed_residuals(
+                0, orbitals, chf.build_fields(he_system, orbitals), 2.4 * grid.spacing,
+                chf.Gaussian(alpha=1.0, amplitude=1.0))
+            relative.append((thm4.relative, thm5.relative))
+        thm4s, thm5s = zip(*relative)
+        assert thm4s[2] < thm4s[1] < thm4s[0] < 0.06
+        assert thm5s[2] < thm5s[1] < thm5s[0] < 0.075
+        assert thm4s[2] < 0.03 and thm5s[2] < 0.025
